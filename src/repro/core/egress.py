@@ -31,6 +31,7 @@ from ..perf import profiler as _prof
 from ..perf.batch import ATOMIC_CODE, STORE_CODE, MessageBatch
 from .config import FinePackConfig
 from .packetizer import Packetizer
+from .phase_kernel import pack_phase
 from .remote_write_queue import FlushedWindow, FlushReason, RemoteWriteQueue
 
 
@@ -518,8 +519,10 @@ class FinePackEgress:
         Semantically identical to calling :meth:`on_store` /
         :meth:`on_atomic` per element in order followed by
         :meth:`on_release` at ``release_time`` -- same messages, same
-        stats mutation order, same float stamps.  Phases whose op
-        columns were already packetized this run replay the recorded
+        stats mutation order, same float stamps.  The first sight of a
+        phase runs the columnar phase kernel
+        (:func:`repro.core.phase_kernel.pack_phase`); phases whose op
+        columns were already packed this run replay the recorded
         template with fresh issue times (content-addressed
         memoization; collectives and stencil workloads repeat the same
         store stream every iteration).
@@ -529,8 +532,9 @@ class FinePackEgress:
         partition design (its LRU state survives releases), an attached
         tracer, buffered state left over from a non-release flush, or
         instance-patched per-op hooks (validation harnesses wrap
-        ``on_store`` to inject faults) -- and the caller must use the
-        scalar per-op path.
+        ``on_store`` to inject faults) -- or when the kernel declines
+        input the per-op hooks would reject, and the caller must use
+        the scalar per-op path (which then raises exactly as before).
         """
         if (
             self.tracer is not None
@@ -551,9 +555,12 @@ class FinePackEgress:
         key = digest.digest()
         template = self._memo.get(key)
         if template is None:
-            msgs, template = self._record_phase(
+            recorded = self._record_phase(
                 addrs, sizes, dsts, times, is_atomic, release_time
             )
+            if recorded is None:
+                return None
+            msgs, template = recorded
             if len(self._memo) >= _MEMO_MAX_ENTRIES:
                 self._memo.pop(next(iter(self._memo)))
             self._memo[key] = template
@@ -568,143 +575,58 @@ class FinePackEgress:
         times: np.ndarray,
         is_atomic: np.ndarray,
         release_time: float,
-    ) -> tuple[list[WireMessage], _PhaseTemplate]:
-        """Run the phase through the real queue/packetizer, recording
-        which op slot stamped each emitted message and the stat deltas.
+    ) -> tuple[list[WireMessage], _PhaseTemplate] | None:
+        """Pack a first-seen phase with the columnar phase kernel,
+        apply its stat deltas, and record the template for replays.
 
-        The loop inlines :meth:`on_store`/:meth:`on_atomic` minus the
-        timeout bookkeeping (``_expire_idle`` is a no-op and
-        ``_last_activity`` is cleared by the release, both guaranteed
-        by the :meth:`phase_ops` eligibility gate), with the profiler
-        stage hoisted out of the per-op path.
+        ``None`` when the kernel declines (input the per-op hooks
+        would reject); nothing has been mutated then.
         """
-        queue = self.queue
-        packetizer = self.packetizer
-        protocol = self.protocol
-        stats = self.stats
-        src = self.src
-        before = {
-            d: (
-                p.stats.stores_in,
-                p.stats.store_hits,
-                p.stats.packets,
-                len(p.stats.stores_per_packet),
-                dict(p.stats.flushes),
-            )
-            for d, p in queue.partitions.items()
-        }
-        packets_before = packetizer.packets_built
-        msgs: list[WireMessage] = []
-        slots: list[int] = []
-        n_atomics = 0
         prof = _prof.ACTIVE
         if prof is not None:
             prof.begin("packetizer_rwq")
-        ops = zip(
-            addrs.tolist(),
-            sizes.tolist(),
-            dsts.tolist(),
-            times.tolist(),
-            is_atomic.tolist(),
+        packed = pack_phase(
+            self.config,
+            self.protocol,
+            self.src,
+            self.queue.partitions.keys(),
+            addrs,
+            sizes,
+            dsts,
+            times,
+            is_atomic,
+            release_time,
         )
-        for slot, (addr, size, dst, time, atomic) in enumerate(ops):
-            if atomic:
-                n_atomics += 1
-                stats.atomics_in += 1
-                if queue.partition(dst).matches_load(addr, size):
-                    flushed = queue.flush_destination(
-                        dst, FlushReason.ATOMIC_CONFLICT
-                    )
-                    for flush_dst, window in flushed:
-                        packet = packetizer.packetize(window)
-                        msgs.append(
-                            packetizer.to_wire_message(packet, src, flush_dst, time)
-                        )
-                        slots.append(slot)
-                        stats.messages_out += 1
-                payload, overhead = protocol.store_wire_cost(size)
-                stats.messages_out += 1
-                msgs.append(
-                    WireMessage(
-                        src=src,
-                        dst=dst,
-                        payload_bytes=payload,
-                        overhead_bytes=overhead,
-                        kind=MessageKind.ATOMIC,
-                        issue_time=time,
-                        stores_packed=1,
-                        meta=_single_range(addr, size),
-                    )
-                )
-                slots.append(slot)
-            else:
-                stats.stores_in += 1
-                for flush_dst, window in queue.insert(addr, size, dst):
-                    packet = packetizer.packetize(window)
-                    msgs.append(
-                        packetizer.to_wire_message(packet, src, flush_dst, time)
-                    )
-                    slots.append(slot)
-                    stats.messages_out += 1
-        stats.releases += 1
-        for flush_dst, window in queue.flush_all(FlushReason.RELEASE):
-            packet = packetizer.packetize(window)
-            msgs.append(
-                packetizer.to_wire_message(packet, src, flush_dst, release_time)
-            )
-            slots.append(-1)
-            stats.messages_out += 1
         if prof is not None:
             prof.end()
-        deltas: list[tuple[int, _PartitionDelta]] = []
-        for d, partition in queue.partitions.items():
-            s_in, hits, packets, n_spp, flushes = before[d]
-            after = partition.stats
-            if (after.stores_in, after.store_hits, after.packets) == (
-                s_in,
-                hits,
-                packets,
-            ):
-                continue
-            deltas.append(
+        if packed is None:
+            return None
+        template = _PhaseTemplate(
+            messages=tuple(zip(packed.slots, packed.messages)),
+            stores_in=packed.stores,
+            atomics_in=packed.atomics,
+            messages_out=len(packed.messages),
+            packets_built=packed.packets,
+            partition_deltas=tuple(
                 (
-                    d,
+                    dst,
                     _PartitionDelta(
-                        stores_in=after.stores_in - s_in,
-                        store_hits=after.store_hits - hits,
-                        packets=after.packets - packets,
-                        flushes=tuple(
-                            (reason, count - flushes.get(reason, 0))
-                            for reason, count in after.flushes.items()
-                            if count != flushes.get(reason, 0)
-                        ),
-                        stores_per_packet=tuple(after.stores_per_packet[n_spp:]),
+                        stores_in=pieces,
+                        store_hits=hits,
+                        packets=len(per_packet),
+                        flushes=flushes,
+                        stores_per_packet=per_packet,
                     ),
                 )
-            )
-        template = _PhaseTemplate(
-            messages=tuple(zip(slots, msgs)),
-            stores_in=int(addrs.size) - n_atomics,
-            atomics_in=n_atomics,
-            messages_out=len(msgs),
-            packets_built=packetizer.packets_built - packets_before,
-            partition_deltas=tuple(deltas),
+                for dst, pieces, hits, flushes, per_packet in packed.partitions
+            ),
         )
-        return msgs, template
+        self._apply_template_stats(template)
+        return packed.messages, template
 
-    def _replay_phase(
-        self,
-        template: _PhaseTemplate,
-        times: np.ndarray,
-        release_time: float,
-    ) -> list[WireMessage]:
-        """Re-emit a recorded phase with fresh issue times.
-
-        Messages are structurally identical to a fresh packetization
-        (packets are immutable once built and every downstream consumer
-        -- depacketizer, byte ledger -- only reads them), so only the
-        issue stamps differ between replays.
-        """
+    def _apply_template_stats(self, template: _PhaseTemplate) -> None:
+        """Apply one phase's egress, packetizer and partition stat
+        deltas, keeping each partition's flush-reason key order."""
         stats = self.stats
         stats.stores_in += template.stores_in
         stats.atomics_in += template.atomics_in
@@ -719,6 +641,21 @@ class FinePackEgress:
             for reason, count in delta.flushes:
                 pstats.flushes[reason] = pstats.flushes.get(reason, 0) + count
             pstats.stores_per_packet.extend(delta.stores_per_packet)
+
+    def _replay_phase(
+        self,
+        template: _PhaseTemplate,
+        times: np.ndarray,
+        release_time: float,
+    ) -> list[WireMessage]:
+        """Re-emit a recorded phase with fresh issue times.
+
+        Messages are structurally identical to a fresh packetization
+        (packets are immutable once built and every downstream consumer
+        -- depacketizer, byte ledger -- only reads them), so only the
+        issue stamps differ between replays.
+        """
+        self._apply_template_stats(template)
         stamps = times.tolist()
         return [
             replace(

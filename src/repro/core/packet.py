@@ -99,7 +99,7 @@ class FinePackPacket:
     per-sub objects, which is the bulk path's hot-loop saving.
     """
 
-    __slots__ = ("base_addr", "stores_absorbed", "_subs", "_columns")
+    __slots__ = ("base_addr", "stores_absorbed", "_subs", "_columns", "_data_bytes")
 
     def __init__(
         self,
@@ -107,13 +107,17 @@ class FinePackPacket:
         subs: list[SubTransaction] | None = None,
         stores_absorbed: int = 0,
         columns: tuple[np.ndarray, np.ndarray] | None = None,
+        data_bytes: int | None = None,
     ) -> None:
+        """``data_bytes`` may pre-fill a column-native packet's data
+        total (the sum of its lengths) when the caller already has it."""
         self.base_addr = base_addr
         self.stores_absorbed = stores_absorbed
         if subs is None and columns is None:
             subs = []
         self._subs = subs
         self._columns = columns
+        self._data_bytes = data_bytes
 
     @property
     def subs(self) -> list[SubTransaction]:
@@ -146,8 +150,12 @@ class FinePackPacket:
     @property
     def payload_data_bytes(self) -> int:
         """Actual store bytes carried (excludes sub-headers)."""
+        if self._data_bytes is not None:
+            return self._data_bytes
         if self._subs is None:
-            return int(self._columns[1].sum())
+            # Column-native packets are immutable once built: reduce once.
+            self._data_bytes = int(self._columns[1].sum())
+            return self._data_bytes
         return sum(s.length for s in self._subs)
 
     def inner_payload_bytes(self, config: FinePackConfig) -> int:

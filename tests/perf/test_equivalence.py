@@ -57,11 +57,12 @@ def test_fast_matches_scalar(workload, paradigm):
     assert fast == scalar
 
 
-def test_fast_matches_scalar_with_atomics():
+@pytest.mark.parametrize("paradigm", ["p2p", "finepack"])
+def test_fast_matches_scalar_with_atomics(paradigm):
     spec = RunSpec(
         workload="pagerank",
         workload_params={"n": 4000, "use_atomics": True},
-        paradigm="p2p",
+        paradigm=paradigm,
         n_gpus=2,
         iterations=2,
     )
