@@ -22,13 +22,7 @@ from repro.gpu.memory import MemorySpace
 from repro.sim.paradigms import GPSParadigm
 from repro.sim.runner import ExperimentConfig, compare_paradigms, geomean
 from repro.trace.intervals import IntervalSet
-from repro.trace.stream import (
-    DMATransfer,
-    IterationTrace,
-    KernelPhase,
-    RemoteStoreBatch,
-    WorkloadTrace,
-)
+from repro.trace.stream import DMATransfer, KernelPhase, RemoteStoreBatch
 from repro.workloads import MultiGPUWorkload, push_elements
 from repro.workloads.base import interleave
 from repro.workloads.datasets import partition_bounds
@@ -48,7 +42,7 @@ class _BroadcastWorkload(MultiGPUWorkload):
     def __init__(self, n: int = 24_000):
         self.n = n
 
-    def generate_trace(self, n_gpus, iterations=3, seed=7):
+    def iter_phases(self, n_gpus, iterations=3, seed=7):
         bounds = partition_bounds(self.n, n_gpus)
         memory = MemorySpace(n_gpus)
         buf = memory.alloc_replicated("broadcast.data", self.n * 32)
@@ -88,12 +82,11 @@ class _BroadcastWorkload(MultiGPUWorkload):
                     dma=dma,
                 )
             )
-        return WorkloadTrace(
-            name=self.name,
-            n_gpus=n_gpus,
-            iterations=[IterationTrace(phases)] * iterations,
-            metadata={},
-        )
+        # Every iteration broadcasts the same updates.
+        for it in range(iterations):
+            for phase in phases:
+                yield it, phase
+        return {}
 
 
 def test_gps_and_wc_comparison(benchmark, suite_results, emit):

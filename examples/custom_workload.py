@@ -4,8 +4,9 @@
 Shows everything a new multi-GPU application needs to be evaluated
 under every communication paradigm: subclass
 :class:`~repro.workloads.MultiGPUWorkload`, partition your problem,
-and describe each iteration's kernel (compute work, remote stores,
-read sets, and the memcpy plan).
+and implement ``iter_phases`` -- a generator yielding each iteration's
+per-GPU kernel (compute work, remote stores, read sets, and the memcpy
+plan) as ``(iteration, KernelPhase)`` and returning the trace metadata.
 
 The example models a distributed histogram: each GPU processes a shard
 of samples and pushes 8-byte bin updates into the peer replicas of a
@@ -25,13 +26,7 @@ from repro.analysis import format_table
 from repro.gpu.compute import KernelWork
 from repro.gpu.memory import MemorySpace
 from repro.sim import render_comparison
-from repro.trace.stream import (
-    DMATransfer,
-    IterationTrace,
-    KernelPhase,
-    RemoteStoreBatch,
-    WorkloadTrace,
-)
+from repro.trace.stream import DMATransfer, KernelPhase, RemoteStoreBatch
 from repro.workloads import MultiGPUWorkload, contiguous_interval, push_elements
 from repro.workloads.base import interleave
 from repro.workloads.datasets import partition_bounds
@@ -54,7 +49,7 @@ class HistogramWorkload(MultiGPUWorkload):
         self.n_bins = n_bins
         self.total_samples = total_samples
 
-    def generate_trace(self, n_gpus, iterations=3, seed=7):
+    def iter_phases(self, n_gpus, iterations=3, seed=7):
         rng = np.random.default_rng(seed)
         bounds = partition_bounds(self.n_bins, n_gpus)
         memory = MemorySpace(n_gpus)
@@ -62,9 +57,8 @@ class HistogramWorkload(MultiGPUWorkload):
         # Strong scaling: the sample set is fixed, each GPU gets a shard.
         shard = self.total_samples // n_gpus
 
-        iteration_traces = []
-        for _ in range(iterations):
-            phases = []
+        # One phase per GPU per iteration, iteration-major, GPU order.
+        for it in range(iterations):
             for g in range(n_gpus):
                 # Heavy-tailed bin popularity (Zipf-ish).
                 u = rng.random(shard)
@@ -98,22 +92,14 @@ class HistogramWorkload(MultiGPUWorkload):
                     hist.replicas[g] + int(bounds[g]) * 8,
                     (int(bounds[g + 1]) - int(bounds[g])) * 8,
                 )
-                phases.append(
-                    KernelPhase(
-                        gpu=g,
-                        work=work,
-                        stores=RemoteStoreBatch.concat(batches),
-                        reads=reads,
-                        dma=dma,
-                    )
+                yield it, KernelPhase(
+                    gpu=g,
+                    work=work,
+                    stores=RemoteStoreBatch.concat(batches),
+                    reads=reads,
+                    dma=dma,
                 )
-            iteration_traces.append(IterationTrace(phases))
-        return WorkloadTrace(
-            name=self.name,
-            n_gpus=n_gpus,
-            iterations=iteration_traces,
-            metadata={"n_bins": self.n_bins},
-        )
+        return {"n_bins": self.n_bins}
 
 
 def main() -> None:

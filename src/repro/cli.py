@@ -19,8 +19,10 @@ Commands
 ``profile``
     Run one workload/paradigm under the stage profiler
     (:mod:`repro.perf`) and print where the wall clock went; with
-    ``--scalar`` the vectorized fast paths are disabled so the two
-    modes can be compared (their metrics are byte-identical).
+    ``--scalar`` the run takes the scalar reference paths instead of
+    the vectorized fast paths (the one fast/scalar switch,
+    :func:`repro.perf.scalar_reference`) so the two modes can be
+    compared (their metrics are byte-identical).
 ``chaos``
     Sweep a fault scenario's intensity across paradigms and print the
     degradation curve (see :mod:`repro.faults`).
@@ -56,18 +58,18 @@ serial run) and ``--trace-cache DIR`` to share generated workload
 traces across processes and invocations through the content-addressed
 cache (:mod:`repro.run`); cache traffic is reported after the table.
 
-``run`` and ``sweep`` accept ``--trace-out FILE`` to record the run's
-structured event stream (``repro.obs``) and export it -- as Chrome
-``trace_event`` JSON loadable in ``chrome://tracing``/Perfetto, or as
-compact JSONL when the file name ends in ``.jsonl``.  Traced runs check
-runtime invariants (byte conservation, link exclusivity, empty remote
-write queues at barriers) as they go.
+``run``, ``sweep`` and ``chaos`` accept ``--trace-out FILE`` to record
+the run's structured event stream (``repro.obs``) and export it -- as
+Chrome ``trace_event`` JSON loadable in ``chrome://tracing``/Perfetto,
+or (``run`` only) as compact JSONL when the file name ends in
+``.jsonl``; an empty file name is rejected.  Traced runs check runtime
+invariants (byte conservation, link exclusivity, empty remote write
+queues at barriers) as they go.
 """
 
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from typing import Sequence
 
@@ -173,9 +175,16 @@ def _topology_fields(args: argparse.Namespace) -> tuple[str | None, tuple]:
     return kind, tuple(sorted(params.items()))
 
 
+def _trace_path(value: str) -> str:
+    if not value.strip():
+        raise argparse.ArgumentTypeError("--trace-out needs a file name")
+    return value
+
+
 def _add_trace_args(p: argparse.ArgumentParser) -> None:
     p.add_argument(
         "--trace-out",
+        type=_trace_path,
         default=None,
         metavar="FILE",
         help="export the run's event trace (Chrome trace_event JSON; "
@@ -199,22 +208,6 @@ def _add_parallel_args(p: argparse.ArgumentParser) -> None:
         help="directory for the content-addressed workload-trace cache "
         "(shared across processes and invocations; default: "
         "$REPRO_TRACE_CACHE if set, else in-memory only)",
-    )
-    p.add_argument(
-        "--no-trace-stream",
-        action="store_true",
-        help="materialize whole traces before writing cache entries "
-        "instead of streaming column chunks to disk as they are "
-        "generated (entries are byte-identical either way; streaming "
-        "just bounds peak memory)",
-    )
-    p.add_argument(
-        "--trace-chunk-ops",
-        type=int,
-        default=None,
-        metavar="N",
-        help="store-ops per streamed trace chunk (default "
-        "$REPRO_TRACE_CHUNK_OPS or 262144)",
     )
     p.add_argument(
         "--timeout",
@@ -990,30 +983,8 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _apply_stream_flags(args: argparse.Namespace) -> None:
-    """Propagate streaming toggles through the environment.
-
-    :class:`~repro.run.cache.TraceCache` reads its streaming defaults
-    from the environment at construction, and grid worker processes
-    inherit it -- one mechanism covers the in-process cache and every
-    ``--jobs N`` worker.
-    """
-    from .run.cache import CHUNK_OPS_ENV, STREAM_ENV
-
-    if getattr(args, "no_trace_stream", False):
-        os.environ[STREAM_ENV] = "0"
-    chunk_ops = getattr(args, "trace_chunk_ops", None)
-    if chunk_ops is not None:
-        if chunk_ops <= 0:
-            raise SystemExit(
-                f"--trace-chunk-ops must be positive, got {chunk_ops}"
-            )
-        os.environ[CHUNK_OPS_ENV] = str(chunk_ops)
-
-
 def main(argv: Sequence[str] | None = None, out=None) -> int:
     args = build_parser().parse_args(argv)
-    _apply_stream_flags(args)
     return args.fn(args, out if out is not None else sys.stdout)
 
 

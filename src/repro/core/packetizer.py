@@ -14,7 +14,7 @@ import numpy as np
 from ..interconnect.message import MessageKind, WireMessage
 from ..interconnect.pcie import PCIeProtocol
 from ..perf.batch import masks_to_runs
-from ..perf.config import get_perf_config
+from ..perf.config import scalar_mode
 from .config import FinePackConfig
 from .packet import FinePackPacket, SubTransaction
 from .remote_write_queue import FlushedWindow
@@ -29,7 +29,7 @@ class Packetizer:
         self.packets_built = 0
         # masks_to_runs packs masks into whole bytes, so the vectorized
         # path needs byte-aligned entries (the default 128 qualifies).
-        self._fast = get_perf_config().vector_rwq and config.entry_bytes % 8 == 0
+        self._fast = not scalar_mode() and config.entry_bytes % 8 == 0
 
     def packetize(self, window: FlushedWindow) -> FinePackPacket:
         """Turn one flushed window into a FinePack packet."""

@@ -31,7 +31,7 @@ import dataclasses
 import enum
 from dataclasses import dataclass, field
 
-from ..perf.config import get_perf_config
+from ..perf.config import scalar_mode
 from .config import FinePackConfig
 
 
@@ -130,7 +130,7 @@ class QueuePartition:
         self._max_payload = config.max_payload_bytes
         self._max_entries = config.queue_entries_per_partition
         self._window_bytes = config.window_bytes
-        self._fast_cost = get_perf_config().vector_rwq
+        self._fast_cost = not scalar_mode()
 
     # -- inspection -------------------------------------------------
 

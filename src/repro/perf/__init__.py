@@ -1,10 +1,11 @@
-"""Hot-path acceleration: perf toggles, stage profiler, fast paths.
+"""Hot-path acceleration: fast/scalar switch, stage profiler, fast paths.
 
 Three pieces (see ``docs/performance.md``):
 
-* :class:`PerfConfig` -- process-global toggles selecting the
-  numpy-vectorized fast paths; all on by default, every one proven
-  byte-identical to its scalar reference path.
+* :func:`scalar_mode` / :func:`scalar_reference` -- the process-global
+  switch selecting the scalar reference paths instead of the
+  numpy-vectorized fast paths (fast by default; every pair proven
+  byte-identical).
 * :class:`StageProfiler` / :func:`profiled` -- wall-clock attribution
   to named simulator stages, driving ``repro profile``.
 * The batch machinery itself lives in :mod:`repro.perf.batch` and
@@ -14,21 +15,12 @@ Three pieces (see ``docs/performance.md``):
   the innermost simulator modules without cycles.
 """
 
-from .config import (
-    PERF_ENV,
-    PerfConfig,
-    get_perf_config,
-    perf_overrides,
-    set_perf_config,
-)
+from .config import scalar_mode, scalar_reference
 from .profiler import STAGES, StageProfiler, profiled
 
 __all__ = [
-    "PERF_ENV",
-    "PerfConfig",
-    "get_perf_config",
-    "set_perf_config",
-    "perf_overrides",
+    "scalar_mode",
+    "scalar_reference",
     "STAGES",
     "StageProfiler",
     "profiled",

@@ -28,7 +28,7 @@ from ..obs.counters import CounterRegistry
 from ..run.cache import TraceCache
 from ..run.context import RunContext
 from ..run.spec import RunSpec
-from .config import PerfConfig, perf_overrides
+from .config import scalar_reference
 from .profiler import StageProfiler, profiled
 
 
@@ -115,11 +115,10 @@ def profile_run(
     shared ``trace_cache`` lets callers exclude trace generation from a
     comparison by pre-warming it.
     """
-    config = PerfConfig.all_off() if scalar else PerfConfig.all_on()
     profiler = StageProfiler(registry)
-    with perf_overrides(config):
-        # Build components inside the override so construction-time
-        # toggle reads (packetizer, queue partitions, engine) see it.
+    with scalar_reference(scalar):
+        # Build components inside the scope so construction-time
+        # switch reads (packetizer, queue partitions, engine) see it.
         ctx = RunContext(spec, trace_cache=trace_cache)
         t0 = time.perf_counter_ns()
         with profiled(profiler):

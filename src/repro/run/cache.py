@@ -19,9 +19,7 @@ Two storage layers:
   read-only instead of each materializing a private copy.  Writes are
   atomic (temp directory + ``os.replace``) so concurrent workers
   racing on the same key are safe; corrupted or truncated entries are
-  deleted and regenerated, never fatal.  Legacy single-file
-  ``trace-<key>.npz`` entries written by earlier versions are still
-  read.
+  deleted and regenerated, never fatal.
 
 Cache traffic is counted in an :class:`~repro.obs.counters.CounterRegistry`
 (``trace_cache.hits`` / ``.misses`` / ``.corrupt``), which the executor
@@ -38,11 +36,9 @@ from pathlib import Path
 
 from ..obs.counters import CounterRegistry
 from ..perf import profiler as _prof
-from ..trace.columns import DEFAULT_CHUNK_OPS
 from ..trace.stream import WorkloadTrace
 from ..trace.tracefile import (
     TraceDirWriter,
-    load_trace,
     load_trace_dir,
     save_trace_dir,
 )
@@ -56,27 +52,6 @@ CACHE_ENV = "REPRO_TRACE_CACHE"
 #: against torn writes -- verification is for long-lived shared caches
 #: on storage you do not fully trust.
 VERIFY_ENV = "REPRO_TRACE_VERIFY"
-
-#: Set to ``0``/``false``/``off`` to disable streamed (spill-while-
-#: generating) disk writes and fall back to materializing whole traces
-#: before persisting them.  Streaming is the default: the streamed and
-#: whole-trace entries are byte-identical, streaming just caps peak
-#: memory at one column chunk.
-STREAM_ENV = "REPRO_TRACE_STREAM"
-
-#: Override the streaming chunk size (store-ops per spilled block).
-CHUNK_OPS_ENV = "REPRO_TRACE_CHUNK_OPS"
-
-_FALSE_WORDS = frozenset({"0", "false", "off", "no"})
-
-
-def _stream_default() -> bool:
-    return os.environ.get(STREAM_ENV, "").strip().lower() not in _FALSE_WORDS
-
-
-def _chunk_ops_default() -> int:
-    raw = os.environ.get(CHUNK_OPS_ENV, "").strip()
-    return int(raw) if raw else DEFAULT_CHUNK_OPS
 
 
 class TraceCache:
@@ -93,11 +68,11 @@ class TraceCache:
     ``stream`` controls spill-while-generating: with a disk root, cache
     misses stream the workload's column chunks straight into the entry
     directory and hand back the memory-mapped result, so peak memory is
-    one chunk (``chunk_ops`` store-ops, ``$REPRO_TRACE_CHUNK_OPS``)
-    instead of the whole trace.  On by default (``stream=None`` reads
-    ``$REPRO_TRACE_STREAM``); the resulting entry is byte-identical to
-    a whole-trace write either way.  Memory-only caches have nowhere to
-    spill and always materialize.
+    one chunk (``DEFAULT_CHUNK_OPS`` store-ops) instead of the whole
+    trace.  On by default; ``stream=False`` materializes the whole
+    trace first and writes the byte-identical entry (the reference the
+    streaming memory tests compare against).  Memory-only caches have
+    nowhere to spill and always materialize.
     """
 
     def __init__(
@@ -105,18 +80,14 @@ class TraceCache:
         root: str | Path | None = None,
         mmap: bool = True,
         verify: bool | None = None,
-        stream: bool | None = None,
-        chunk_ops: int | None = None,
+        stream: bool = True,
     ) -> None:
         self.root = Path(root).expanduser() if root is not None else None
         self.mmap = mmap
         self.verify = (
             bool(os.environ.get(VERIFY_ENV)) if verify is None else verify
         )
-        self.stream = _stream_default() if stream is None else stream
-        self.chunk_ops = (
-            _chunk_ops_default() if chunk_ops is None else int(chunk_ops)
-        )
+        self.stream = stream
         self._memory: dict[str, WorkloadTrace] = {}
         self.counters = CounterRegistry()
 
@@ -132,11 +103,6 @@ class TraceCache:
         if self.root is None:
             return None
         return self.root / f"trace-{trace_key}"
-
-    def _legacy_path_for(self, trace_key: str) -> Path | None:
-        if self.root is None:
-            return None
-        return self.root / f"trace-{trace_key}.npz"
 
     # -- the one entry point ----------------------------------------
 
@@ -194,16 +160,6 @@ class TraceCache:
                 # regenerate, never crash.
                 self.counters.counter("trace_cache.corrupt").inc()
                 shutil.rmtree(path, ignore_errors=True)
-        legacy = self._legacy_path_for(key)
-        if legacy is not None and legacy.exists():
-            try:
-                return load_trace(legacy)
-            except Exception:
-                self.counters.counter("trace_cache.corrupt").inc()
-                try:
-                    legacy.unlink()
-                except OSError:
-                    pass
         return None
 
     def _generate_streamed(self, path: Path, workload, spec) -> WorkloadTrace:
@@ -226,7 +182,6 @@ class TraceCache:
                     n_gpus=spec.n_gpus,
                     iterations=spec.iterations,
                     seed=spec.seed,
-                    chunk_ops=self.chunk_ops,
                 )
                 while True:
                     try:

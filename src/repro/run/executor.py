@@ -57,7 +57,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Mapping, Sequence
 
-from .cache import CACHE_ENV, TraceCache
+from .cache import TraceCache
 from .context import RunContext, RunOutcome
 from .outcomes import OutcomeStore
 from .resilience import (
@@ -108,7 +108,7 @@ class CellExecutionError(Exception):
 
 def _coerce_cache(trace_cache) -> TraceCache:
     if trace_cache is None:
-        return TraceCache(os.environ.get(CACHE_ENV) or None)
+        return TraceCache.from_env()
     if isinstance(trace_cache, TraceCache):
         return trace_cache
     return TraceCache(trace_cache)

@@ -11,7 +11,7 @@ from __future__ import annotations
 import heapq
 from typing import Any, Callable
 
-from ..perf.config import get_perf_config
+from ..perf.config import scalar_mode
 
 # Events are plain (time, seq, fn, args) tuples: tuple comparison stays
 # in C, and the seq tiebreaker both keeps ordering deterministic and
@@ -34,7 +34,7 @@ class Engine:
         self.now = 0.0
         self.events_processed = 0
         self._tracer = tracer
-        self._fast = get_perf_config().batch_events
+        self._fast = not scalar_mode()
 
     def schedule(self, time: float, fn: Callable[..., Any], *args: Any) -> None:
         """Schedule ``fn(*args)`` at simulated ``time``.

@@ -39,7 +39,7 @@ from ..interconnect.pcie import PCIE_GEN4, PCIeGeneration, PCIeProtocol
 from ..interconnect.topology import Topology
 from ..perf import profiler as _prof
 from ..perf.batch import arrays_from_messages
-from ..perf.config import get_perf_config
+from ..perf.config import scalar_mode
 from ..perf.transport import (
     build_plan,
     drain_and_record,
@@ -175,7 +175,7 @@ class MultiGPUSystem:
         # sequence exactly (see repro.perf.transport).
         plan = None
         if (
-            get_perf_config().vector_transport
+            not scalar_mode()
             and self.topology is not None
             and tracer is None
             and self.fault_injector is None

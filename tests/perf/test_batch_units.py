@@ -19,7 +19,7 @@ from repro.interconnect.flowcontrol import CreditPool
 from repro.interconnect.link import Link
 from repro.interconnect.message import KIND_CODES, MessageKind, WireMessage
 from repro.interconnect.pcie import PCIE_GEN3, PCIE_GEN4, PCIeProtocol
-from repro.perf import PerfConfig, get_perf_config, perf_overrides
+from repro.perf import scalar_mode, scalar_reference
 from repro.perf.batch import arrays_from_messages, masks_to_runs
 from repro.sim.engine import Engine
 
@@ -56,7 +56,7 @@ class TestMasksToRuns:
 
 def rwq_flush_stream(fast: bool, rng) -> list:
     """Drive an RWQ through a fixed store sequence; serialize its flushes."""
-    with perf_overrides(vector_rwq=fast):
+    with scalar_reference(not fast):
         queue = RemoteWriteQueue(FinePackConfig(), gpu=0, n_gpus=2)
         base = 1 << 20
         flushes = []
@@ -80,7 +80,7 @@ class TestRWQEntryCost:
 
 class TestPacketizer:
     def packetize(self, fast: bool, masks, protocol) -> list:
-        with perf_overrides(vector_rwq=fast):
+        with scalar_reference(not fast):
             pk = Packetizer(FinePackConfig(), protocol)
             base = 1 << 21
             window = FlushedWindow(
@@ -184,7 +184,7 @@ class TestArraysFromMessages:
 class TestEngineFastRun:
     @pytest.mark.parametrize("fast", (False, True))
     def test_same_dispatch_order(self, fast):
-        with perf_overrides(batch_events=fast):
+        with scalar_reference(not fast):
             engine = Engine()
             seen: list = []
             engine.schedule(2.0, seen.append, (2.0, "b"))
@@ -203,24 +203,16 @@ class TestEngineFastRun:
         assert engine.events_processed == 5
 
 
-class TestPerfConfigEnv:
-    def test_defaults_and_keywords(self):
-        assert PerfConfig.from_env("") == PerfConfig.all_on()
-        assert PerfConfig.from_env("scalar") == PerfConfig.all_off()
-        assert PerfConfig.from_env("off") == PerfConfig.all_off()
-        cfg = PerfConfig.from_env("vector_rwq=0,batch_events=1")
-        assert not cfg.vector_rwq
-        assert cfg.batch_events and cfg.vector_egress
-
-    def test_unknown_toggle_raises(self):
-        with pytest.raises(ValueError):
-            PerfConfig.from_env("warp_speed=1")
-
-    def test_overrides_scoped(self):
-        before = get_perf_config()
-        with perf_overrides(PerfConfig.all_off()):
-            assert get_perf_config() == PerfConfig.all_off()
-        assert get_perf_config() == before
-        with pytest.raises(TypeError):
-            with perf_overrides(PerfConfig.all_off(), vector_rwq=True):
-                pass
+class TestScalarSwitch:
+    def test_scoped_and_restored(self):
+        assert not scalar_mode()
+        with scalar_reference():
+            assert scalar_mode()
+            with scalar_reference(False):
+                assert not scalar_mode()
+            assert scalar_mode()
+        assert not scalar_mode()
+        with pytest.raises(RuntimeError):
+            with scalar_reference():
+                raise RuntimeError("boom")
+        assert not scalar_mode()

@@ -1,10 +1,10 @@
 """Byte-identity of the vectorized fast paths (the core perf contract).
 
-Every workload x paradigm cell is run twice -- once with every fast
-path enabled (:meth:`PerfConfig.all_on`, the default) and once with
-the scalar reference paths (:meth:`PerfConfig.all_off`) -- and the
-full :class:`RunMetrics` (including per-link :class:`LinkStats` and
-order-sensitive dicts) must fingerprint identically.  "Close enough"
+Every workload x paradigm cell is run twice -- once in fast mode (the
+default, every vectorized path enabled) and once under
+:func:`~repro.perf.scalar_reference` (the scalar reference paths) --
+and the full :class:`RunMetrics` (including per-link :class:`LinkStats`
+and order-sensitive dicts) must fingerprint identically.  "Close enough"
 floats are a bug: the fast paths reorder no floating-point reduction
 that the scalar code performs.
 """
@@ -13,10 +13,16 @@ from __future__ import annotations
 
 import pytest
 
+from repro.core.config import FinePackConfig
+from repro.core.egress import FinePackEgress
+from repro.core.packetizer import Packetizer
+from repro.core.remote_write_queue import QueuePartition
 from repro.faults import load_scenario
-from repro.perf import PerfConfig, perf_overrides
+from repro.interconnect.pcie import PCIE_GEN4, PCIeProtocol
+from repro.perf import scalar_reference
 from repro.perf.harness import fingerprint_metrics, profile_run
 from repro.run import RunContext, RunSpec, TraceCache
+from repro.sim.engine import Engine
 
 #: Small-but-representative parameters so the full grid stays fast.
 WORKLOAD_PARAMS = {
@@ -93,8 +99,8 @@ def test_fast_matches_scalar_under_faults():
     )
     cache = TraceCache()
     outcomes = []
-    for config in (PerfConfig.all_on(), PerfConfig.all_off()):
-        with perf_overrides(config):
+    for scalar in (False, True):
+        with scalar_reference(scalar):
             outcomes.append(RunContext(spec, trace_cache=cache).execute())
     fast, scalar = outcomes
     assert fast.degraded == scalar.degraded
@@ -102,6 +108,41 @@ def test_fast_matches_scalar_under_faults():
     assert fingerprint_metrics(fast.metrics) == fingerprint_metrics(
         scalar.metrics
     )
+
+
+def test_scalar_mode_takes_every_reference_path(monkeypatch):
+    # The byte-identity tests above would pass vacuously if a call site
+    # ignored the switch and ran fast on both sides.
+    def fast_flags():
+        config = FinePackConfig()
+        return (
+            QueuePartition(config, dst=1)._fast_cost,
+            Packetizer(config, PCIeProtocol(PCIE_GEN4))._fast,
+            Engine()._fast,
+        )
+
+    with scalar_reference():
+        assert fast_flags() == (False, False, False)
+    assert fast_flags() == (True, True, True)
+
+    calls = []
+    phase_ops = FinePackEgress.phase_ops
+
+    def spy(self, *args):
+        calls.append(args)
+        return phase_ops(self, *args)
+
+    monkeypatch.setattr(FinePackEgress, "phase_ops", spy)
+    spec = spec_for("jacobi", "finepack")
+    cache = TraceCache()
+    # Scalar: per-op egress hooks, event-driven transport.
+    scalar = profile_run(spec, scalar=True, trace_cache=cache)
+    assert not calls
+    assert scalar.profiler.stage_ns().get("engine_dispatch", 0) > 0
+    # Fast: columnar phase entry, batch transport (no engine events).
+    fast = profile_run(spec, scalar=False, trace_cache=cache)
+    assert calls
+    assert fast.profiler.stage_ns().get("engine_dispatch", 0) == 0
 
 
 def test_fingerprint_is_order_sensitive():

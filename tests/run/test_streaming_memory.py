@@ -41,7 +41,7 @@ spec = RunSpec(
     },
 )
 with tempfile.TemporaryDirectory() as root:
-    cache = TraceCache(root, stream=stream, chunk_ops=262_144)
+    cache = TraceCache(root, stream=stream)
     trace = cache.get_or_generate(spec)
     ops = sum(p.stores.count for it in trace.iterations for p in it.phases)
 print(json.dumps({

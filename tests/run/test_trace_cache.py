@@ -99,12 +99,12 @@ class TestDiskLayer:
         assert cache.stats() == {"hits": 1, "misses": 1, "corrupt": 0}
         assert len(list(tmp_path.glob("trace-*/header.json"))) == 1
 
-    def test_legacy_npz_entry_still_read(self, tmp_path):
+    def test_legacy_npz_entry_ignored(self, tmp_path):
         cache = TraceCache(tmp_path)
         trace = cache.get_or_generate(SPEC)
         key = SPEC.trace_key()
-        # Simulate an entry written by an older version: only the
-        # single-file .npz exists.
+        # An entry written by an older version: only the single-file
+        # .npz exists.  The cache regenerates rather than reading it.
         import shutil
 
         shutil.rmtree(cache.path_for(key))
@@ -112,7 +112,7 @@ class TestDiskLayer:
 
         reader = TraceCache(tmp_path)
         loaded = reader.get_or_generate(SPEC)
-        assert reader.stats() == {"hits": 1, "misses": 0, "corrupt": 0}
+        assert reader.stats() == {"hits": 0, "misses": 1, "corrupt": 0}
         assert loaded.total_remote_bytes() == trace.total_remote_bytes()
 
 
@@ -143,14 +143,6 @@ class TestCorruption:
         reader = TraceCache(tmp_path)
         reader.get_or_generate(SPEC)
         assert reader.stats()["corrupt"] == 1
-
-    def test_corrupted_legacy_npz_regenerated(self, tmp_path):
-        key = SPEC.trace_key()
-        (tmp_path / f"trace-{key}.npz").write_bytes(b"this is not an npz")
-        cache = TraceCache(tmp_path)
-        cache.get_or_generate(SPEC)
-        assert cache.stats() == {"hits": 0, "misses": 1, "corrupt": 1}
-        assert not (tmp_path / f"trace-{key}.npz").exists()
 
 
 class TestEnvDefault:

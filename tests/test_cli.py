@@ -127,6 +127,14 @@ class TestTraceOut:
         with pytest.raises(SystemExit):
             run_cli("run")
 
+    @pytest.mark.parametrize("command", ["run", "sweep", "chaos"])
+    def test_empty_trace_out_rejected(self, command, capsys):
+        # An empty path must not silently run untraced.
+        with pytest.raises(SystemExit) as exc:
+            run_cli(command, "--trace-out", "")
+        assert exc.value.code == 2
+        assert "--trace-out needs a file name" in capsys.readouterr().err
+
     def test_sweep_merges_points_into_one_trace(self, tmp_path):
         from repro.obs import validate_chrome_trace_file
 
