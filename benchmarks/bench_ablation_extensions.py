@@ -16,8 +16,8 @@ Three design points the paper discusses but does not evaluate:
 import pytest
 
 from repro.analysis import format_table
-from repro.sim.paradigms import FinePackParadigm, make_paradigm
-from repro.sim.runner import ExperimentConfig, compare_paradigms
+from repro.run import RunSpec, labeled_sweep
+from repro.sim.paradigms import FinePackParadigm
 from repro.sim.system import MultiGPUSystem
 from repro.workloads import CTWorkload, PagerankWorkload, SSSPWorkload
 
@@ -151,14 +151,15 @@ def test_ablation_atomic_port(benchmark, emit):
     def run():
         out = {}
         for use_atomics in (False, True):
-            res = compare_paradigms(
-                PagerankWorkload(n=40_000, use_atomics=use_atomics),
-                paradigms=("p2p", "finepack"),
-                config=ExperimentConfig(iterations=2),
+            base = RunSpec.for_workload(
+                PagerankWorkload(n=40_000, use_atomics=use_atomics), iterations=2
             )
+            res = labeled_sweep(
+                {p: base.with_options(paradigm=p) for p in ("p2p", "finepack")}
+            ).result.by_label()
             out["atomicAdd port" if use_atomics else "store port"] = (
-                res.speedup("p2p"),
-                res.speedup("finepack"),
+                res["p2p"].speedup,
+                res["finepack"].speedup,
             )
         return out
 

@@ -7,8 +7,7 @@ P2P stores suffer net slowdowns on the irregular applications while
 matching FinePack on the regular ones.
 """
 
-from repro.analysis import format_speedup_table, format_table
-from repro.sim.runner import geomean
+from repro.analysis import format_speedup_table, format_table, geomean
 
 PARADIGMS = ("p2p", "dma", "finepack", "infinite")
 
@@ -16,7 +15,7 @@ PARADIGMS = ("p2p", "dma", "finepack", "infinite")
 def test_fig09_speedups(benchmark, suite_results, emit):
     speedups = benchmark.pedantic(
         lambda: {
-            name: {p: r.speedup(p) for p in PARADIGMS}
+            name: {p: r[p].speedup for p in PARADIGMS}
             for name, r in suite_results.items()
         },
         rounds=1,

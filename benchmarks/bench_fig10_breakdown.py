@@ -8,13 +8,21 @@ bulk DMA in aggregate (paper: 1.3x) and ~24% less than cacheline write
 combining alone.
 """
 
-from repro.analysis import breakdown_rows, data_reduction_factors, format_table
-from repro.sim.runner import geomean
+from repro.analysis import (
+    breakdown_rows,
+    data_reduction_factors,
+    format_table,
+    geomean,
+)
 
 
 def test_fig10_byte_breakdown(benchmark, suite_results, emit):
+    runs = {
+        name: {p: point.metrics for p, point in res.items()}
+        for name, res in suite_results.items()
+    }
     rows = benchmark.pedantic(
-        lambda: [r for res in suite_results.values() for r in breakdown_rows(res)],
+        lambda: [r for res in runs.values() for r in breakdown_rows(res)],
         rounds=1,
         iterations=1,
     )
@@ -24,9 +32,7 @@ def test_fig10_byte_breakdown(benchmark, suite_results, emit):
         rows,
     )
 
-    reductions = {
-        name: data_reduction_factors(res) for name, res in suite_results.items()
-    }
+    reductions = {name: data_reduction_factors(res) for name, res in runs.items()}
     geo_p2p = geomean([r["p2p"] for r in reductions.values()])
     geo_dma = geomean([r["dma"] for r in reductions.values()])
     geo_wc = geomean([r["wc"] for r in reductions.values()])
@@ -60,5 +66,5 @@ def test_fig10_byte_breakdown(benchmark, suite_results, emit):
         assert p2p[3] > 0.5 * p2p[2], name
     # On the heavy-redundancy app, P2P moves several times more data
     # than FinePack (paper: order-of-magnitude class gaps).
-    sssp = suite_results["sssp"]
-    assert sssp.runs["p2p"].wire_bytes > 2.5 * sssp.runs["finepack"].wire_bytes
+    sssp = runs["sssp"]
+    assert sssp["p2p"].wire_bytes > 2.5 * sssp["finepack"].wire_bytes

@@ -14,7 +14,7 @@ from repro.analysis import format_table
 def test_fig11_stores_per_packet(benchmark, suite_results, emit):
     per_workload = benchmark.pedantic(
         lambda: {
-            name: res.runs["finepack"].packets.mean_stores_per_packet
+            name: res["finepack"].metrics.packets.mean_stores_per_packet
             for name, res in suite_results.items()
         },
         rounds=1,

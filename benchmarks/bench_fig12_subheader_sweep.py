@@ -6,10 +6,9 @@ targets: performance rises to a maximum at 4 bytes, changes little at
 5, and degrades for tiny windows (2 bytes thrash the write queue).
 """
 
-from repro.analysis import format_table
+from repro.analysis import format_table, geomean
 from repro.core.config import FinePackConfig, addressable_window
 from repro.sim.paradigms import FinePackParadigm, make_paradigm
-from repro.sim.runner import geomean
 from repro.sim.system import MultiGPUSystem
 from repro.workloads import default_suite
 

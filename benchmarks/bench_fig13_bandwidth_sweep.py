@@ -6,10 +6,9 @@ baselines improve faster (they waste more wire bytes), but neither bulk
 DMA nor raw P2P stores catch FinePack at any bandwidth step.
 """
 
-from repro.analysis import format_table
+from repro.analysis import format_table, geomean
 from repro.interconnect import GENERATIONS
 from repro.sim.paradigms import make_paradigm
-from repro.sim.runner import geomean
 from repro.sim.system import MultiGPUSystem
 from repro.workloads import default_suite
 

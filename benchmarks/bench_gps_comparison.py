@@ -16,11 +16,11 @@ alone always trails FinePack in wire bytes (Sec. VI-A: ~24%).
 
 import numpy as np
 
-from repro.analysis import format_table
+from repro import registry
+from repro.analysis import format_table, geomean
 from repro.gpu.compute import KernelWork
 from repro.gpu.memory import MemorySpace
-from repro.sim.paradigms import GPSParadigm
-from repro.sim.runner import ExperimentConfig, compare_paradigms, geomean
+from repro.run import RunSpec, labeled_sweep
 from repro.trace.intervals import IntervalSet
 from repro.trace.stream import DMATransfer, KernelPhase, RemoteStoreBatch
 from repro.workloads import MultiGPUWorkload, push_elements
@@ -89,6 +89,11 @@ class _BroadcastWorkload(MultiGPUWorkload):
         return {}
 
 
+# Registered so a RunSpec can name it (``replace=True``: idempotent if
+# this module is imported twice in one process).
+registry.workloads.add(_BroadcastWorkload.name, _BroadcastWorkload, replace=True)
+
+
 def test_gps_and_wc_comparison(benchmark, suite_results, emit):
     def collect():
         rows = []
@@ -96,19 +101,25 @@ def test_gps_and_wc_comparison(benchmark, suite_results, emit):
             rows.append(
                 [
                     name,
-                    res.speedup("finepack"),
-                    res.speedup("gps"),
-                    res.speedup("wc"),
-                    res.runs["wc"].wire_bytes / max(res.runs["finepack"].wire_bytes, 1),
+                    res["finepack"].speedup,
+                    res["gps"].speedup,
+                    res["wc"].speedup,
+                    res["wc"].metrics.wire_bytes
+                    / max(res["finepack"].metrics.wire_bytes, 1),
                 ]
             )
         # The broadcast regime: consumers read a quarter of what they
         # receive, clustered -- GPS's home turf.
-        bc = compare_paradigms(
-            _BroadcastWorkload(),
-            paradigms=("finepack", GPSParadigm(subscription="learned"), "p2p"),
-            config=ExperimentConfig(iterations=4),
-        )
+        base = RunSpec.for_workload(_BroadcastWorkload(), iterations=4)
+        bc = labeled_sweep(
+            {
+                "finepack": base,
+                "gps": base.with_options(
+                    paradigm="gps", paradigm_params={"subscription": "learned"}
+                ),
+                "p2p": base.with_options(paradigm="p2p"),
+            }
+        ).result.by_label()
         return rows, bc
 
     rows, bc = benchmark.pedantic(collect, rounds=1, iterations=1)
@@ -125,7 +136,7 @@ def test_gps_and_wc_comparison(benchmark, suite_results, emit):
         float_fmt="{:.2f}",
     )
     bc_fp, bc_gps, bc_p2p = (
-        bc.speedup("finepack"), bc.speedup("gps"), bc.speedup("p2p")
+        bc["finepack"].speedup, bc["gps"].speedup, bc["p2p"].speedup
     )
     table += (
         f"\nbroadcast regime (consumers read 25% of what they receive): "

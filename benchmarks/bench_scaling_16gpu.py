@@ -6,11 +6,10 @@ outperforms raw P2P stores (paper: 3x) and bulk DMA (paper: 1.9x), and
 its per-GPU remote-write-queue SRAM stays at the paper's 120 kB.
 """
 
-from repro.analysis import format_table
+from repro.analysis import format_table, geomean
 from repro.core.config import FinePackConfig
 from repro.interconnect import PCIE_GEN6
 from repro.sim.paradigms import make_paradigm
-from repro.sim.runner import geomean
 from repro.sim.system import MultiGPUSystem
 from repro.workloads import ALSWorkload, HITWorkload, PagerankWorkload, SSSPWorkload
 
@@ -40,7 +39,7 @@ def _run():
         row = {}
         for p in PARADIGMS:
             system = MultiGPUSystem.build(
-                n_gpus=16, generation=PCIE_GEN6, two_level=True
+                n_gpus=16, generation=PCIE_GEN6, topology_kind="two_level"
             )
             row[p] = t1 / system.run(trace, make_paradigm(p)).total_time_ns
         rows[workload.name] = row

@@ -2,7 +2,7 @@
 
 The full-suite comparison (all 8 workloads x 6 paradigms + single-GPU
 baselines) is computed once per session and shared by the Figure 9, 10
-and 11 benches.  Each bench prints the paper-format table to stdout and
+and 11 benches and the GPS comparison.  Each bench prints the paper-format table to stdout and
 also writes it under ``benchmarks/results/`` so the numbers survive the
 pytest run.
 """
@@ -17,8 +17,7 @@ import pytest
 
 from repro.core.config import FinePackConfig
 from repro.interconnect.pcie import PCIE_GEN4, PCIeProtocol
-from repro.run import TraceCache
-from repro.sim.runner import ComparisonResult, ExperimentConfig, compare_paradigms
+from repro.run import RunSpec, SweepPoint, TraceCache, labeled_sweep
 from repro.workloads import default_suite
 
 
@@ -42,13 +41,10 @@ RESULTS_DIR = Path(__file__).parent / "results"
 
 
 @pytest.fixture(scope="session")
-def experiment_config() -> ExperimentConfig:
-    return ExperimentConfig(n_gpus=4, iterations=3, seed=7)
-
-
-@pytest.fixture(scope="session")
-def suite_results(experiment_config) -> dict[str, ComparisonResult]:
-    """The paper's core experiment over the whole application suite.
+def suite_results() -> dict[str, dict[str, SweepPoint]]:
+    """The paper's core experiment over the whole application suite:
+    ``{workload: {paradigm: SweepPoint}}``, each point holding the
+    paradigm's metrics and its speedup over one GPU.
 
     Runs through the grid executor: ``REPRO_BENCH_JOBS`` (default 1)
     fans the per-workload paradigm grids over worker processes, and one
@@ -57,15 +53,14 @@ def suite_results(experiment_config) -> dict[str, ComparisonResult]:
     """
     jobs = int(os.environ.get("REPRO_BENCH_JOBS", "1"))
     cache = TraceCache(os.environ.get("REPRO_TRACE_CACHE") or None)
-    results: dict[str, ComparisonResult] = {}
+    results: dict[str, dict[str, SweepPoint]] = {}
     for workload in default_suite():
-        results[workload.name] = compare_paradigms(
-            workload,
-            paradigms=ALL_PARADIGMS,
-            config=experiment_config,
+        base = RunSpec.for_workload(workload, n_gpus=4, iterations=3, seed=7)
+        results[workload.name] = labeled_sweep(
+            {p: base.with_options(paradigm=p) for p in ALL_PARADIGMS},
             jobs=jobs,
             trace_cache=cache,
-        )
+        ).result.by_label()
     return results
 
 

@@ -15,7 +15,6 @@ where ``scenario`` is a preset name (see ``python -m repro chaos
 
 import sys
 
-from repro import ExperimentConfig
 from repro.faults import (
     DegradedRunError,
     FaultInjector,
@@ -36,8 +35,8 @@ def main() -> None:
     print(f"Presets available: {', '.join(list_scenarios())}\n")
 
     # The degradation curve: every paradigm, five intensity rungs.
-    config = ExperimentConfig(n_gpus=4, iterations=3)
-    result = chaos_sweep(JacobiWorkload(), schedule, config=config)
+    base = RunSpec.for_workload(JacobiWorkload(), n_gpus=4, iterations=3)
+    result = chaos_sweep(base, schedule)
     print(format_chaos_table(result))
 
     for point in result.points:
@@ -55,10 +54,7 @@ def main() -> None:
     )
     trace = JacobiWorkload().generate_trace(n_gpus=4, iterations=3, seed=0)
     try:
-        paradigm = RunSpec.for_workload(
-            JacobiWorkload(), "finepack", **config.spec_fields()
-        ).build_paradigm()
-        system.run(trace, paradigm)
+        system.run(trace, base.build_paradigm())
         raise AssertionError("partition scenario should degrade the run")
     except DegradedRunError as err:
         m = err.metrics

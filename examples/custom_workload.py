@@ -4,9 +4,10 @@
 Shows everything a new multi-GPU application needs to be evaluated
 under every communication paradigm: subclass
 :class:`~repro.workloads.MultiGPUWorkload`, partition your problem,
-and implement ``iter_phases`` -- a generator yielding each iteration's
+implement ``iter_phases`` -- a generator yielding each iteration's
 per-GPU kernel (compute work, remote stores, read sets, and the memcpy
-plan) as ``(iteration, KernelPhase)`` and returning the trace metadata.
+plan) as ``(iteration, KernelPhase)`` and returning the trace metadata
+-- and register the class so a :class:`~repro.run.RunSpec` can name it.
 
 The example models a distributed histogram: each GPU processes a shard
 of samples and pushes 8-byte bin updates into the peer replicas of a
@@ -18,13 +19,11 @@ FinePack targets.
 
 import numpy as np
 
-# compare_paradigms/ExperimentConfig are maintained shims over the run
-# layer (RunSpec + execute_grid); see docs/architecture.md, "Migration
-# from the legacy entry points".
-from repro import ExperimentConfig, compare_paradigms
+from repro import registry
 from repro.analysis import format_table
 from repro.gpu.compute import KernelWork
 from repro.gpu.memory import MemorySpace
+from repro.run import RunSpec, labeled_sweep
 from repro.sim import render_comparison
 from repro.trace.stream import DMATransfer, KernelPhase, RemoteStoreBatch
 from repro.workloads import MultiGPUWorkload, contiguous_interval, push_elements
@@ -102,31 +101,40 @@ class HistogramWorkload(MultiGPUWorkload):
         return {"n_bins": self.n_bins}
 
 
+# Registration is what lets a RunSpec name the workload: the run layer
+# rebuilds it from ``name`` plus its constructor parameters.  In a
+# package, decorate the class with ``@registry.workloads.register(name)``;
+# ``replace=True`` keeps re-running this script in one process harmless.
+registry.workloads.add(HistogramWorkload.name, HistogramWorkload, replace=True)
+
+
 def main() -> None:
-    workload = HistogramWorkload()
-    result = compare_paradigms(
-        workload,
-        paradigms=("p2p", "dma", "finepack", "infinite"),
-        config=ExperimentConfig(iterations=3),
+    base = RunSpec.for_workload(HistogramWorkload(), iterations=3)
+    sweep = labeled_sweep(
+        {
+            p: base.with_options(paradigm=p)
+            for p in ("p2p", "dma", "finepack", "infinite")
+        }
     )
+    points = sweep.result.points
     print(
         format_table(
             "histogram: 4-GPU speedups",
             ["paradigm", "speedup", "wire_MB", "stores/pkt"],
             [
                 [
-                    p,
-                    result.speedup(p),
-                    result.runs[p].wire_bytes / 1e6,
-                    result.runs[p].packets.mean_stores_per_packet,
+                    p.label,
+                    p.speedup,
+                    p.metrics.wire_bytes / 1e6,
+                    p.metrics.packets.mean_stores_per_packet,
                 ]
-                for p in result.runs
+                for p in points
             ],
             float_fmt="{:.2f}",
         )
     )
     print()
-    print(render_comparison(result.runs))
+    print(render_comparison({p.label: p.metrics for p in points}))
 
 
 if __name__ == "__main__":

@@ -13,7 +13,7 @@ Reproduces the paper's two sensitivity studies on one workload:
     python examples/design_space_exploration.py
 """
 
-from repro import ExperimentConfig, FinePackConfig, MultiGPUSystem
+from repro import FinePackConfig, MultiGPUSystem
 from repro.analysis import format_table
 from repro.interconnect import GENERATIONS
 from repro.sim.paradigms import FinePackParadigm, make_paradigm

@@ -12,20 +12,17 @@ Walks through the paper's motivation on PageRank and SSSP:
     python examples/irregular_graph_analytics.py
 """
 
-# compare_paradigms/ExperimentConfig are maintained shims over the run
-# layer (RunSpec + execute_grid); see docs/architecture.md, "Migration
-# from the legacy entry points".
-from repro import ExperimentConfig, compare_paradigms
 from repro.analysis import breakdown_rows, format_table
 from repro.gpu import size_histogram
+from repro.run import RunSpec, labeled_sweep
 from repro.workloads import PagerankWorkload, SSSPWorkload
 
 
 def main() -> None:
-    config = ExperimentConfig(n_gpus=4, iterations=3)
     for workload in (PagerankWorkload(), SSSPWorkload()):
+        base = RunSpec.for_workload(workload, n_gpus=4, iterations=3)
         trace = workload.generate_trace(
-            n_gpus=config.n_gpus, iterations=config.iterations, seed=config.seed
+            n_gpus=base.n_gpus, iterations=base.iterations, seed=base.seed
         )
         hist = size_histogram(trace.all_store_sizes())
         print(
@@ -38,19 +35,21 @@ def main() -> None:
         small = sum(v for k, v in hist.items() if k in ("<=4B", "<=8B", "<=16B", "<=32B"))
         print(f"  -> {small:.0%} of transfers carry <= 32 B payloads\n")
 
-        result = compare_paradigms(
-            workload,
-            paradigms=("p2p", "dma", "finepack", "infinite"),
-            config=config,
+        sweep = labeled_sweep(
+            {
+                p: base.with_options(paradigm=p)
+                for p in ("p2p", "dma", "finepack", "infinite")
+            }
         )
+        runs = {p.label: p.metrics for p in sweep.result.points}
         print(
             format_table(
                 f"{workload.name}: wire bytes normalized to bulk DMA (Fig. 10)",
                 ["workload", "paradigm", "useful", "overhead", "wasted", "total"],
-                breakdown_rows(result),
+                breakdown_rows(runs),
             )
         )
-        fp = result.runs["finepack"]
+        fp = runs["finepack"]
         print(
             f"\n  FinePack packs {fp.packets.mean_stores_per_packet:.1f} "
             f"stores per transaction on average (Fig. 11)\n"
@@ -59,7 +58,7 @@ def main() -> None:
             format_table(
                 f"{workload.name}: 4-GPU speedups (Fig. 9)",
                 ["paradigm", "speedup"],
-                [[p, result.speedup(p)] for p in result.runs],
+                [[p.label, p.speedup] for p in sweep.result.points],
                 float_fmt="{:.2f}",
             )
         )

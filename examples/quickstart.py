@@ -13,11 +13,8 @@ diffusion, hit (default: jacobi).
 
 import sys
 
-# compare_paradigms/ExperimentConfig are maintained shims over the run
-# layer (RunSpec + execute_grid); see docs/architecture.md, "Migration
-# from the legacy entry points".
-from repro import ExperimentConfig, compare_paradigms
 from repro.analysis import format_table
+from repro.run import RunSpec, labeled_sweep
 from repro.workloads import WORKLOADS
 
 
@@ -28,18 +25,23 @@ def main() -> None:
     workload = WORKLOADS[name]()
 
     print(f"Tracing '{name}' ({workload.comm_pattern} communication) ...")
-    result = compare_paradigms(
-        workload,
-        paradigms=("p2p", "dma", "finepack", "infinite"),
-        config=ExperimentConfig(n_gpus=4, iterations=3),
+    # One spec per paradigm; the sweep adds the single-GPU baseline the
+    # speedups normalize against.
+    base = RunSpec.for_workload(workload, n_gpus=4, iterations=3)
+    sweep = labeled_sweep(
+        {
+            p: base.with_options(paradigm=p)
+            for p in ("p2p", "dma", "finepack", "infinite")
+        }
     )
 
     rows = []
-    for paradigm, run in result.runs.items():
+    for point in sweep.result.points:
+        run = point.metrics
         rows.append(
             [
-                paradigm,
-                result.speedup(paradigm),
+                point.label,
+                point.speedup,
                 run.total_time_ns / 1e6,
                 run.wire_bytes / 1e6,
                 run.goodput,
@@ -50,20 +52,20 @@ def main() -> None:
     print(
         format_table(
             f"{name}: 4-GPU results (single-GPU time "
-            f"{result.single_gpu.total_time_ns / 1e6:.3f} ms)",
+            f"{sweep.baseline.metrics.total_time_ns / 1e6:.3f} ms)",
             ["paradigm", "speedup", "time_ms", "wire_MB", "goodput", "stores/pkt"],
             rows,
         )
     )
-    fp = result.runs["finepack"]
-    p2p = result.runs["p2p"]
-    if fp.wire_bytes:
+    points = sweep.result.by_label()
+    fp = points["finepack"]
+    p2p = points["p2p"]
+    if fp.metrics.wire_bytes:
         print(
-            f"\nFinePack moved {p2p.wire_bytes / fp.wire_bytes:.2f}x less "
-            f"data than raw peer-to-peer stores and ran "
-            f"{result.speedup('finepack') / result.speedup('p2p'):.2f}x faster."
+            f"\nFinePack moved {p2p.metrics.wire_bytes / fp.metrics.wire_bytes:.2f}x "
+            f"less data than raw peer-to-peer stores and ran "
+            f"{fp.speedup / p2p.speedup:.2f}x faster."
         )
-
 
 if __name__ == "__main__":
     main()

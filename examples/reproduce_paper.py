@@ -20,11 +20,9 @@ from repro.analysis import (
     data_reduction_factors,
     format_speedup_table,
     format_table,
+    geomean,
 )
-# compare_paradigms/ExperimentConfig are maintained shims over the run
-# layer (RunSpec + execute_grid); see docs/architecture.md, "Migration
-# from the legacy entry points".
-from repro.sim.runner import ExperimentConfig, compare_paradigms, geomean
+from repro.run import RunSpec, labeled_sweep
 from repro.workloads import default_suite, small_suite
 
 PARADIGMS = ("p2p", "dma", "finepack", "infinite")
@@ -33,7 +31,7 @@ PARADIGMS = ("p2p", "dma", "finepack", "infinite")
 def main() -> None:
     fast = "--fast" in sys.argv
     suite = small_suite() if fast else default_suite()
-    config = ExperimentConfig(iterations=2 if fast else 3)
+    iterations = 2 if fast else 3
 
     sections = []
     speedups: dict[str, dict[str, float]] = {}
@@ -43,13 +41,16 @@ def main() -> None:
     t0 = time.time()
     for workload in suite:
         print(f"running {workload.name} ...", flush=True)
-        result = compare_paradigms(workload, PARADIGMS, config)
-        speedups[workload.name] = {p: result.speedup(p) for p in PARADIGMS}
-        reductions.append(data_reduction_factors(result))
+        base = RunSpec.for_workload(workload, iterations=iterations)
+        sweep = labeled_sweep({p: base.with_options(paradigm=p) for p in PARADIGMS})
+        points = sweep.result.by_label()
+        runs = {p: points[p].metrics for p in PARADIGMS}
+        speedups[workload.name] = {p: points[p].speedup for p in PARADIGMS}
+        reductions.append(data_reduction_factors(runs))
         coalescing.append(
-            [workload.name, result.runs["finepack"].packets.mean_stores_per_packet]
+            [workload.name, runs["finepack"].packets.mean_stores_per_packet]
         )
-        breakdown.extend(breakdown_rows(result))
+        breakdown.extend(breakdown_rows(runs))
     elapsed = time.time() - t0
 
     sections.append(format_speedup_table("Figure 9: 4-GPU speedups", speedups))

@@ -37,8 +37,6 @@ def main() -> None:
     # The tracer records typed events and checks conservation invariants
     # online (byte conservation, link exclusivity, empty queues at
     # barriers); a violation raises InvariantViolation immediately.
-    # (Legacy form: run_workload(w, paradigm, config, tracer=tracer) --
-    # see the migration table in docs/architecture.md.)
     tracer = Tracer()
     spec = RunSpec(
         workload=workload, paradigm=paradigm, n_gpus=4, iterations=2

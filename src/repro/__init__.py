@@ -8,24 +8,19 @@ simulation substrate (GPU compute/caches/coalescing, PCIe/NVLink
 interconnects, discrete-event system model), the competing
 communication paradigms, and the eight-application workload suite.
 
-Quick start::
+Every experiment is a :class:`RunSpec` run by the run layer (see
+``docs/architecture.md``).  Quick start -- the paper's core comparison
+for one workload, as speedups over the single-GPU baseline::
 
-    from repro import compare_paradigms, JacobiWorkload
-
-    result = compare_paradigms(JacobiWorkload())
-    print(result.speedups())
-
-Experiments are orchestrated through the run layer (see
-``docs/architecture.md``)::
-
-    from repro import RunSpec, RunContext, execute_grid
+    from repro import RunContext, RunSpec, labeled_sweep
 
     spec = RunSpec(workload="jacobi", paradigm="finepack", n_gpus=4)
     metrics = RunContext(spec).run()
-    outcomes = execute_grid(
-        [spec.with_options(paradigm=p) for p in ("p2p", "dma", "finepack")],
+    sweep = labeled_sweep(
+        {p: spec.with_options(paradigm=p) for p in ("p2p", "dma", "finepack")},
         jobs=4,
     )
+    print({p.label: p.speedup for p in sweep.result.points})
 
 See ``examples/`` for complete scripts and ``benchmarks/`` for the
 per-figure reproduction harness.
@@ -62,16 +57,7 @@ from .run import (
     execute_grid,
     labeled_sweep,
 )
-from .sim import (
-    ComparisonResult,
-    ExperimentConfig,
-    MultiGPUSystem,
-    RunMetrics,
-    compare_paradigms,
-    geomean,
-    make_paradigm,
-    run_workload,
-)
+from .sim import MultiGPUSystem, RunMetrics, make_paradigm
 from .workloads import (
     ALSWorkload,
     CTWorkload,
@@ -113,14 +99,9 @@ __all__ = [
     "TraceCache",
     "execute_grid",
     "labeled_sweep",
-    "ComparisonResult",
-    "ExperimentConfig",
     "MultiGPUSystem",
     "RunMetrics",
-    "compare_paradigms",
-    "geomean",
     "make_paradigm",
-    "run_workload",
     "ALSWorkload",
     "CTWorkload",
     "DiffusionWorkload",

@@ -1,7 +1,13 @@
 """Analysis and reporting: goodput curves (Fig. 2), byte breakdowns
 (Fig. 10), and the fixed-width table formatting the benches print."""
 
-from .breakdown import breakdown_rows, data_reduction_factors, wasted_fraction
+from .breakdown import (
+    breakdown_rows,
+    bytes_normalized_to,
+    data_reduction_factors,
+    geomean,
+    wasted_fraction,
+)
 from .goodput import FIG2_SIZES, GoodputPoint, efficiency_ratio, goodput_curve
 from .report import (
     format_link_stats_table,
@@ -12,7 +18,9 @@ from .report import (
 
 __all__ = [
     "breakdown_rows",
+    "bytes_normalized_to",
     "data_reduction_factors",
+    "geomean",
     "wasted_fraction",
     "FIG2_SIZES",
     "GoodputPoint",

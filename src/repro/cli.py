@@ -27,19 +27,23 @@ Commands
     Sweep a fault scenario's intensity across paradigms and print the
     degradation curve (see :mod:`repro.faults`).
 
-``run``, ``compare`` and ``sweep`` accept ``--error-rate P`` to give
-every link a baseline per-byte corruption probability (DLL replay
-injection); nonzero fault activity adds a per-link fabric-stats table
-to ``run`` output.  They also accept ``--topology KIND`` (any
-registered topology: ``fat_tree``, ``switched_mesh``, ``two_level``,
-``fully_connected``) plus factory knobs ``--fanout``,
+Every command that replays a trace (``run``, ``compare``, ``sweep``,
+``replay``, ``validate``, ``chaos``, ``profile``) builds its system
+from the same fabric flags: ``--gen``, ``--subheader-bytes`` and
+``--error-rate P``, which gives every link a baseline per-byte
+corruption probability (DLL replay injection); nonzero fault activity
+adds a per-link fabric-stats table to ``run`` output.  ``run``,
+``compare``, ``sweep`` and ``profile`` also accept ``--topology KIND``
+(any registered topology: ``fat_tree``, ``switched_mesh``,
+``two_level``, ``fully_connected``) plus factory knobs ``--fanout``,
 ``--oversubscription`` and ``--planes``.
 
-``run``, ``compare`` and ``sweep`` also accept ``--fidelity
-{des,analytical}``.  The default ``des`` replays every event through
-the discrete-event simulator; ``analytical`` predicts each run's
-metrics in closed form from trace statistics (orders of magnitude
-faster; calibrated against the DES, see ``docs/analytical.md``).
+``run``, ``compare``, ``sweep`` and ``replay`` also accept
+``--fidelity {des,analytical}``.  The default ``des`` replays every
+event through the discrete-event simulator; ``analytical`` predicts
+each run's metrics in closed form from trace statistics (orders of
+magnitude faster; calibrated against the DES, see
+``docs/analytical.md``).
 ``sweep --fidelity analytical --refine-top K`` confirms a cheap
 sweep's winners by re-running the K fastest points per workload at
 DES fidelity; every report table labels which model produced each row
@@ -76,20 +80,24 @@ from typing import Sequence
 from .analysis import format_table, goodput_curve
 from .core.config import FabricConfig, FinePackConfig
 from .interconnect.pcie import GENERATIONS
+from .run import RunContext, RunSpec, labeled_sweep
 from .sim.metrics import RunMetrics
-from .sim.paradigms import PARADIGMS, FinePackParadigm, make_paradigm
-from .sim.runner import ExperimentConfig, compare_paradigms, run_workload
-from .sim.system import MultiGPUSystem
+from .sim.paradigms import PARADIGMS
 from .trace.tracefile import load_trace, save_trace
 from .workloads import WORKLOADS
 
 
-def _add_system_args(p: argparse.ArgumentParser) -> None:
+def _add_shape_args(p: argparse.ArgumentParser) -> None:
+    """The flags that shape a workload trace."""
     p.add_argument("--gpus", type=int, default=4, help="GPU count (default 4)")
     p.add_argument(
         "--iterations", type=int, default=3, help="iterations to trace (default 3)"
     )
     p.add_argument("--seed", type=int, default=7, help="dataset seed (default 7)")
+
+
+def _add_fabric_args(p: argparse.ArgumentParser) -> None:
+    """The flags that shape the system a trace replays on."""
     p.add_argument(
         "--gen",
         type=int,
@@ -266,8 +274,8 @@ def _resilience_kwargs(args: argparse.Namespace) -> dict:
 
 
 def _print_resilience_stats(
-    retry_stats: dict | None,
-    outcome_cache: dict | None,
+    retry_stats: dict,
+    outcome_cache: dict,
     failures,
     args: argparse.Namespace,
     out,
@@ -293,7 +301,7 @@ def _print_resilience_stats(
             f"{outcome_cache['corrupt']} corrupt",
             file=out,
         )
-    for f in failures or ():
+    for f in failures:
         print(
             f"FAILED cell {f.index} [{f.spec.workload}/{f.spec.paradigm}]: "
             f"{f.kind} {f.error_type} after {f.attempts} attempt(s): "
@@ -313,12 +321,10 @@ def _check_jobs(args: argparse.Namespace) -> int:
     return args.jobs
 
 
-def _print_cache_stats(stats: dict | None, args: argparse.Namespace, out) -> None:
+def _print_cache_stats(stats: dict, args: argparse.Namespace, out) -> None:
     """Surface trace-cache traffic when the user opted into the new
     execution machinery (the observable proof a warm cache skipped
     trace generation)."""
-    if stats is None:
-        return
     if args.jobs > 1 or args.trace_cache:
         print(
             f"trace cache: {stats['hits']} hit(s), {stats['misses']} "
@@ -334,36 +340,48 @@ def _trace_metadata(args: argparse.Namespace) -> dict:
         "seed": args.seed,
         "generation": args.gen,
     }
-    if getattr(args, "error_rate", 0.0):
+    if args.error_rate:
         meta["error_rate"] = args.error_rate
     return meta
 
 
-def _config(args: argparse.Namespace) -> ExperimentConfig:
+def _fabric_fields(args: argparse.Namespace) -> dict:
+    """:class:`RunSpec` fields from the fabric and topology flags."""
     topology, topology_params = _topology_fields(args)
-    return ExperimentConfig(
+    return {
+        "generation": GENERATIONS[args.gen],
+        "finepack": FinePackConfig(subheader_bytes=args.subheader_bytes),
+        "fabric": FabricConfig(error_rate=args.error_rate),
+        "topology": topology,
+        "topology_params": topology_params,
+        "fidelity": args.fidelity,
+    }
+
+
+def _spec(
+    args: argparse.Namespace, workload: str, paradigm: str = "finepack"
+) -> RunSpec:
+    """The :class:`RunSpec` the flags describe for one workload name."""
+    return RunSpec.for_workload(
+        _workload(workload),
+        paradigm,
         n_gpus=args.gpus,
         iterations=args.iterations,
         seed=args.seed,
-        generation=GENERATIONS[args.gen],
-        finepack_config=FinePackConfig(subheader_bytes=args.subheader_bytes),
-        fabric=FabricConfig(error_rate=args.error_rate),
-        topology=topology,
-        topology_params=topology_params,
-        fidelity=getattr(args, "fidelity", "des"),
+        **_fabric_fields(args),
     )
 
 
 def _check_fidelity(args: argparse.Namespace) -> str:
     """Reject flag combinations the analytical tier cannot serve."""
-    fidelity = getattr(args, "fidelity", "des")
+    fidelity = args.fidelity
     if fidelity == "analytical":
         if getattr(args, "trace_out", None):
             raise SystemExit(
                 "--trace-out records discrete events and requires "
                 "--fidelity des"
             )
-        if getattr(args, "error_rate", 0.0):
+        if args.error_rate:
             raise SystemExit(
                 "--error-rate injects event-ordered faults and requires "
                 "--fidelity des"
@@ -418,9 +436,8 @@ def cmd_run(args, out) -> int:
         from .obs import Tracer
 
         tracer = Tracer()
-    metrics = run_workload(
-        _workload(workload_name), args.paradigm, _config(args), tracer=tracer
-    )
+    spec = _spec(args, workload_name, args.paradigm)
+    metrics = RunContext(spec, tracer=tracer).run()
     _print_metrics(metrics, out)
     if metrics.faults.any:
         from .analysis import format_link_stats_table
@@ -478,7 +495,7 @@ def _expand_workloads(spec: str) -> list[str]:
 
 
 def cmd_sweep(args, out) -> int:
-    from .run import RunSpec, labeled_sweep, refine_top_k
+    from .run import refine_top_k
 
     jobs = _check_jobs(args)
     fidelity = _check_fidelity(args)
@@ -493,7 +510,6 @@ def cmd_sweep(args, out) -> int:
                 "fidelity and requires --fidelity analytical"
             )
     names = _expand_workloads(args.workload)
-    config = _config(args)
     tracers: dict[str, object] = {}
     tracer_factory = None
     if args.trace_out:
@@ -510,7 +526,7 @@ def cmd_sweep(args, out) -> int:
     failures = []
     resilience = _resilience_kwargs(args)
     for name in names:
-        base = RunSpec.for_workload(_workload(name), **config.spec_fields())
+        base = _spec(args, name)
         prefix = f"{name}:" if len(names) > 1 else ""
         if args.param == "subheader":
             labeled = {
@@ -594,29 +610,28 @@ def cmd_sweep(args, out) -> int:
 def cmd_compare(args, out) -> int:
     jobs = _check_jobs(args)
     _check_fidelity(args)
-    result = compare_paradigms(
-        _workload(args.workload),
-        tuple(args.paradigms),
-        _config(args),
+    base = _spec(args, args.workload)
+    run = labeled_sweep(
+        {p: base.with_options(paradigm=p) for p in args.paradigms},
         jobs=jobs,
         trace_cache=args.trace_cache,
         **_resilience_kwargs(args),
     )
     rows = [
         [
-            p,
-            _fidelity_label(result.runs[p]),
-            result.speedup(p),
-            result.runs[p].total_time_ns / 1e6,
-            result.runs[p].wire_bytes / 1e6,
-            result.runs[p].packets.mean_stores_per_packet,
+            p.label,
+            _fidelity_label(p.metrics),
+            p.speedup,
+            p.metrics.total_time_ns / 1e6,
+            p.metrics.wire_bytes / 1e6,
+            p.metrics.packets.mean_stores_per_packet,
         ]
-        for p in result.runs
+        for p in run.result.points
     ]
     print(
         format_table(
             f"{args.workload}: {args.gpus}-GPU comparison "
-            f"(1-GPU time {result.single_gpu.total_time_ns / 1e6:.3f} ms)",
+            f"(1-GPU time {run.baseline.metrics.total_time_ns / 1e6:.3f} ms)",
             ["paradigm", "fidelity", "speedup", "time_ms", "wire_MB",
              "stores/pkt"],
             rows,
@@ -624,7 +639,10 @@ def cmd_compare(args, out) -> int:
         ),
         file=out,
     )
-    _print_cache_stats(result.cache_stats, args, out)
+    _print_cache_stats(run.cache_stats(), args, out)
+    _print_resilience_stats(
+        run.retry_stats, run.outcome_cache, run.failures, args, out
+    )
     return 0
 
 
@@ -643,28 +661,29 @@ def cmd_trace(args, out) -> int:
 
 
 def cmd_replay(args, out) -> int:
+    _check_fidelity(args)
     trace = load_trace(args.trace)
-    config = _config(args)
-    system = MultiGPUSystem.build(
+    spec = RunSpec(
+        workload=trace.name,
+        paradigm=args.paradigm,
         n_gpus=trace.n_gpus,
-        generation=config.generation,
-        finepack_config=config.finepack_config,
+        iterations=trace.n_iterations,
+        **_fabric_fields(args),
     )
-    if args.paradigm == "finepack":
-        paradigm = FinePackParadigm(config.finepack_config)
-    else:
-        paradigm = make_paradigm(args.paradigm)
-    _print_metrics(system.run(trace, paradigm), out)
+    _print_metrics(RunContext(spec, trace=trace).run(), out)
     return 0
 
 
 def cmd_validate(args, out) -> int:
     from .sim.validation import validate
 
-    trace = _workload(args.workload).generate_trace(
-        n_gpus=args.gpus, iterations=args.iterations, seed=args.seed
-    )
-    report = validate(trace, args.paradigm)
+    if args.fidelity == "analytical":
+        raise SystemExit(
+            "validate checks invariants of replayed events and requires "
+            "--fidelity des"
+        )
+    ctx = RunContext(_spec(args, args.workload, args.paradigm))
+    report = validate(ctx.trace, ctx.paradigm, ctx.system)
     print(report.summary(), file=out)
     print(
         ("all checks passed" if report.passed else "FAILURES DETECTED"), file=out
@@ -686,7 +705,7 @@ def cmd_chaos(args, out) -> int:
         return 0
     if args.workload is None:
         raise SystemExit("chaos: name a workload (or use --list)")
-    if getattr(args, "fidelity", "des") == "analytical":
+    if args.fidelity == "analytical":
         raise SystemExit(
             "chaos sweeps inject event-ordered faults and require "
             "--fidelity des"
@@ -703,12 +722,10 @@ def cmd_chaos(args, out) -> int:
 
     jobs = _check_jobs(args)
     result = chaos_sweep(
-        _workload(args.workload),
+        _spec(args, args.workload),
         schedule,
         intensities=tuple(args.intensities),
         paradigms=tuple(args.paradigms),
-        config=_config(args),
-        topology_kind=args.topology,
         tracer_factory=tracer_factory,
         jobs=jobs,
         trace_cache=args.trace_cache,
@@ -748,13 +765,11 @@ def cmd_profile(args, out) -> int:
     import json
 
     from .perf.harness import profile_run
-    from .run import RunSpec, TraceCache
+    from .run import TraceCache
 
     if args.repeat < 1:
         raise SystemExit(f"--repeat must be >= 1, got {args.repeat}")
-    spec = RunSpec.for_workload(
-        _workload(args.workload), args.paradigm, **_config(args).spec_fields()
-    )
+    spec = _spec(args, args.workload, args.paradigm)
     # One in-memory cache across repeats: the first run pays trace
     # generation, later ones profile the simulator alone.
     cache = TraceCache(args.trace_cache) if args.trace_cache else TraceCache()
@@ -824,7 +839,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--timeline", action="store_true", help="render the iteration timeline"
     )
-    _add_system_args(p)
+    _add_shape_args(p)
+    _add_fabric_args(p)
     _add_topology_args(p)
     _add_trace_args(p)
     p.set_defaults(fn=cmd_run)
@@ -860,7 +876,8 @@ def build_parser() -> argparse.ArgumentParser:
         "the confirmed numbers; rows show 'des (refined)' (requires "
         "--fidelity analytical)",
     )
-    _add_system_args(p)
+    _add_shape_args(p)
+    _add_fabric_args(p)
     _add_topology_args(p)
     _add_trace_args(p)
     _add_parallel_args(p)
@@ -874,7 +891,8 @@ def build_parser() -> argparse.ArgumentParser:
         default=["p2p", "dma", "finepack", "infinite"],
         choices=sorted(PARADIGMS),
     )
-    _add_system_args(p)
+    _add_shape_args(p)
+    _add_fabric_args(p)
     _add_topology_args(p)
     _add_parallel_args(p)
     p.set_defaults(fn=cmd_compare)
@@ -882,19 +900,20 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("trace", help="generate and save a workload trace")
     p.add_argument("workload")
     p.add_argument("output")
-    _add_system_args(p)
+    _add_shape_args(p)
     p.set_defaults(fn=cmd_trace)
 
     p = sub.add_parser("replay", help="replay a saved trace")
     p.add_argument("trace")
     p.add_argument("paradigm", choices=sorted(PARADIGMS))
-    _add_system_args(p)
+    _add_fabric_args(p)
     p.set_defaults(fn=cmd_replay)
 
     p = sub.add_parser("validate", help="run the invariant battery")
     p.add_argument("workload")
     p.add_argument("paradigm", choices=sorted(PARADIGMS))
-    _add_system_args(p)
+    _add_shape_args(p)
+    _add_fabric_args(p)
     p.set_defaults(fn=cmd_validate)
 
     p = sub.add_parser(
@@ -938,7 +957,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--json", default=None, metavar="FILE", help="write the sweep as JSON"
     )
-    _add_system_args(p)
+    _add_shape_args(p)
+    _add_fabric_args(p)
     _add_trace_args(p)
     _add_parallel_args(p)
     p.set_defaults(fn=cmd_chaos)
@@ -973,7 +993,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="directory for the workload-trace cache (default: in-memory "
         "for this invocation)",
     )
-    _add_system_args(p)
+    _add_shape_args(p)
+    _add_fabric_args(p)
     _add_topology_args(p)
     p.set_defaults(fn=cmd_profile)
 

@@ -68,14 +68,14 @@ class ChaosResult:
     scenario: str
     workload: str
     points: list[ChaosPoint] = field(default_factory=list)
-    #: Aggregate trace-cache traffic (``hits``/``misses``/``corrupt``)
-    #: when the sweep ran through the grid executor; ``None`` for the
-    #: in-process fallback path.  Excluded from :meth:`as_dict`.
-    cache_stats: dict | None = field(default=None, compare=False)
-    #: Executor retry/quarantine accounting (grid path only).
-    retry_stats: dict | None = field(default=None, compare=False)
-    #: Outcome-store traffic for the sweep (grid path only).
-    outcome_cache: dict | None = field(default=None, compare=False)
+    #: Aggregate trace-cache traffic (``hits``/``misses``/``corrupt``).
+    #: Accounting only, like everything below: excluded from equality
+    #: and from :meth:`as_dict`.
+    cache_stats: dict = field(default_factory=dict, compare=False)
+    #: Executor retry/quarantine accounting.
+    retry_stats: dict = field(default_factory=dict, compare=False)
+    #: Outcome-store traffic for the sweep.
+    outcome_cache: dict = field(default_factory=dict, compare=False)
     #: :class:`~repro.run.resilience.CellFailure` records of cells that
     #: exhausted their retry budget in a ``strict=False`` sweep; such
     #: cells have no :class:`ChaosPoint`.
@@ -114,12 +114,10 @@ class ChaosResult:
 
 
 def chaos_sweep(
-    workload,
+    base,
     schedule: FaultSchedule,
     intensities: Sequence[float] = DEFAULT_INTENSITIES,
     paradigms: Sequence[str] = DEFAULT_PARADIGMS,
-    config=None,
-    topology_kind: str | None = None,
     tracer_factory=None,
     jobs: int = 1,
     trace_cache=None,
@@ -129,16 +127,14 @@ def chaos_sweep(
 
     Parameters
     ----------
-    workload:
-        A workload object (``generate_trace`` provider).
+    base:
+        The :class:`repro.run.RunSpec` every cell varies: its workload,
+        shape and fabric settings (the injector's retransmit parameters
+        come from ``base.fabric``).  Its ``topology`` wins over the
+        scenario's topology hint; with neither, cells run on
+        ``single_switch``.
     schedule:
         The scenario; each sweep point runs ``schedule.scaled(i)``.
-    config:
-        Optional :class:`~repro.sim.runner.ExperimentConfig`; its
-        fabric settings seed the injector's retransmit parameters.
-    topology_kind:
-        Overrides the scenario's topology hint (default: the scenario's
-        hint, else ``single_switch``).
     tracer_factory:
         Optional ``label -> Tracer`` callable; when given, every run is
         traced (and invariant-checked) under label
@@ -157,99 +153,62 @@ def chaos_sweep(
         ``retries``, ``retry``, ``outcome_store``, ``journal``,
         ``resume``.  With ``strict=False`` a cell that exhausts its
         retry budget lands in :attr:`ChaosResult.failures` instead of
-        aborting the sweep (crash-survivable chaos campaigns).  The
-        in-process fallback path for unregistered workloads ignores
-        them.
+        aborting the sweep (crash-survivable chaos campaigns).
 
-    The trace is generated once and shared by all points, so the sweep
-    isolates fabric behavior exactly like the paper's paradigm
-    comparisons.
+    Every cell replays the same workload trace, so the sweep isolates
+    fabric behavior exactly like the paper's paradigm comparisons.
     """
-    from ..run import GridExecutionError, RunSpec, execute_grid
-    from ..sim.runner import ExperimentConfig
-
-    config = config or ExperimentConfig()
-    kind = topology_kind or schedule.topology or "single_switch"
-    scenario_json = schedule.to_json(indent=None)
-
-    try:
-        base = RunSpec.for_workload(workload, **config.spec_fields())
-    except (ValueError, TypeError, KeyError):
-        base = None
-
-    grid = [(i, name) for i in intensities for name in paradigms]
-    labels = [f"i{intensity:g}/{name}" for intensity, name in grid]
-    result = ChaosResult(scenario=schedule.name, workload=workload.name)
-
-    if base is not None:
-        specs = [
-            base.with_options(
-                paradigm=name,
-                intensity=float(intensity),
-                scenario=scenario_json,
-                topology=kind,
-                with_credits=schedule.with_credits,
-            )
-            for intensity, name in grid
-        ]
-        strict = resilience.pop("strict", True)
-        grid_outcome = execute_grid(
-            specs,
-            jobs=jobs,
-            trace_cache=trace_cache,
-            tracer_factory=tracer_factory,
-            labels=labels,
-            strict=False,
-            **resilience,
-        )
-        if strict and not grid_outcome.ok:
-            raise GridExecutionError(grid_outcome)
-        from ..run.resilience import CellFailure
-
-        for (intensity, name), cell in zip(grid, grid_outcome.cells):
-            if isinstance(cell, CellFailure):
-                result.failures.append(cell)
-                continue
-            result.points.append(
-                ChaosPoint(
-                    intensity,
-                    name,
-                    cell.metrics,
-                    degraded=cell.degraded,
-                    reasons=cell.reasons,
-                )
-            )
-        from ..run import aggregate_cache_stats
-
-        result.cache_stats = aggregate_cache_stats(grid_outcome)
-        result.retry_stats = dict(grid_outcome.retry_stats)
-        result.outcome_cache = dict(grid_outcome.outcome_cache)
-        return result
-
-    # In-process fallback for ad-hoc (unregistered) workload objects.
-    from ..run import RunContext
-    from ..sim.runner import _override_spec
-
-    trace = workload.generate_trace(
-        n_gpus=config.n_gpus, iterations=config.iterations, seed=config.seed
+    from ..run import (
+        CellFailure,
+        GridExecutionError,
+        aggregate_cache_stats,
+        execute_grid,
     )
-    for label, (intensity, name) in zip(labels, grid):
-        spec = _override_spec(workload, config, name).with_options(
+
+    kind = base.topology or schedule.topology or "single_switch"
+    scenario_json = schedule.to_json(indent=None)
+    grid = [(i, name) for i in intensities for name in paradigms]
+    specs = [
+        base.with_options(
+            paradigm=name,
             intensity=float(intensity),
             scenario=scenario_json,
             topology=kind,
             with_credits=schedule.with_credits,
         )
-        tracer = tracer_factory(label) if tracer_factory is not None else None
-        ctx = RunContext(spec, workload=workload, trace=trace, tracer=tracer)
-        outcome = ctx.execute()
+        for intensity, name in grid
+    ]
+    strict = resilience.pop("strict", True)
+    grid_outcome = execute_grid(
+        specs,
+        jobs=jobs,
+        trace_cache=trace_cache,
+        tracer_factory=tracer_factory,
+        labels=[f"i{intensity:g}/{name}" for intensity, name in grid],
+        strict=False,
+        **resilience,
+    )
+    if strict and not grid_outcome.ok:
+        raise GridExecutionError(grid_outcome)
+
+    result = ChaosResult(
+        scenario=schedule.name,
+        workload=base.workload,
+        cache_stats=aggregate_cache_stats(grid_outcome),
+        retry_stats=dict(grid_outcome.retry_stats),
+        outcome_cache=dict(grid_outcome.outcome_cache),
+    )
+    for (intensity, name), cell in zip(grid, grid_outcome.cells):
+        if isinstance(cell, CellFailure):
+            result.failures.append(cell)
+            continue
         result.points.append(
             ChaosPoint(
                 intensity,
                 name,
-                outcome.metrics,
-                degraded=outcome.degraded,
-                reasons=outcome.reasons,
+                cell.metrics,
+                degraded=cell.degraded,
+                reasons=cell.reasons,
             )
         )
     return result

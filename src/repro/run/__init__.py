@@ -13,11 +13,11 @@ Layering (see ``docs/architecture.md``)::
     repro.run.executor      fans RunSpec grids over processes with a
                             content-addressed trace cache
 
-Everything the CLI, the sweeps, the chaos harness and the benchmarks
-previously hand-assembled (``MultiGPUSystem.build`` + paradigm +
-tracer + injector plumbing) now flows through :class:`RunContext`, so a
-new knob is plumbed in exactly one place: add a :class:`RunSpec` field
-and consume it in the context.
+Every run the CLI, the sweeps, the chaos harness and the benchmarks
+make (``MultiGPUSystem.build`` + paradigm + tracer + injector
+plumbing) flows through :class:`RunContext`, so a new knob is plumbed
+in exactly one place: add a :class:`RunSpec` field and consume it in
+the context.
 
 Quick start::
 
@@ -47,6 +47,8 @@ from .cache import CACHE_ENV, TraceCache
 from .context import RunContext, RunOutcome
 from .executor import (
     CellExecutionError,
+    SweepPoint,
+    SweepResult,
     SweepRun,
     aggregate_cache_stats,
     execute_grid,
@@ -70,6 +72,8 @@ __all__ = [
     "RunOutcome",
     "TraceCache",
     "CACHE_ENV",
+    "SweepPoint",
+    "SweepResult",
     "SweepRun",
     "aggregate_cache_stats",
     "execute_grid",

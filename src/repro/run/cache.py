@@ -106,13 +106,12 @@ class TraceCache:
 
     # -- the one entry point ----------------------------------------
 
-    def get_or_generate(self, spec, workload=None) -> WorkloadTrace:
+    def get_or_generate(self, spec) -> WorkloadTrace:
         """The trace for ``spec``, from cache or freshly generated.
 
-        ``workload`` optionally supplies a pre-built instance (the
-        in-process override path); otherwise the spec's registry name
-        is instantiated.  Every return path leaves the trace in the
-        memory layer; fresh generations are also persisted to disk.
+        A miss instantiates the spec's registered workload.  Every
+        return path leaves the trace in the memory layer; fresh
+        generations are also persisted to disk.
         """
         key = spec.trace_key()
         trace = self._memory.get(key)
@@ -127,8 +126,7 @@ class TraceCache:
             return trace
 
         self.counters.counter("trace_cache.misses").inc()
-        if workload is None:
-            workload = spec.build_workload()
+        workload = spec.build_workload()
         path = self.path_for(key)
         prof = _prof.ACTIVE
         if prof is not None:

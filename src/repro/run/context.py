@@ -3,22 +3,23 @@
 A context turns one :class:`~repro.run.spec.RunSpec` into live
 components -- workload, trace, system, paradigm, fault injector,
 tracer -- and executes the run.  This is the *single* place where the
-pieces are wired together; ``runner.py``, ``sweep.py``, ``chaos.py``,
-the CLI and the benchmarks are all thin layers over it, so a new knob
-is added by (1) giving :class:`RunSpec` a field and (2) consuming it
+pieces are wired together; the grid executor, ``chaos.py``, the CLI
+and the benchmarks are all thin layers over it, so a new knob is
+added by (1) giving :class:`RunSpec` a field and (2) consuming it
 here.
 
-In-process callers may override individual components (a pre-generated
-trace, a hand-built :class:`Paradigm` instance, a
-:class:`~repro.obs.Tracer`); overrides are deliberately *not* part of
-the spec, so the spec stays hashable and picklable for the parallel
-executor.
+A single in-process run may override three components: a pre-generated
+``trace`` (which must match the spec's ``n_gpus``), a hand-built
+:class:`Paradigm` instance, and a :class:`~repro.obs.Tracer`.
+Overrides are deliberately *not* part of the spec, so the spec stays
+hashable and picklable for the parallel executor.  The workload is
+always the spec's registered one.
 
 Two execution surfaces:
 
 * :meth:`RunContext.run` returns :class:`RunMetrics` and lets
-  :class:`~repro.faults.errors.DegradedRunError` propagate -- the
-  legacy ``runner.run_workload`` contract.
+  :class:`~repro.faults.errors.DegradedRunError` propagate, like
+  :meth:`MultiGPUSystem.run`.
 * :meth:`RunContext.execute` returns a :class:`RunOutcome` that
   captures degradation as data (what grids and the chaos harness
   need) plus the run's trace-cache counter deltas.
@@ -72,7 +73,7 @@ class RunContext:
     trace_cache:
         Optional :class:`TraceCache`; a private memory-only cache is
         created when omitted.
-    workload, trace, paradigm, tracer:
+    trace, paradigm, tracer:
         In-process component overrides (see module docstring).
     """
 
@@ -81,7 +82,6 @@ class RunContext:
         spec: RunSpec,
         trace_cache: TraceCache | None = None,
         *,
-        workload=None,
         trace=None,
         paradigm=None,
         tracer=None,
@@ -89,7 +89,6 @@ class RunContext:
         self.spec = spec
         self.trace_cache = trace_cache if trace_cache is not None else TraceCache()
         self.tracer = tracer
-        self._workload = workload
         self._trace = trace
         self._paradigm = paradigm
         self._system = None
@@ -99,17 +98,9 @@ class RunContext:
     # -- component accessors (built once, on demand) ----------------
 
     @property
-    def workload(self):
-        if self._workload is None:
-            self._workload = self.spec.build_workload()
-        return self._workload
-
-    @property
     def trace(self):
         if self._trace is None:
-            self._trace = self.trace_cache.get_or_generate(
-                self.spec, workload=self._workload
-            )
+            self._trace = self.trace_cache.get_or_generate(self.spec)
         return self._trace
 
     @property

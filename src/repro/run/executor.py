@@ -37,8 +37,7 @@ strand it).
 
 :func:`labeled_sweep` is the sweep-shaped convenience used by the CLI
 and benchmarks: labeled specs plus an automatically derived single-GPU
-baseline, folded into the familiar
-:class:`~repro.sim.sweep.SweepResult`.
+baseline, folded into a :class:`SweepResult` of labeled speedups.
 """
 
 from __future__ import annotations
@@ -57,6 +56,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Mapping, Sequence
 
+from ..sim.metrics import RunMetrics
 from .cache import TraceCache
 from .context import RunContext, RunOutcome
 from .outcomes import OutcomeStore
@@ -681,19 +681,51 @@ def aggregate_cache_stats(outcomes: Sequence[RunOutcome]) -> dict[str, int]:
     return total
 
 
+@dataclass(frozen=True)
+class SweepPoint:
+    """One cell of a sweep result."""
+
+    label: str
+    metrics: RunMetrics
+    speedup: float
+
+
+@dataclass
+class SweepResult:
+    """Labeled sweep points, each with its speedup over the baseline."""
+
+    workload: str
+    points: list[SweepPoint] = field(default_factory=list)
+
+    def by_label(self) -> dict[str, SweepPoint]:
+        return {p.label: p for p in self.points}
+
+    def best(self) -> SweepPoint:
+        """The maximum-speedup point; exact ties break by label.
+
+        The stable lexicographic tie-break keeps the result independent
+        of the insertion order of the labeled specs.
+        """
+        if not self.points:
+            raise ValueError("empty sweep")
+        top = max(p.speedup for p in self.points)
+        return min(
+            (p for p in self.points if p.speedup == top), key=lambda p: p.label
+        )
+
+
 @dataclass
 class SweepRun:
-    """A labeled grid plus its baseline, shaped like the legacy sweep.
+    """A labeled grid plus its baseline.
 
-    ``result`` is a :class:`~repro.sim.sweep.SweepResult` (same
-    ``best()`` tie-break semantics as always); ``outcomes`` align with
+    ``result`` is the :class:`SweepResult`; ``outcomes`` align with
     ``result.points``; ``baseline`` is the 1-GPU normalization run.
     ``failures`` holds the :class:`CellFailure` records of points that
     exhausted their retry budget in a non-strict sweep (such points are
     omitted from ``result``/``outcomes``).
     """
 
-    result: object
+    result: SweepResult
     baseline: RunOutcome
     outcomes: list[RunOutcome] = field(default_factory=list)
     failures: list[CellFailure] = field(default_factory=list)
@@ -719,8 +751,7 @@ def labeled_sweep(
 
     The baseline defaults to the first spec's
     :meth:`~RunSpec.single_gpu_baseline`.  The baseline run is never
-    traced (matching the legacy ``sweep()``, whose ``tracer_factory``
-    only observed sweep points).
+    traced: ``tracer_factory`` observes only the sweep points.
 
     Extra keyword arguments (``strict``, ``timeout``, ``retries``,
     ``retry``, ``outcome_store``, ``journal``, ``resume``) pass through
@@ -729,8 +760,6 @@ def labeled_sweep(
     ``strict=False`` failing sweep points are reported in
     :attr:`SweepRun.failures` and omitted from the result table.
     """
-    from ..sim.sweep import SweepPoint, SweepResult
-
     if not labeled_specs:
         raise ValueError("empty sweep: no specs given")
     labels = list(labeled_specs)
@@ -834,8 +863,6 @@ def refine_top_k(
 
     Returns ``(merged sweep, refined labels)``.  ``k <= 0`` is a no-op.
     """
-    from ..sim.sweep import SweepResult
-
     if k <= 0 or not sweep.result.points:
         return sweep, set()
     ranked = sorted(

@@ -19,8 +19,7 @@ Sub-configurations are *deep-frozen*: only the frozen dataclasses
 (:class:`FinePackConfig`, :class:`FabricConfig`, :class:`ComputeModel`,
 :class:`PCIeGeneration`) are accepted, and loose parameter mappings are
 normalized to sorted tuples, so a spec can never alias mutable state
-across sweep cells (the ``field(default_factory=...)`` sharing hazard
-the old ``ExperimentConfig`` plumbing was prone to).
+across sweep cells.
 """
 
 from __future__ import annotations

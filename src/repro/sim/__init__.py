@@ -1,5 +1,6 @@
 """Simulation layer: discrete-event engine, byte-accounting metrics,
-communication paradigms, the multi-GPU system, and experiment runners."""
+communication paradigms and the multi-GPU system.  Experiments are
+composed and run by :mod:`repro.run`."""
 
 from .engine import Engine
 from .metrics import (
@@ -10,7 +11,6 @@ from .metrics import (
     classify_messages,
 )
 from .replay import EventReplaySession, ReplayError, ReplayReport, phase_events
-from .sweep import SweepPoint, SweepResult, generation_sweep, single_gpu_time, sweep
 from .timeline import render_comparison, render_timeline
 from .validation import ValidationError, ValidationReport, validate
 from .gps import SubscriptionStats, SubscriptionTable
@@ -26,15 +26,6 @@ from .paradigms import (
     WriteCombiningParadigm,
     make_paradigm,
 )
-from .runner import (
-    FIGURE9_PARADIGMS,
-    ComparisonResult,
-    ExperimentConfig,
-    build_system,
-    compare_paradigms,
-    geomean,
-    run_workload,
-)
 from .system import MultiGPUSystem
 
 __all__ = [
@@ -45,11 +36,6 @@ __all__ = [
     "ReplayError",
     "ReplayReport",
     "phase_events",
-    "SweepPoint",
-    "SweepResult",
-    "generation_sweep",
-    "single_gpu_time",
-    "sweep",
     "render_comparison",
     "render_timeline",
     "ValidationError",
@@ -70,12 +56,5 @@ __all__ = [
     "SubscriptionTable",
     "WriteCombiningParadigm",
     "make_paradigm",
-    "FIGURE9_PARADIGMS",
-    "ComparisonResult",
-    "ExperimentConfig",
-    "build_system",
-    "compare_paradigms",
-    "geomean",
-    "run_workload",
     "MultiGPUSystem",
 ]

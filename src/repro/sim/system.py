@@ -78,7 +78,6 @@ class MultiGPUSystem:
         compute: ComputeModel | None = None,
         finepack_config: FinePackConfig | None = None,
         barrier_ns: float = 2_000.0,
-        two_level: bool = False,
         topology_kind: str | None = None,
         topology_params: dict | None = None,
         with_credits: bool = False,
@@ -92,8 +91,7 @@ class MultiGPUSystem:
         paper's 4-GPU testbed, default), ``"two_level"`` (the projected
         16-GPU tree), ``"fully_connected"`` (NVSwitch-class pairwise
         links), ``"fat_tree"`` (multi-level, 8-64+ GPUs) or
-        ``"switched_mesh"`` (multi-plane rails); the legacy
-        ``two_level`` flag is a shorthand for the second.
+        ``"switched_mesh"`` (multi-plane rails).
         ``topology_params`` passes factory-specific keywords through
         (``fanout``, ``oversubscription``, ``planes``, ...).
         ``error_rate`` is the baseline per-byte corruption probability
@@ -104,9 +102,8 @@ class MultiGPUSystem:
         gpus = [GPU(index=i, compute=compute) for i in range(n_gpus)]
         topology: Topology | None = None
         if n_gpus > 1:
-            kind = topology_kind or ("two_level" if two_level else "single_switch")
             try:
-                factory = topology_registry.resolve(kind)
+                factory = topology_registry.resolve(topology_kind or "single_switch")
             except RegistryError as exc:
                 raise ValueError(str(exc)) from None
             topology = factory(

@@ -126,10 +126,9 @@ def validate(
                 break
 
     # --- full timed run: ledger + timing sanity ----------------------
-    # (run() re-attaches the paradigm, giving it fresh engine state.)
-    metrics: RunMetrics = MultiGPUSystem.build(n_gpus=trace.n_gpus).run(
-        trace, paradigm
-    )
+    # (run() resets the system and re-attaches the paradigm, giving it
+    # fresh engine state.)
+    metrics: RunMetrics = system.run(trace, paradigm)
     b = metrics.bytes
     report.record(
         "ledger-partition",
@@ -141,9 +140,7 @@ def validate(
         metrics.total_time_ns >= metrics.compute_time_ns * 0.999,
         "the run finished before its compute",
     )
-    infinite = MultiGPUSystem.build(n_gpus=trace.n_gpus).run(
-        trace, make_paradigm("infinite")
-    )
+    infinite = system.run(trace, make_paradigm("infinite"))
     report.record(
         "infinite-lower-bound",
         metrics.total_time_ns >= infinite.total_time_ns * 0.999,

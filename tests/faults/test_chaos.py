@@ -7,21 +7,20 @@ import pytest
 
 from repro.faults import FaultSchedule, chaos_sweep, format_chaos_table
 from repro.faults.scenarios import SCENARIOS, list_scenarios, load_scenario
-from repro.sim.runner import ExperimentConfig
+from repro.run import RunSpec
 from repro.workloads import JacobiWorkload
 from tests.test_cli import run_cli
+
+BASE = RunSpec.for_workload(JacobiWorkload(), n_gpus=2, iterations=1)
 
 
 @pytest.fixture(scope="module")
 def sweep():
-    schedule = load_scenario("flaky-retimer")
-    config = ExperimentConfig(n_gpus=2, iterations=1)
     return chaos_sweep(
-        JacobiWorkload(),
-        schedule,
+        BASE,
+        load_scenario("flaky-retimer"),
         intensities=(0.0, 1.0),
         paradigms=("p2p", "finepack"),
-        config=config,
     )
 
 
@@ -83,11 +82,10 @@ class TestChaosSweep:
 
     def test_degraded_points_are_rows_not_crashes(self):
         result = chaos_sweep(
-            JacobiWorkload(),
+            BASE,
             load_scenario("partition"),
             intensities=(0.0, 1.0),
             paradigms=("finepack",),
-            config=ExperimentConfig(n_gpus=2, iterations=1),
         )
         broken = [p for p in result.points if p.degraded]
         assert len(broken) == 1

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from repro.faults import DegradedRunError, FaultInjector, FaultSchedule
 from repro.faults.scenarios import load_scenario
-from repro.sim.runner import ExperimentConfig, _paradigm_instance
+from repro.sim.paradigms import make_paradigm
 from repro.sim.system import MultiGPUSystem
 from repro.workloads import JacobiWorkload
 
@@ -29,7 +29,6 @@ SCENARIO = {
 
 def _fingerprint(n_gpus=2, iterations=2, scenario=SCENARIO, runs=1):
     """Summary + raw per-link stats after the last of ``runs`` runs."""
-    config = ExperimentConfig(n_gpus=n_gpus, iterations=iterations)
     system = MultiGPUSystem.build(
         n_gpus=n_gpus,
         topology_kind="single_switch",
@@ -38,7 +37,7 @@ def _fingerprint(n_gpus=2, iterations=2, scenario=SCENARIO, runs=1):
     trace = JacobiWorkload().generate_trace(
         n_gpus=n_gpus, iterations=iterations, seed=11
     )
-    paradigm = _paradigm_instance("finepack", config)
+    paradigm = make_paradigm("finepack")
     for _ in range(runs):
         metrics = system.run(trace, paradigm)
     raw = {
@@ -123,7 +122,6 @@ class TestScheduleProperty:
     def test_any_valid_schedule_terminates(self, faults):
         """Every parseable schedule either completes or degrades cleanly."""
         schedule = FaultSchedule.from_dict({"name": "prop", "faults": faults})
-        config = ExperimentConfig(n_gpus=2, iterations=1)
         system = MultiGPUSystem.build(
             n_gpus=2,
             topology_kind="single_switch",
@@ -132,7 +130,7 @@ class TestScheduleProperty:
         )
         trace = JacobiWorkload().generate_trace(n_gpus=2, iterations=1, seed=3)
         try:
-            metrics = system.run(trace, _paradigm_instance("finepack", config))
+            metrics = system.run(trace, make_paradigm("finepack"))
         except DegradedRunError as err:
             metrics = err.metrics
             assert metrics.degraded

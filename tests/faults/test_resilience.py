@@ -14,7 +14,7 @@ from repro.interconnect.flowcontrol import CreditPool
 from repro.obs import Tracer
 from repro.obs.events import EventKind
 from repro.obs.invariants import InvariantChecker, InvariantViolation
-from repro.sim.runner import ExperimentConfig, _paradigm_instance
+from repro.sim.paradigms import make_paradigm
 from repro.sim.system import MultiGPUSystem
 from repro.workloads import JacobiWorkload
 
@@ -32,7 +32,6 @@ def _schedule(*faults, **kw) -> FaultSchedule:
 
 def _run(schedule, paradigm="finepack", topology_kind="single_switch",
          n_gpus=2, iterations=2, with_credits=False, tracer=None):
-    config = ExperimentConfig(n_gpus=n_gpus, iterations=iterations)
     system = MultiGPUSystem.build(
         n_gpus=n_gpus,
         topology_kind=topology_kind,
@@ -42,7 +41,7 @@ def _run(schedule, paradigm="finepack", topology_kind="single_switch",
     trace = JacobiWorkload().generate_trace(
         n_gpus=n_gpus, iterations=iterations, seed=7
     )
-    return system.run(trace, _paradigm_instance(paradigm, config), tracer=tracer)
+    return system.run(trace, make_paradigm(paradigm), tracer=tracer)
 
 
 @pytest.fixture(scope="module")

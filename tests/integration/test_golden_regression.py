@@ -11,10 +11,11 @@ import io
 
 import pytest
 
-from repro.sim.runner import ExperimentConfig, compare_paradigms, run_workload
+from repro.run import RunContext, RunSpec, labeled_sweep
 from repro.workloads import WORKLOADS
 
-#: Captured with ExperimentConfig(iterations=2), seed 7.
+#: Captured at 4 GPUs, iterations=2, seed 7 (the ``RunSpec`` defaults
+#: otherwise).
 GOLDEN = {
     "jacobi": {
         "speedups": {"p2p": 3.51, "dma": 2.81, "finepack": 3.50, "infinite": 3.53},
@@ -63,19 +64,21 @@ TOLERANCE = 0.15
 
 @pytest.mark.parametrize("name", sorted(GOLDEN))
 def test_golden_metrics(name):
-    result = compare_paradigms(
-        WORKLOADS[name](),
-        paradigms=("p2p", "dma", "finepack", "infinite"),
-        config=ExperimentConfig(iterations=2),
-    )
+    base = RunSpec.for_workload(WORKLOADS[name](), iterations=2)
+    result = labeled_sweep(
+        {
+            p: base.with_options(paradigm=p)
+            for p in ("p2p", "dma", "finepack", "infinite")
+        }
+    ).result.by_label()
     golden = GOLDEN[name]
     for paradigm, expected in golden["speedups"].items():
-        got = result.speedup(paradigm)
+        got = result[paradigm].speedup
         assert got == pytest.approx(expected, rel=TOLERANCE), (
             f"{name}/{paradigm}: speedup {got:.2f} drifted from "
             f"golden {expected:.2f}"
         )
-    fp = result.runs["finepack"]
+    fp = result["finepack"].metrics
     assert fp.wire_bytes == pytest.approx(golden["finepack_wire"], rel=TOLERANCE)
     assert fp.packets.mean_stores_per_packet == pytest.approx(
         golden["stores_per_packet"], rel=TOLERANCE
@@ -92,12 +95,8 @@ class TestDeterminism:
         from repro.obs import Tracer, write_chrome_trace
 
         tracer = Tracer()
-        metrics = run_workload(
-            WORKLOADS["jacobi"](),
-            "finepack",
-            ExperimentConfig(n_gpus=4, iterations=2),
-            tracer=tracer,
-        )
+        spec = RunSpec.for_workload(WORKLOADS["jacobi"](), n_gpus=4, iterations=2)
+        metrics = RunContext(spec, tracer=tracer).run()
         export = io.StringIO()
         write_chrome_trace(export, tracer)
         return metrics, export.getvalue()
@@ -115,10 +114,8 @@ class TestDeterminism:
         observation must not change the physics."""
         from repro.obs import Tracer
 
-        config = ExperimentConfig(n_gpus=2, iterations=2)
-        plain = run_workload(WORKLOADS["jacobi"](), "finepack", config)
-        traced = run_workload(
-            WORKLOADS["jacobi"](), "finepack", config, tracer=Tracer()
-        )
+        spec = RunSpec.for_workload(WORKLOADS["jacobi"](), n_gpus=2, iterations=2)
+        plain = RunContext(spec).run()
+        traced = RunContext(spec, tracer=Tracer()).run()
         assert plain.summary() == traced.summary()
         assert plain.total_time_ns == traced.total_time_ns

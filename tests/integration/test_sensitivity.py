@@ -4,8 +4,8 @@ import pytest
 
 from repro.core.config import FinePackConfig
 from repro.interconnect.pcie import PCIE_GEN4, PCIE_GEN6
-from repro.sim.paradigms import FinePackParadigm, make_paradigm
-from repro.sim.runner import ExperimentConfig, run_workload
+from repro.run import RunContext, RunSpec
+from repro.sim.paradigms import FinePackParadigm
 from repro.sim.system import MultiGPUSystem
 from repro.workloads import PagerankWorkload, SSSPWorkload
 
@@ -49,19 +49,19 @@ class TestBandwidthSweep:
     FinePack at any step."""
 
     def test_gen6_faster_than_gen4_for_comm_bound(self):
-        w = SSSPWorkload(n=16_000)
-        t4 = run_workload(w, "p2p", ExperimentConfig(generation=PCIE_GEN4, iterations=2))
-        t6 = run_workload(w, "p2p", ExperimentConfig(generation=PCIE_GEN6, iterations=2))
+        spec = RunSpec.for_workload(SSSPWorkload(n=16_000), "p2p", iterations=2)
+        t4 = RunContext(spec.with_options(generation=PCIE_GEN4)).run()
+        t6 = RunContext(spec.with_options(generation=PCIE_GEN6)).run()
         assert t6.total_time_ns < t4.total_time_ns
 
     def test_finepack_not_behind_at_gen6(self):
         """At Gen6 both may become compute-bound; FinePack must still
         move far fewer bytes and not lose time beyond the flush tail."""
         w = SSSPWorkload(n=16_000)
-        cfg = ExperimentConfig(generation=PCIE_GEN6, iterations=2)
-        trace = w.generate_trace(4, 2, cfg.seed)
-        p2p = run_workload(w, "p2p", cfg, trace=trace)
-        fp = run_workload(w, "finepack", cfg, trace=trace)
+        spec = RunSpec.for_workload(w, generation=PCIE_GEN6, iterations=2)
+        trace = w.generate_trace(4, 2, spec.seed)
+        p2p = RunContext(spec.with_options(paradigm="p2p"), trace=trace).run()
+        fp = RunContext(spec, trace=trace).run()
         assert fp.total_time_ns <= p2p.total_time_ns * 1.02
         assert fp.wire_bytes < p2p.wire_bytes
 
@@ -71,12 +71,12 @@ class TestScaling16GPU:
 
     def test_16_gpu_ordering(self):
         w = PagerankWorkload(n=64_000, band_fraction=0.12)
-        cfg = ExperimentConfig(
-            n_gpus=16, generation=PCIE_GEN6, iterations=2, two_level=True
+        spec = RunSpec.for_workload(
+            w, n_gpus=16, generation=PCIE_GEN6, iterations=2, topology="two_level"
         )
-        trace = w.generate_trace(16, 2, cfg.seed)
-        p2p = run_workload(w, "p2p", cfg, trace=trace)
-        fp = run_workload(w, "finepack", cfg, trace=trace)
+        trace = w.generate_trace(16, 2, spec.seed)
+        p2p = RunContext(spec.with_options(paradigm="p2p"), trace=trace).run()
+        fp = RunContext(spec, trace=trace).run()
         # At this (scaled-down) size Gen6 makes the run compute-bound;
         # FinePack must still slash wire traffic and at worst pay the
         # release-flush tail.

@@ -16,18 +16,16 @@ from repro.obs import (
     write_chrome_trace,
     write_jsonl,
 )
-from repro.sim.runner import ExperimentConfig, run_workload
+from repro.run import RunContext, RunSpec
 from repro.workloads import JacobiWorkload
 
 
 def traced_run(iterations=1):
     tracer = Tracer()
-    run_workload(
-        JacobiWorkload(n=256),
-        "finepack",
-        ExperimentConfig(n_gpus=2, iterations=iterations),
-        tracer=tracer,
+    spec = RunSpec.for_workload(
+        JacobiWorkload(n=256), n_gpus=2, iterations=iterations
     )
+    RunContext(spec, tracer=tracer).run()
     return tracer
 
 

@@ -9,8 +9,8 @@ corrupted stream.
 import pytest
 
 from repro.obs import EventKind, InvariantChecker, InvariantViolation, TraceEvent, Tracer
+from repro.run import RunContext, RunSpec
 from repro.sim.paradigms import PARADIGMS
-from repro.sim.runner import ExperimentConfig, run_workload
 from repro.workloads import small_suite
 
 
@@ -170,11 +170,12 @@ def test_every_workload_passes_under_every_paradigm(name, n_gpus):
     """The property the whole layer exists to defend: real simulations
     never violate an invariant, for any workload x paradigm x scale."""
     workload = SMALL[name]
-    config = ExperimentConfig(n_gpus=n_gpus, iterations=2)
+    base = RunSpec.for_workload(workload, n_gpus=n_gpus, iterations=2)
     trace = workload.generate_trace(n_gpus=n_gpus, iterations=2, seed=7)
     for paradigm in sorted(PARADIGMS):
         tracer = Tracer()  # online InvariantChecker attached by default
-        run_workload(workload, paradigm, config, trace=trace, tracer=tracer)
+        spec = base.with_options(paradigm=paradigm)
+        RunContext(spec, trace=trace, tracer=tracer).run()
         assert tracer.checker is not None
         assert tracer.checker.events_checked == len(tracer.events)
         assert tracer.checker.barriers_checked == 2, paradigm
@@ -184,12 +185,8 @@ def test_corrupted_stream_is_caught():
     """Dropping one delivery event from a real recorded stream must
     break conservation at the next barrier."""
     tracer = Tracer()
-    run_workload(
-        SMALL["jacobi"],
-        "finepack",
-        ExperimentConfig(n_gpus=2, iterations=1),
-        tracer=tracer,
-    )
+    spec = RunSpec.for_workload(SMALL["jacobi"], n_gpus=2, iterations=1)
+    RunContext(spec, tracer=tracer).run()
     victim = next(e for e in tracer.events if e.kind is EventKind.MSG_DELIVERED)
     corrupted = [e for e in tracer.events if e is not victim]
     with pytest.raises(InvariantViolation):

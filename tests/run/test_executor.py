@@ -49,32 +49,13 @@ class TestParallelEqualsSerial:
         assert serial.result.best().label == "aa"
         assert parallel.result.best().label == "aa"
 
-    def test_compare_paradigms_identical(self):
-        from repro.sim.runner import ExperimentConfig, compare_paradigms
-        from repro.workloads import JacobiWorkload
-
-        cfg = ExperimentConfig(n_gpus=2, iterations=1)
-        serial = compare_paradigms(
-            JacobiWorkload(n=64), ("p2p", "finepack"), cfg, jobs=1
-        )
-        parallel = compare_paradigms(
-            JacobiWorkload(n=64), ("p2p", "finepack"), cfg, jobs=2
-        )
-        assert serial.single_gpu == parallel.single_gpu
-        assert serial.runs == parallel.runs
-
     def test_chaos_sweep_identical(self):
         from repro.faults import chaos_sweep, load_scenario
-        from repro.sim.runner import ExperimentConfig
-        from repro.workloads import JacobiWorkload
 
-        cfg = ExperimentConfig(n_gpus=2, iterations=1)
         schedule = load_scenario("flaky-retimer")
-        kwargs = dict(
-            intensities=(0.0, 1.0), paradigms=("p2p", "finepack"), config=cfg
-        )
-        serial = chaos_sweep(JacobiWorkload(n=64), schedule, **kwargs)
-        parallel = chaos_sweep(JacobiWorkload(n=64), schedule, jobs=3, **kwargs)
+        kwargs = dict(intensities=(0.0, 1.0), paradigms=("p2p", "finepack"))
+        serial = chaos_sweep(JACOBI, schedule, **kwargs)
+        parallel = chaos_sweep(JACOBI, schedule, jobs=3, **kwargs)
         assert serial.points == parallel.points
 
 

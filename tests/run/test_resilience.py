@@ -36,6 +36,7 @@ from repro.run import (
     RunSpec,
     execute_grid,
     grid_key,
+    labeled_sweep,
 )
 
 JACOBI = RunSpec(workload="jacobi", workload_params={"n": 64}, n_gpus=2,
@@ -205,6 +206,22 @@ class TestStrictContract:
         assert fail.quarantined and fail.attempts == 1
         assert "injected failure" in fail.message
         assert fail.as_dict()["key"] == specs[1].key()
+
+    def test_non_strict_sweep_omits_failed_points(self):
+        """``labeled_sweep(strict=False)`` -- what ``repro compare
+        --no-strict`` runs -- drops a quarantined point from the table
+        and reports it; the strict sweep raises instead."""
+        labeled = {
+            "ok": faulty_spec(),  # first: the baseline derives from it
+            "bad": faulty_spec("raise", budget=1, token="ls1"),
+        }
+        run = labeled_sweep(labeled, retries=0, strict=False)
+        assert [p.label for p in run.result.points] == ["ok"]
+        assert [o.spec for o in run.outcomes] == [labeled["ok"]]
+        (failure,) = run.failures
+        assert failure.kind == "error" and failure.spec == labeled["bad"]
+        with pytest.raises(GridExecutionError):
+            labeled_sweep(labeled, retries=0, strict=True)
 
     def test_retry_recovers_transient_failure(self, tmp_path):
         spec = faulty_spec("raise", budget=1, token_dir=str(tmp_path),

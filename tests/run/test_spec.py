@@ -97,13 +97,6 @@ class TestDeepFreeze:
         with pytest.raises(TypeError, match="frozen FinePackConfig"):
             RunSpec(workload="jacobi", finepack={"subheader_bytes": 5})
 
-    def test_experiment_config_is_frozen(self):
-        from repro.sim.runner import ExperimentConfig
-
-        cfg = ExperimentConfig()
-        with pytest.raises(dataclasses.FrozenInstanceError):
-            cfg.n_gpus = 8
-
     def test_default_specs_never_alias_across_instances(self):
         a, b = RunSpec(workload="jacobi"), RunSpec(workload="pagerank")
         assert a.finepack == b.finepack  # equal values...
@@ -143,6 +136,27 @@ class TestForWorkload:
 
         with pytest.raises(TypeError, match="cannot build a spec"):
             RunSpec.for_workload(Rogue())
+
+    @staticmethod
+    def _ad_hoc_workload():
+        from repro.workloads import MultiGPUWorkload
+
+        class AdHoc(MultiGPUWorkload):
+            name = "ad_hoc"
+
+            def iter_phases(self, n_gpus, iterations=3, seed=7):
+                yield from ()
+                return {}
+
+        return AdHoc
+
+    def test_unregistered_workload_class_hints_register(self):
+        with pytest.raises(ValueError, match=r"registry\.workloads\.register"):
+            RunSpec.for_workload(self._ad_hoc_workload())
+
+    def test_unregistered_workload_instance_hints_register(self):
+        with pytest.raises(ValueError, match="register it"):
+            RunSpec.for_workload(self._ad_hoc_workload()())
 
 
 class TestComponentConstruction:

@@ -6,8 +6,8 @@ import pytest
 from repro.gpu.compute import KernelWork
 from repro.interconnect.message import MessageKind
 from repro.interconnect.pcie import PCIE_GEN4, PCIeProtocol
+from repro.run import RunSpec, labeled_sweep
 from repro.sim.paradigms import FinePackParadigm, P2PStoreParadigm
-from repro.sim.runner import ExperimentConfig, compare_paradigms
 from repro.trace.stream import IterationTrace, KernelPhase, RemoteStoreBatch, WorkloadTrace
 from repro.workloads import PagerankWorkload
 
@@ -58,17 +58,19 @@ class TestParadigmAtomicHandling:
 class TestAtomicPagerank:
     @pytest.fixture(scope="class")
     def comparison(self):
-        return compare_paradigms(
-            PagerankWorkload(n=16_000, use_atomics=True),
-            paradigms=("p2p", "finepack", "infinite"),
-            config=ExperimentConfig(iterations=2),
+        """``{paradigm: RunMetrics}`` for the atomicAdd port."""
+        base = RunSpec.for_workload(
+            PagerankWorkload(n=16_000, use_atomics=True), iterations=2
         )
+        paradigms = ("p2p", "finepack", "infinite")
+        sweep = labeled_sweep({p: base.with_options(paradigm=p) for p in paradigms})
+        return {p.label: p.metrics for p in sweep.result.points}
 
     def test_finepack_cannot_help_atomics(self, comparison):
         """Sec. IV-C: atomics are never coalesced, so the atomic port
         sees zero benefit from FinePack."""
-        fp = comparison.runs["finepack"]
-        p2p = comparison.runs["p2p"]
+        fp = comparison["finepack"]
+        p2p = comparison["p2p"]
         assert fp.wire_bytes == p2p.wire_bytes
         assert fp.total_time_ns == pytest.approx(p2p.total_time_ns, rel=0.01)
 
@@ -80,7 +82,7 @@ class TestAtomicPagerank:
 
     def test_atomic_bytes_counted_useful(self, comparison):
         """Atomic targets are in the consumer's accumulator read set."""
-        assert comparison.runs["p2p"].bytes.useful > 0
+        assert comparison["p2p"].bytes.useful > 0
 
 
 class TestAtomicTraceReplay:

@@ -6,9 +6,9 @@ import pytest
 
 from repro.interconnect.link import Link
 from repro.interconnect.message import WireMessage
+from repro.run import RunContext, RunSpec
 from repro.sim.gps import SubscriptionTable
 from repro.sim.paradigms import GPSParadigm, SlicedDMAParadigm, make_paradigm
-from repro.sim.runner import ExperimentConfig, compare_paradigms, run_workload
 from repro.trace.intervals import IntervalSet
 from repro.workloads import ALSWorkload, DiffusionWorkload
 
@@ -18,6 +18,18 @@ PAGE = 4096
 
 def arr(values):
     return np.asarray(values, dtype=np.int64)
+
+
+def replay(workload, trace, paradigm, **paradigm_params):
+    """Run ``trace`` under a paradigm built from registry name + params."""
+    spec = RunSpec.for_workload(
+        workload,
+        paradigm,
+        paradigm_params=paradigm_params,
+        n_gpus=trace.n_gpus,
+        iterations=trace.n_iterations,
+    )
+    return RunContext(spec, trace=trace).run()
 
 
 class TestSubscriptionTable:
@@ -62,10 +74,9 @@ class TestLearnedGPS:
         """Learned subscription broadcasts epoch 0 and converges to the
         oracle's steady state afterwards."""
         w = ALSWorkload(n_users=2_000, n_items=500, avg_ratings=8)
-        cfg = ExperimentConfig(iterations=4)
-        trace = w.generate_trace(4, 4, cfg.seed)
-        learned = run_workload(w, GPSParadigm(subscription="learned"), cfg, trace=trace)
-        oracle = run_workload(w, GPSParadigm(subscription="oracle"), cfg, trace=trace)
+        trace = w.generate_trace(4, 4, 7)
+        learned = replay(w, trace, "gps", subscription="learned")
+        oracle = replay(w, trace, "gps", subscription="oracle")
         assert learned.wire_bytes >= oracle.wire_bytes
 
     def test_unknown_mode_rejected(self):
@@ -82,20 +93,13 @@ class TestSlicedDMA:
         win requires the transfer to dominate the per-call software
         overhead -- the paper's point that fine slicing is only worth
         the effort for heavy exchanges.)"""
-        from repro.sim.paradigms import BulkDMAParadigm
         from repro.workloads import HITWorkload
 
         w = HITWorkload(n=64)
-        cfg = ExperimentConfig(iterations=2)
-        trace = w.generate_trace(4, 2, cfg.seed)
-        plain = run_workload(
-            w, BulkDMAParadigm(per_call_overhead_ns=500.0), cfg, trace=trace
-        )
-        sliced = run_workload(
-            w,
-            SlicedDMAParadigm(slices=4, per_call_overhead_ns=500.0),
-            cfg,
-            trace=trace,
+        trace = w.generate_trace(4, 2, 7)
+        plain = replay(w, trace, "dma", per_call_overhead_ns=500.0)
+        sliced = replay(
+            w, trace, "dma_sliced", slices=4, per_call_overhead_ns=500.0
         )
         assert sliced.total_time_ns < plain.total_time_ns
 
@@ -103,18 +107,16 @@ class TestSlicedDMA:
         """For halo-sized transfers the extra memcpy calls cost more
         than the overlap saves -- why naive programmers don't slice."""
         w = DiffusionWorkload(n=48)
-        cfg = ExperimentConfig(iterations=2)
-        trace = w.generate_trace(4, 2, cfg.seed)
-        plain = run_workload(w, "dma", cfg, trace=trace)
-        sliced = run_workload(w, SlicedDMAParadigm(slices=8), cfg, trace=trace)
+        trace = w.generate_trace(4, 2, 7)
+        plain = replay(w, trace, "dma")
+        sliced = replay(w, trace, "dma_sliced", slices=8)
         assert sliced.total_time_ns > plain.total_time_ns
 
     def test_same_bytes_delivered(self):
         w = DiffusionWorkload(n=48)
-        cfg = ExperimentConfig(iterations=2)
-        trace = w.generate_trace(4, 2, cfg.seed)
-        plain = run_workload(w, "dma", cfg, trace=trace)
-        sliced = run_workload(w, SlicedDMAParadigm(slices=4), cfg, trace=trace)
+        trace = w.generate_trace(4, 2, 7)
+        plain = replay(w, trace, "dma")
+        sliced = replay(w, trace, "dma_sliced", slices=4)
         assert sliced.bytes.payload == plain.bytes.payload
         assert sliced.bytes.useful == plain.bytes.useful
 
@@ -130,13 +132,10 @@ class TestSlicedDMA:
         from repro.workloads import PagerankWorkload
 
         w = PagerankWorkload(n=24_000)
-        cfg = ExperimentConfig(iterations=2)
-        res = compare_paradigms(w, ("finepack",), cfg)
-        sliced = run_workload(
-            w, SlicedDMAParadigm(), cfg,
-            trace=w.generate_trace(4, 2, cfg.seed),
-        )
-        assert res.runs["finepack"].wire_bytes < sliced.wire_bytes
+        trace = w.generate_trace(4, 2, 7)
+        finepack = replay(w, trace, "finepack")
+        sliced = replay(w, trace, "dma_sliced")
+        assert finepack.wire_bytes < sliced.wire_bytes
 
 
 class TestLinkErrorInjection:

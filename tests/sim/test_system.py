@@ -128,7 +128,7 @@ class TestValidation:
         assert m.wire_bytes == 0
 
     def test_two_level_topology_build(self):
-        system = MultiGPUSystem.build(n_gpus=16, two_level=True)
+        system = MultiGPUSystem.build(n_gpus=16, topology_kind="two_level")
         assert system.topology is not None
         assert system.topology.n_gpus == 16
 

@@ -3,12 +3,15 @@
 import pytest
 
 from repro.core.config import FinePackConfig
-from repro.interconnect.pcie import GENERATIONS, PCIE_GEN4, PCIE_GEN6
+from repro.interconnect.pcie import PCIE_GEN4, PCIE_GEN6
+from repro.run import (
+    RunContext,
+    RunSpec,
+    SweepPoint,
+    SweepResult,
+    labeled_sweep,
+)
 from repro.sim.metrics import LinkUtilization, RunMetrics
-from repro.sim.paradigms import FinePackParadigm, make_paradigm
-from repro.sim.runner import ExperimentConfig, run_workload
-from repro.sim.sweep import generation_sweep, single_gpu_time, sweep
-from repro.sim.system import MultiGPUSystem
 from repro.sim.timeline import render_comparison, render_timeline
 from repro.workloads import PagerankWorkload
 
@@ -19,8 +22,17 @@ def workload():
 
 
 @pytest.fixture(scope="module")
-def metrics(workload):
-    return run_workload(workload, "p2p", ExperimentConfig(iterations=2))
+def base(workload):
+    return RunSpec.for_workload(workload, iterations=2)
+
+
+def _run(base, paradigm):
+    return RunContext(base.with_options(paradigm=paradigm)).run()
+
+
+@pytest.fixture(scope="module")
+def metrics(base):
+    return _run(base, "p2p")
 
 
 class TestLinkUtilization:
@@ -38,10 +50,9 @@ class TestLinkUtilization:
         assert LinkUtilization().peak == 0.0
         assert LinkUtilization().mean == 0.0
 
-    def test_comm_bound_paradigm_busier(self, workload):
-        cfg = ExperimentConfig(iterations=2)
-        p2p = run_workload(workload, "p2p", cfg)
-        fp = run_workload(workload, "finepack", cfg)
+    def test_comm_bound_paradigm_busier(self, base):
+        p2p = _run(base, "p2p")
+        fp = _run(base, "finepack")
         assert p2p.links.peak > fp.links.peak
 
 
@@ -55,29 +66,23 @@ class TestTimeline:
         m = RunMetrics(workload="x", paradigm="y", n_gpus=2)
         assert "(no iterations)" in render_timeline(m)
 
-    def test_render_comparison_bars(self, workload):
-        cfg = ExperimentConfig(iterations=2)
-        runs = {p: run_workload(workload, p, cfg) for p in ("p2p", "finepack")}
+    def test_render_comparison_bars(self, base):
+        runs = {p: _run(base, p) for p in ("p2p", "finepack")}
         text = render_comparison(runs)
         assert "p2p" in text and "finepack" in text
         assert "ms" in text
 
 
 class TestSweep:
-    def test_subheader_sweep(self, workload):
-        def factory(b):
-            def make():
-                cfg = FinePackConfig(subheader_bytes=b)
-                return (
-                    MultiGPUSystem.build(n_gpus=4, finepack_config=cfg),
-                    FinePackParadigm(cfg),
+    def test_subheader_sweep(self, base):
+        result = labeled_sweep(
+            {
+                f"{b}B": base.with_options(
+                    finepack=FinePackConfig(subheader_bytes=b)
                 )
-
-            return make
-
-        result = sweep(
-            workload, {f"{b}B": factory(b) for b in (2, 4, 5)}, iterations=2
-        )
+                for b in (2, 4, 5)
+            }
+        ).result
         assert {p.label for p in result.points} == {"2B", "4B", "5B"}
         assert all(p.speedup > 0 for p in result.points)
         # best() selects the maximum-speedup point.  (At this reduced
@@ -85,29 +90,23 @@ class TestSweep:
         # integration suite and Fig. 12 bench, not here.)
         assert result.best().speedup == max(p.speedup for p in result.points)
 
-    def test_generation_sweep(self, workload):
-        result = generation_sweep(
-            workload,
-            {"gen4": PCIE_GEN4, "gen6": PCIE_GEN6},
-            paradigm_name="p2p",
-            iterations=2,
-        )
+    def test_generation_sweep(self, base):
+        result = labeled_sweep(
+            {
+                label: base.with_options(paradigm="p2p", generation=gen)
+                for label, gen in (("gen4", PCIE_GEN4), ("gen6", PCIE_GEN6))
+            }
+        ).result
         by = result.by_label()
         assert by["gen6"].speedup >= by["gen4"].speedup
 
-    def test_single_gpu_time_positive(self, workload):
-        assert single_gpu_time(workload) > 0
-
-    def test_empty_sweep_best_raises(self, workload):
-        from repro.sim.sweep import SweepResult
-
+    def test_empty_sweep_best_raises(self):
         with pytest.raises(ValueError):
             SweepResult(workload="x").best()
 
     def test_best_breaks_ties_by_label(self):
         """Exact speedup ties must resolve deterministically by label,
-        not by the insertion order of the configurations dict."""
-        from repro.sim.sweep import SweepPoint, SweepResult
+        not by the insertion order of the labeled specs."""
 
         def point(label, speedup):
             return SweepPoint(
@@ -129,8 +128,6 @@ class TestSweep:
         assert reversed_result.best().label == "alpha"
 
     def test_best_prefers_higher_speedup_over_label(self):
-        from repro.sim.sweep import SweepPoint, SweepResult
-
         result = SweepResult(
             workload="x",
             points=[

@@ -66,6 +66,37 @@ class TestTraceReplay:
         b = run_cli("replay", str(path), "finepack", "--subheader-bytes", "5")
         assert a != b
 
+    @pytest.fixture(scope="class")
+    def jacobi_trace(self, tmp_path_factory):
+        path = tmp_path_factory.mktemp("replay") / "trace.npz"
+        run_cli("trace", "jacobi", str(path), "--gpus", "2", "--iterations", "1")
+        return str(path)
+
+    def test_replay_honours_fidelity(self, jacobi_trace):
+        text = run_cli("replay", jacobi_trace, "finepack", "--fidelity", "analytical")
+        assert "analytical" in text
+
+    def test_replay_honours_error_rate(self, jacobi_trace):
+        text = run_cli("replay", jacobi_trace, "finepack", "--error-rate", "1e-3")
+        assert "replays" in text
+
+    def test_replay_takes_its_shape_from_the_trace(self, jacobi_trace):
+        with pytest.raises(SystemExit):
+            run_cli("replay", jacobi_trace, "finepack", "--gpus", "4")
+
+
+class TestValidate:
+    def test_battery_passes_under_fabric_flags(self):
+        text = run_cli(
+            "validate", "jacobi", "finepack", "--gpus", "2", "--iterations",
+            "1", "--subheader-bytes", "2", "--gen", "6", "--error-rate", "1e-4",
+        )
+        assert "all checks passed" in text
+
+    def test_rejects_analytical_fidelity(self):
+        with pytest.raises(SystemExit, match="fidelity des"):
+            run_cli("validate", "jacobi", "finepack", "--fidelity", "analytical")
+
 
 class TestGoodput:
     def test_table(self):

@@ -23,10 +23,10 @@ def test_custom_workload_example_runs_small():
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
 
-    from repro.sim.runner import ExperimentConfig, compare_paradigms
+    from repro.run import RunSpec, labeled_sweep
 
     w = module.HistogramWorkload(n_bins=8_000, total_samples=8_000)
-    result = compare_paradigms(
-        w, paradigms=("p2p", "finepack"), config=ExperimentConfig(iterations=2)
-    )
-    assert result.runs["finepack"].wire_bytes < result.runs["p2p"].wire_bytes
+    base = RunSpec.for_workload(w, iterations=2)
+    sweep = labeled_sweep({p: base.with_options(paradigm=p) for p in ("p2p", "finepack")})
+    runs = {p.label: p.metrics for p in sweep.result.points}
+    assert runs["finepack"].wire_bytes < runs["p2p"].wire_bytes
