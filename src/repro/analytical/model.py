@@ -27,7 +27,7 @@ from ..interconnect.pcie import PCIeProtocol
 from ..sim.metrics import RunMetrics
 from ..trace.intervals import IntervalSet
 from .protocol import PairCost, dma_cost, finepack_cost, p2p_cost, wc_cost
-from .stats import DstOps, PhaseStats, _column_key, _phase_key, phase_stats
+from .stats import DstOps, PhaseStats, phase_stats
 from .timing import FabricTiming, build_topology
 
 _STORE_PARADIGMS = frozenset({"p2p", "wc", "gps", "finepack"})
@@ -35,18 +35,17 @@ _DMA_PARADIGMS = frozenset({"dma", "dma_sliced"})
 
 # Cross-run memos (sweeps re-predict the same trace content under many
 # configs, so these are what make an analytical design sweep nearly
-# free after the first spec per cell):
+# free after the first spec per cell).  Both are keyed by the content
+# digests of KernelPhase, never by object identity, so a prediction
+# does not depend on what ran earlier in the process:
 #
-# * _PAIR_MEMO: (id(stats), paradigm, params, generation, finepack) ->
-#   (stats, pair_costs, footprints, uniques).  Keyed by the *identity*
-#   of the content-memoized PhaseStats (repro.analytical.stats pins one
-#   object per phase content); each entry holds the stats reference so
-#   its id stays valid for the entry's lifetime.
-# * _CLS_MEMO: (id(delivered), id(footprint), reads fingerprint) ->
-#   (delivered, footprint, useful bytes).  Delivered/footprint interval
-#   sets are themselves pinned by _PAIR_MEMO entries, so store-family
-#   paradigms that deliver the producer footprint share classifications
-#   across sub-header/queue/generation variants.
+# * _PAIR_MEMO: (phase digest, paradigm, params, generation, finepack)
+#   -> (pair_costs, footprints, uniques).
+# * _CLS_MEMO: (phase digest, dst, delivered rule, consumer reads
+#   digest) -> useful bytes.  The delivered rule is how PairCost.delivered
+#   is built: the store/atomic footprint (p2p, wc, finepack) or the DMA
+#   transfer regions (dma, dma_sliced).  Every store-family config thus
+#   shares one classification per (phase, dst, consumer).
 #
 # GPS bypasses both: its filter depends on the consumer's reads
 # (oracle) or on mutable subscription state (learned).
@@ -105,9 +104,9 @@ def predict_metrics(spec, trace) -> RunMetrics:
     t = 0.0
     n_iters = trace.n_iterations
     # Steady-state traces repeat iteration content verbatim; everything
-    # below is translation-invariant in t, so identical (iteration,
-    # consumer) pairs resolve to the same _IterationResult.  GPS
-    # learned mode is stateful across iterations and bypasses the
+    # below is translation-invariant in t, so iterations with the same
+    # content and consumer reads resolve to the same _IterationResult.
+    # GPS learned mode is stateful across iterations and bypasses the
     # cache.
     iter_cache: dict | None = {} if gps_tables is None else None
     # Pair costs and footprints are pure functions of (phase content,
@@ -122,22 +121,15 @@ def predict_metrics(spec, trace) -> RunMetrics:
             spec.generation,
             spec.finepack if name == "finepack" else None,
         )
-    # Iteration keys by object identity (objects pinned by the trace).
-    key_cache: dict[int, tuple] = {}
-
-    def iteration_key(it) -> tuple:
-        entry = key_cache.get(id(it))
-        if entry is None:
-            # Hold the iteration object so its id stays pinned.
-            entry = key_cache[id(it)] = (it, _iteration_key(it))
-        return entry[1]
-
     for k, iteration in enumerate(trace.iterations):
         consumer_iter = trace.iterations[min(k + 1, n_iters - 1)]
         cache_key = None
         result = None
         if iter_cache is not None:
-            cache_key = (iteration_key(iteration), iteration_key(consumer_iter))
+            cache_key = (
+                tuple((p.digest, p.work) for p in iteration.phases),
+                tuple(p.reads_digest for p in consumer_iter.phases),
+            )
             result = iter_cache.get(cache_key)
         if result is None:
             result = _resolve_iteration(
@@ -227,17 +219,19 @@ def _resolve_iteration(
     consumer_reads: dict[int, IntervalSet] = {
         p.gpu: p.reads for p in consumer_iter.phases
     }
+    reads_digests = {p.gpu: p.reads_digest for p in consumer_iter.phases}
+    delivered_rule = name in _DMA_PARADIGMS
     fabric_pairs: list = []
     for phase in iteration.phases:
         src = phase.gpu
         ce = durations[src]
-        stats = phase_stats(phase)
         memo_key = None
         entry = None
         if memo_ctx is not None:
-            memo_key = (id(stats), *memo_ctx)
+            memo_key = (phase.digest, *memo_ctx)
             entry = _PAIR_MEMO.get(memo_key)
         if entry is None:
+            stats = phase_stats(phase)
             pair_costs = _phase_pair_costs(
                 name, params, spec, protocol, phase, stats, consumer_reads,
                 gps_tables,
@@ -251,38 +245,28 @@ def _resolve_iteration(
             uniques = {
                 dst: c.delivered.total_bytes for dst, c in pair_costs.items()
             }
-            # The stats reference pins the object (and its id) for the
-            # entry's lifetime.
-            entry = (stats, pair_costs, footprints, uniques)
+            entry = (pair_costs, footprints, uniques)
             if memo_key is not None:
                 _memo_put(_PAIR_MEMO, _PAIR_MEMO_MAX, memo_key, entry)
-        _, pair_costs, footprints, uniques = entry
+        pair_costs, footprints, uniques = entry
         if not pair_costs:
             continue
         first_issue, last_issue = _issue_window(
             name, params, 0.0, ce, sum(c.messages for c in pair_costs.values())
         )
         for dst, cost in pair_costs.items():
-            reads = consumer_reads.get(dst, IntervalSet.empty())
-            footprint = footprints[dst]
             useful = None
             rkey = None
             if memo_ctx is not None:
                 rkey = (
-                    id(cost.delivered), id(footprint),
-                    _column_key(reads.starts), _column_key(reads.ends),
+                    phase.digest, dst, delivered_rule, reads_digests.get(dst)
                 )
-                hit = _CLS_MEMO.get(rkey)
-                if hit is not None:
-                    useful = hit[2]
+                useful = _CLS_MEMO.get(rkey)
             if useful is None:
-                useful = _useful_bytes(cost, footprint, reads)
+                reads = consumer_reads.get(dst, IntervalSet.empty())
+                useful = _useful_bytes(cost, footprints[dst], reads)
                 if rkey is not None:
-                    # Pin delivered/footprint so the ids stay valid.
-                    _memo_put(
-                        _CLS_MEMO, _CLS_MEMO_MAX, rkey,
-                        (cost.delivered, footprint, useful),
-                    )
+                    _memo_put(_CLS_MEMO, _CLS_MEMO_MAX, rkey, useful)
             unique = uniques[dst]
             result.useful += useful
             result.wasted_redundant += cost.payload - unique
@@ -299,22 +283,6 @@ def _resolve_iteration(
     if fabric is not None:
         result.load = fabric.compute_iteration(fabric_pairs)
     return result
-
-
-def _iteration_key(iteration) -> tuple:
-    """Content fingerprint of one iteration (op columns, reads, work).
-
-    Built from the same O(1) sampled column fingerprints as the
-    phase-stats memo (see :func:`repro.analytical.stats._column_key`).
-    """
-    return tuple(
-        (
-            _phase_key(p),
-            float(p.work.flops), float(p.work.dram_bytes),
-            _column_key(p.reads.starts), _column_key(p.reads.ends),
-        )
-        for p in iteration.phases
-    )
 
 
 def _phase_pair_costs(

@@ -16,8 +16,8 @@ destination:
 * atomic/footprint overlap counts (the ATOMIC_CONFLICT flush term).
 
 Phases repeat across iterations in steady-state traces, so
-:func:`phase_stats` memoizes by a blake2b content hash of the phase's
-op columns -- the same idiom (and the same hit pattern) as
+:func:`phase_stats` memoizes by ``(gpu, KernelPhase.digest)`` -- the
+same SHA-256 content digest that keys the model-layer memos and
 ``FinePackEgress.phase_ops``.
 """
 
@@ -31,9 +31,9 @@ from ..interconnect.pcie import DW_BYTES
 from ..trace.intervals import IntervalSet
 from ..trace.stream import KernelPhase
 
-#: Memoized :class:`PhaseStats` by content hash, FIFO-bounded.
+#: Memoized :class:`PhaseStats` by ``(gpu, digest)``, FIFO-bounded.
 _MEMO_MAX_ENTRIES = 256
-_memo: dict[bytes, "PhaseStats"] = {}
+_memo: dict[tuple[int, bytes], "PhaseStats"] = {}
 
 
 @dataclass(frozen=True)
@@ -361,41 +361,9 @@ def _split_by_dst(batch) -> dict[int, DstOps]:
     return out
 
 
-def _column_key(arr: np.ndarray) -> tuple:
-    """O(1) fingerprint of one op column: length, end points and a
-    16-point stride sample.
-
-    Deliberately *not* a cryptographic hash of the full column --
-    hashing megabytes of columns per phase per iteration was the
-    dominant cost of the memo lookup itself.  Two distinct phases of a
-    real trace that agree on every sampled element are vanishingly
-    unlikely; the memo is an internal dedup of steady-state iterations,
-    not a correctness boundary.
-    """
-    n = arr.size
-    if n == 0:
-        return (0,)
-    step = max(1, n // 16)
-    return (n, int(arr[0]), int(arr[-1]), arr[::step].tobytes())
-
-
-def _phase_key(phase: KernelPhase) -> tuple:
-    """Content fingerprint of the op columns (memo key)."""
-    s, a = phase.stores, phase.atomics
-    return (
-        phase.gpu,
-        _column_key(s.addrs), _column_key(s.sizes), _column_key(s.dsts),
-        _column_key(a.addrs), _column_key(a.sizes), _column_key(a.dsts),
-        tuple(
-            (tr.dst, tr.dst_addr, tr.nbytes, bool(tr.aggregated))
-            for tr in phase.dma
-        ),
-    )
-
-
 def phase_stats(phase: KernelPhase) -> PhaseStats:
-    """Per-destination stats for a phase, memoized by content hash."""
-    key = _phase_key(phase)
+    """Per-destination stats for a phase, memoized by content digest."""
+    key = (phase.gpu, phase.digest)
     hit = _memo.get(key)
     if hit is not None:
         return hit

@@ -20,7 +20,6 @@ payload bytes as useful or wasted.
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -507,6 +506,7 @@ class FinePackEgress:
 
     def phase_ops(
         self,
+        key: bytes,
         addrs: np.ndarray,
         sizes: np.ndarray,
         dsts: np.ndarray,
@@ -521,11 +521,19 @@ class FinePackEgress:
         :meth:`on_release` at ``release_time`` -- same messages, same
         stats mutation order, same float stamps.  The first sight of a
         phase runs the columnar phase kernel
-        (:func:`repro.core.phase_kernel.pack_phase`); phases whose op
-        columns were already packed this run replay the recorded
+        (:func:`repro.core.phase_kernel.pack_phase`); phases whose
+        ``key`` was already packed this run replay the recorded
         template with fresh issue times (content-addressed
         memoization; collectives and stencil workloads repeat the same
         store stream every iteration).
+
+        ``key`` must determine the op columns (``addrs``, ``sizes``,
+        ``dsts``, ``is_atomic``; not the times).  The store paradigms
+        pass :attr:`KernelPhase.digest`, which covers the phase's
+        stores and atomics: FinePack never filters stores, so its op
+        stream is a function of those two batches alone.  (GPS, the
+        one paradigm that filters, drives a write-combining engine
+        without this entry.)
 
         Returns ``None`` when this engine cannot guarantee phase-scoped
         purity -- an inactivity-timeout flush policy, a multi-window
@@ -544,15 +552,6 @@ class FinePackEgress:
             or {"on_store", "on_atomic", "on_release"} & self.__dict__.keys()
         ):
             return None
-        digest = hashlib.blake2b(digest_size=16)
-        # hashlib consumes buffer-protocol objects directly, so feeding
-        # the (C-contiguous) columns avoids a tobytes() copy per array
-        # -- and never faults mmap-backed pages twice.
-        digest.update(np.ascontiguousarray(addrs, dtype=np.int64))
-        digest.update(np.ascontiguousarray(sizes, dtype=np.int64))
-        digest.update(np.ascontiguousarray(dsts, dtype=np.int64))
-        digest.update(np.ascontiguousarray(is_atomic, dtype=bool))
-        key = digest.digest()
         template = self._memo.get(key)
         if template is None:
             recorded = self._record_phase(

@@ -102,7 +102,8 @@ class RunSpec:
         ``"analytical"`` predicts the metrics in closed form via
         :func:`repro.analytical.predict_metrics` (no event loop; see
         ``docs/analytical.md`` for the cost model and its calibrated
-        error budget).  Fault scenarios require ``"des"``.
+        error budget).  Fault scenarios and link error injection
+        (``fabric.error_rate > 0``) require ``"des"``.
     """
 
     workload: str
@@ -151,6 +152,11 @@ class RunSpec:
         _require(self.finepack, FinePackConfig, "finepack")
         _require(self.fabric, FabricConfig, "fabric")
         _require(self.compute, ComputeModel, "compute")
+        if self.fidelity == "analytical" and self.fabric.error_rate > 0:
+            raise ValueError(
+                "link error injection is event-ordered and cannot be "
+                "modeled analytically; use fidelity='des' for this spec"
+            )
         if self.scenario is not None:
             # Canonicalize so equal schedules hash equally regardless
             # of the caller's JSON formatting.

@@ -310,8 +310,9 @@ def load_trace_dir(
     """Read a columnar trace directory written by :class:`TraceDirWriter`.
 
     With ``mmap=True`` (the default) every column is memory-mapped
-    read-only: phase arrays are zero-copy slices backed by the page
-    cache, shared across any number of reader processes.
+    read-only: phase arrays are zero-copy slices (plain ndarrays whose
+    base is the memmap) backed by the page cache, shared across any
+    number of reader processes.
 
     With ``verify=True`` every column file is checked against the
     SHA-256 recorded in the header before use; a mismatch raises
@@ -330,8 +331,13 @@ def load_trace_dir(
                     f"in {path}"
                 )
     mode = "r" if mmap else None
+    # A plain-ndarray view of each memmap keeps its pages shared and
+    # read-only, but lets phase slices skip np.memmap's Python-level
+    # __getitem__/__array_finalize__ on every slice.
     columns = {
-        col: _as_validated_int64(np.load(path / f"{col}.npy", mmap_mode=mode))
+        col: _as_validated_int64(
+            np.load(path / f"{col}.npy", mmap_mode=mode).view(np.ndarray)
+        )
         for col in COLUMNS
     }
     phases = [

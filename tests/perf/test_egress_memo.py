@@ -1,8 +1,8 @@
 """Unit tier for FinePack's columnar phase entry (``FinePackEgress.phase_ops``).
 
 The contract: feeding a phase's op columns through ``phase_ops`` --
-packed by the columnar phase kernel or replayed from the
-content-addressed memo -- produces exactly the messages and stat
+packed by the columnar phase kernel or replayed from the memo under
+the caller's content key -- produces exactly the messages and stat
 mutations of the scalar per-op path (``on_store``/``on_atomic``/
 ``on_release``), differing in nothing but wall-clock cost.
 """
@@ -23,6 +23,9 @@ from repro.run import RunContext, RunSpec, TraceCache
 
 N_GPUS = 4
 SRC = 0
+#: Memo key of the op stream ``_columns()`` returns; ``phase_ops``
+#: callers pass one key per distinct op stream.
+KEY = b"columns"
 
 
 def _engine(config: FinePackConfig | None = None, **kwargs) -> FinePackEgress:
@@ -109,7 +112,7 @@ def test_phase_ops_matches_scalar_across_repeats():
     for k in range(3):
         shift = 1000.0 * k
         got = fast.phase_ops(
-            addrs, sizes, dsts, times + shift, is_atomic, 1000.0 + shift
+            KEY, addrs, sizes, dsts, times + shift, is_atomic, 1000.0 + shift
         )
         assert got is not None
         want = _run_scalar(
@@ -213,18 +216,19 @@ def _outcome(run):
 )
 @given(_phase_cases())
 def test_phase_kernel_matches_per_op_hooks(case):
-    # The columnar entry as the paradigm drives it: phase_ops, and the
-    # per-op hooks when it declines.  The last phase repeats the first,
-    # so a recorded template is replayed too.
+    # The columnar entry as the paradigm drives it: phase_ops keyed by
+    # the phase, and the per-op hooks when it declines.  The last phase
+    # repeats the first under its key, so a recorded template is
+    # replayed too.
     config, phases = case
     fast, scalar = _engine(config), _engine(config)
-    for k, ops in enumerate([*phases, phases[0]]):
-        addrs, sizes, dsts, times, is_atomic = _op_columns(ops)
+    for k, i in enumerate([*range(len(phases)), 0]):
+        addrs, sizes, dsts, times, is_atomic = _op_columns(phases[i])
         shift = 1000.0 * k
         cols = (addrs, sizes, dsts, times + shift, is_atomic, 1000.0 + shift)
 
         def columnar():
-            out = fast.phase_ops(*cols)
+            out = fast.phase_ops(bytes([i]), *cols)
             return _run_scalar(fast, *cols) if out is None else out
 
         assert _outcome(columnar) == _outcome(lambda: _run_scalar(scalar, *cols))
@@ -238,7 +242,7 @@ def test_kernel_declines_invalid_input_before_mutating():
     sizes = sizes.copy()
     sizes[7] = 0
     engine = _engine()
-    assert engine.phase_ops(addrs, sizes, dsts, times, is_atomic, 1e3) is None
+    assert engine.phase_ops(KEY, addrs, sizes, dsts, times, is_atomic, 1e3) is None
     assert vars(engine.stats) == vars(_engine().stats)
     assert _partition_stats(engine) == _partition_stats(_engine())
     assert not engine._memo
@@ -248,8 +252,8 @@ def test_distinct_streams_get_distinct_templates():
     a1, s1, d1, t1, at1 = _columns(seed=1)
     a2, s2, d2, t2, at2 = _columns(seed=2)
     engine = _engine()
-    engine.phase_ops(a1, s1, d1, t1, at1, 1000.0)
-    engine.phase_ops(a2, s2, d2, t2, at2, 1000.0)
+    engine.phase_ops(b"seed 1", a1, s1, d1, t1, at1, 1000.0)
+    engine.phase_ops(b"seed 2", a2, s2, d2, t2, at2, 1000.0)
     assert len(engine._memo) == 2
 
 
@@ -261,14 +265,14 @@ def test_distinct_streams_get_distinct_templates():
 def test_stateful_configurations_decline(kwargs):
     engine = _engine(**kwargs)
     addrs, sizes, dsts, times, is_atomic = _columns(n=20)
-    assert engine.phase_ops(addrs, sizes, dsts, times, is_atomic, 1e3) is None
+    assert engine.phase_ops(KEY, addrs, sizes, dsts, times, is_atomic, 1e3) is None
 
 
 def test_attached_tracer_declines():
     engine = _engine()
     engine.tracer = object()
     addrs, sizes, dsts, times, is_atomic = _columns(n=20)
-    assert engine.phase_ops(addrs, sizes, dsts, times, is_atomic, 1e3) is None
+    assert engine.phase_ops(KEY, addrs, sizes, dsts, times, is_atomic, 1e3) is None
 
 
 def test_patched_hooks_decline():
@@ -277,14 +281,14 @@ def test_patched_hooks_decline():
     engine = _engine()
     engine.on_store = lambda *a, **k: []
     addrs, sizes, dsts, times, is_atomic = _columns(n=20)
-    assert engine.phase_ops(addrs, sizes, dsts, times, is_atomic, 1e3) is None
+    assert engine.phase_ops(KEY, addrs, sizes, dsts, times, is_atomic, 1e3) is None
 
 
 def test_buffered_state_declines():
     engine = _engine()
     engine.queue.insert(64, 8, 1)
     addrs, sizes, dsts, times, is_atomic = _columns(n=20)
-    assert engine.phase_ops(addrs, sizes, dsts, times, is_atomic, 1e3) is None
+    assert engine.phase_ops(KEY, addrs, sizes, dsts, times, is_atomic, 1e3) is None
 
 
 @pytest.mark.parametrize("workload", ["jacobi", "hit", "sssp"])

@@ -116,6 +116,16 @@ class TestValidation:
         with pytest.raises(ValueError, match="intensity"):
             RunSpec(workload="jacobi", intensity=-0.1)
 
+    def test_rejects_analytical_error_injection(self):
+        # The analytical tier has no replay term: such a spec would
+        # silently predict zero link replays.
+        lossy = FabricConfig(error_rate=1e-3)
+        with pytest.raises(ValueError, match="error injection"):
+            RunSpec(workload="jacobi", fidelity="analytical", fabric=lossy)
+        spec = RunSpec(workload="jacobi", fabric=lossy)
+        with pytest.raises(ValueError, match="error injection"):
+            spec.with_options(fidelity="analytical")
+
 
 class TestForWorkload:
     def test_from_name_validates_early(self):

@@ -130,6 +130,14 @@ class TestColumnarDirectory:
         with pytest.raises(ValueError):
             phase.stores.addrs[0] = 1
 
+    def test_mmap_slices_are_plain_ndarrays(self, tmp_path):
+        # Phase slices skip np.memmap's Python-level slicing hooks.
+        original = JacobiWorkload(n=64).generate_trace(n_gpus=2, iterations=1)
+        save_trace_dir(original, tmp_path / "t")
+        phase = load_trace_dir(tmp_path / "t", mmap=True).iterations[0].phases[0]
+        assert type(phase.stores.addrs) is np.ndarray
+        assert type(phase.reads.starts) is np.ndarray
+
     def test_layout_check(self, tmp_path):
         import json
 
@@ -140,3 +148,18 @@ class TestColumnarDirectory:
         )
         with pytest.raises(ValueError, match="layout"):
             load_trace_dir(path)
+
+
+class TestDigests:
+    def test_round_trips_keep_both_digests(self, tmp_path):
+        original = small_trace()
+        save_trace(original, tmp_path / "t.npz")
+        save_trace_dir(original, tmp_path / "t")
+        loaded = [load_trace(tmp_path / "t.npz"), load_trace_dir(tmp_path / "t")]
+        for phase, *copies in zip(
+            original.iterations[0].phases,
+            *(t.iterations[0].phases for t in loaded),
+        ):
+            for copy in copies:
+                assert copy.digest == phase.digest
+                assert copy.reads_digest == phase.reads_digest
