@@ -1,6 +1,6 @@
 # Convenience targets for the FinePack reproduction.
 
-.PHONY: install test bench bench-smoke bench-perf calibrate quick verify docs report clean
+.PHONY: install test bench bench-smoke bench-perf calibrate quick verify trace-smoke docs report clean
 
 install:
 	pip install -e .
@@ -14,12 +14,17 @@ quick: export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 quick:
 	pytest tests/ -x -q -m "not slow"
 
-# Full gate: tier-1 tests, a smoke traced run, and schema validation of
-# the exported Chrome trace.  PYTHONPATH=src so it works without
-# 'make install'.
+# Full gate: tier-1 tests, then trace-smoke.  PYTHONPATH=src so it
+# works without 'make install'.
 verify: export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 verify:
 	python -m pytest tests/ -x -q
+	$(MAKE) --no-print-directory trace-smoke
+
+# A smoke traced run and schema validation of its exported Chrome
+# trace (CI runs the tier-1 tests in a step of their own).
+trace-smoke: export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
+trace-smoke:
 	python -m repro run jacobi finepack --gpus 2 --iterations 1 \
 		--trace-out /tmp/repro_verify_trace.json
 	python -c "from repro.obs import validate_chrome_trace_file; \

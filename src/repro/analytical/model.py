@@ -4,31 +4,34 @@
 :meth:`MultiGPUSystem.run`: it walks the trace's iterations in order,
 but instead of scheduling per-message events it computes each
 (source phase, destination) pair's wire traffic in closed form
-(:mod:`.protocol`), classifies the delivered bytes with the *same*
-interval arithmetic the DES uses (useful / wasted-redundant /
-wasted-unread vs. the producer's footprint and the consumer's reads),
-and predicts iteration times from per-link fluid loads
-(:mod:`.timing`).
+(:mod:`.protocol`), classifies the delivered bytes with the DES's own
+classifier (:func:`~repro.sim.metrics.pair_footprint`,
+:func:`~repro.sim.metrics.useful_bytes`,
+:meth:`~repro.sim.metrics.ByteBreakdown.record`), and predicts
+iteration times from per-link fluid loads (:mod:`.timing`).
 
-What is shared with the DES rather than re-derived: topology routes
-and bandwidths, PCIe TLP cost formulas, the roofline compute model,
-GPS subscription learning (the actual ``SubscriptionTable``), and the
-consumer-read convention (iteration ``k`` feeds ``k+1``; the last
-iteration self-consumes).  Fault scenarios are rejected -- degraded
-runs are inherently event-ordered and belong at DES fidelity.
+Everything that is not a cost model is the DES's own code: the
+paradigm (``spec.build_paradigm()`` and ``attach``, whose attributes
+the cost terms read and whose ``filter_stores`` applies GPS
+subscription), the topology
+(:func:`~repro.interconnect.topology.make_topology`), PCIe TLP cost
+formulas, the roofline compute model, and the consumer-read convention
+(iteration ``k`` feeds ``k+1``; the last iteration self-consumes).
+Fault scenarios and FinePack's flush timeout and multi-window
+extensions are rejected -- they belong at DES fidelity.
 """
 
 from __future__ import annotations
 
-import numpy as np
-
 from ..gpu.hbm import HBMModel
 from ..interconnect.pcie import PCIeProtocol
-from ..sim.metrics import RunMetrics
+from ..interconnect.topology import make_topology
+from ..sim.metrics import ByteBreakdown, RunMetrics, useful_bytes
 from ..trace.intervals import IntervalSet
+from ..trace.stream import RemoteStoreBatch
 from .protocol import PairCost, dma_cost, finepack_cost, p2p_cost, wc_cost
-from .stats import DstOps, PhaseStats, phase_stats
-from .timing import FabricTiming, build_topology
+from .stats import PhaseStats, phase_stats, split_by_dst
+from .timing import FabricTiming
 
 _STORE_PARADIGMS = frozenset({"p2p", "wc", "gps", "finepack"})
 _DMA_PARADIGMS = frozenset({"dma", "dma_sliced"})
@@ -40,7 +43,7 @@ _DMA_PARADIGMS = frozenset({"dma", "dma_sliced"})
 # does not depend on what ran earlier in the process:
 #
 # * _PAIR_MEMO: (phase digest, paradigm, params, generation, finepack)
-#   -> (pair_costs, footprints, uniques).
+#   -> pair_costs.
 # * _CLS_MEMO: (phase digest, dst, delivered rule, consumer reads
 #   digest) -> useful bytes.  The delivered rule is how PairCost.delivered
 #   is built: the store/atomic footprint (p2p, wc, finepack) or the DMA
@@ -65,7 +68,9 @@ def predict_metrics(spec, trace) -> RunMetrics:
     """Predict the metrics of running ``trace`` under ``spec``.
 
     Raises :class:`ValueError` for specs the analytical tier cannot
-    model (fault scenarios, paradigms without a cost model).
+    model (fault scenarios, paradigms without a cost model, FinePack's
+    flush timeout and multi-window extensions), and the DES's own
+    errors for paradigm parameters the DES rejects.
     """
     if spec.scenario is not None:
         raise ValueError(
@@ -82,22 +87,27 @@ def predict_metrics(spec, trace) -> RunMetrics:
         raise ValueError(
             f"trace is for {trace.n_gpus} GPUs, spec has {spec.n_gpus}"
         )
-    params = dict(spec.paradigm_params)
     protocol = PCIeProtocol(spec.generation)
+    paradigm = spec.build_paradigm()
+    paradigm.attach(spec.n_gpus, protocol)
+    if name == "finepack" and (
+        paradigm.flush_timeout_ns is not None or paradigm.windows > 1
+    ):
+        raise ValueError(
+            "analytical fidelity has no model for FinePack's flush timeout "
+            "or multiple windows; run this spec at fidelity='des'"
+        )
     drain = HBMModel().drain_rate()
-    topology = build_topology(spec)
+    topology = make_topology(
+        spec.topology,
+        spec.n_gpus,
+        spec.generation,
+        with_credits=spec.with_credits,
+        error_rate=spec.fabric.error_rate,
+        **dict(spec.topology_params),
+    )
     fabric = FabricTiming(topology, drain) if topology is not None else None
     metrics = RunMetrics(workload=trace.name, paradigm=name, n_gpus=spec.n_gpus)
-
-    gps_tables = None
-    if name == "gps" and params.get("subscription", "learned") == "learned":
-        from ..sim.gps import SubscriptionTable
-
-        page_bytes = int(params.get("page_bytes", 4096))
-        gps_tables = [
-            SubscriptionTable(page_bytes=page_bytes)
-            for _ in range(spec.n_gpus)
-        ]
 
     packed_messages = 0
     packed_stores = 0
@@ -108,16 +118,17 @@ def predict_metrics(spec, trace) -> RunMetrics:
     # content and consumer reads resolve to the same _IterationResult.
     # GPS learned mode is stateful across iterations and bypasses the
     # cache.
-    iter_cache: dict | None = {} if gps_tables is None else None
-    # Pair costs and footprints are pure functions of (phase content,
-    # paradigm, its cost-relevant config); the cross-run _PAIR_MEMO
-    # keys them under this prediction-wide suffix.  None disables the
-    # memo (GPS: reads-dependent/stateful).
+    learned = name == "gps" and paradigm.subscription == "learned"
+    iter_cache: dict | None = None if learned else {}
+    # Pair costs are pure functions of (phase content, paradigm, its
+    # cost-relevant config); the cross-run _PAIR_MEMO keys them under
+    # this prediction-wide suffix.  None disables the memo (GPS:
+    # reads-dependent/stateful).
     memo_ctx: tuple | None = None
     if name != "gps":
         memo_ctx = (
             name,
-            tuple(sorted(params.items())),
+            spec.paradigm_params,
             spec.generation,
             spec.finepack if name == "finepack" else None,
         )
@@ -133,8 +144,8 @@ def predict_metrics(spec, trace) -> RunMetrics:
             result = iter_cache.get(cache_key)
         if result is None:
             result = _resolve_iteration(
-                name, params, spec, protocol, fabric, iteration,
-                consumer_iter, gps_tables, memo_ctx,
+                name, paradigm, spec, protocol, fabric, iteration,
+                consumer_iter, memo_ctx,
             )
             if iter_cache is not None:
                 iter_cache[cache_key] = result
@@ -167,16 +178,12 @@ class _IterationResult:
     iterations)."""
 
     __slots__ = (
-        "useful", "wasted_redundant", "wasted_unread", "overhead",
-        "messages", "stores_carried", "by_kind",
+        "bytes", "messages", "stores_carried", "by_kind",
         "packed_messages", "packed_stores", "load", "max_compute_ns",
     )
 
     def __init__(self) -> None:
-        self.useful = 0
-        self.wasted_redundant = 0
-        self.wasted_unread = 0
-        self.overhead = 0
+        self.bytes = ByteBreakdown()
         self.messages = 0
         self.stores_carried = 0
         self.by_kind: dict = {}
@@ -186,11 +193,7 @@ class _IterationResult:
         self.max_compute_ns = 0.0
 
     def fold_into(self, metrics: RunMetrics) -> None:
-        b = metrics.bytes
-        b.useful += self.useful
-        b.wasted_redundant += self.wasted_redundant
-        b.wasted_unread += self.wasted_unread
-        b.overhead += self.overhead
+        metrics.bytes.add(self.bytes)
         p = metrics.packets
         p.messages += self.messages
         p.stores_carried += self.stores_carried
@@ -200,13 +203,12 @@ class _IterationResult:
 
 def _resolve_iteration(
     name: str,
-    params: dict,
+    paradigm,
     spec,
     protocol: PCIeProtocol,
     fabric: FabricTiming | None,
     iteration,
     consumer_iter,
-    gps_tables,
     memo_ctx: tuple | None,
 ) -> _IterationResult:
     """Resolve one iteration's pair costs, classification and fabric
@@ -226,33 +228,21 @@ def _resolve_iteration(
         src = phase.gpu
         ce = durations[src]
         memo_key = None
-        entry = None
+        pair_costs = None
         if memo_ctx is not None:
             memo_key = (phase.digest, *memo_ctx)
-            entry = _PAIR_MEMO.get(memo_key)
-        if entry is None:
-            stats = phase_stats(phase)
+            pair_costs = _PAIR_MEMO.get(memo_key)
+        if pair_costs is None:
             pair_costs = _phase_pair_costs(
-                name, params, spec, protocol, phase, stats, consumer_reads,
-                gps_tables,
+                name, paradigm, protocol, phase, phase_stats(phase),
+                consumer_reads,
             )
-            # Classification inputs that are pure functions of the
-            # phase content: the pair footprint and the delivered
-            # unique-byte count.
-            footprints = {
-                dst: _pair_footprint(stats, phase, dst) for dst in pair_costs
-            }
-            uniques = {
-                dst: c.delivered.total_bytes for dst, c in pair_costs.items()
-            }
-            entry = (pair_costs, footprints, uniques)
             if memo_key is not None:
-                _memo_put(_PAIR_MEMO, _PAIR_MEMO_MAX, memo_key, entry)
-        pair_costs, footprints, uniques = entry
+                _memo_put(_PAIR_MEMO, _PAIR_MEMO_MAX, memo_key, pair_costs)
         if not pair_costs:
             continue
         first_issue, last_issue = _issue_window(
-            name, params, 0.0, ce, sum(c.messages for c in pair_costs.values())
+            name, paradigm, 0.0, ce, sum(c.messages for c in pair_costs.values())
         )
         for dst, cost in pair_costs.items():
             useful = None
@@ -263,15 +253,16 @@ def _resolve_iteration(
                 )
                 useful = _CLS_MEMO.get(rkey)
             if useful is None:
-                reads = consumer_reads.get(dst, IntervalSet.empty())
-                useful = _useful_bytes(cost, footprints[dst], reads)
+                useful = useful_bytes(
+                    cost.delivered,
+                    phase_stats(phase).footprint(phase, dst),
+                    consumer_reads.get(dst, IntervalSet.empty()),
+                )
                 if rkey is not None:
                     _memo_put(_CLS_MEMO, _CLS_MEMO_MAX, rkey, useful)
-            unique = uniques[dst]
-            result.useful += useful
-            result.wasted_redundant += cost.payload - unique
-            result.wasted_unread += unique - useful
-            result.overhead += cost.overhead
+            result.bytes.record(
+                cost.payload, cost.overhead, cost.delivered.total_bytes, useful
+            )
             result.messages += cost.messages
             result.stores_carried += cost.stores_carried
             for kind, n in cost.by_kind.items():
@@ -287,18 +278,16 @@ def _resolve_iteration(
 
 def _phase_pair_costs(
     name: str,
-    params: dict,
-    spec,
+    paradigm,
     protocol: PCIeProtocol,
     phase,
     stats: PhaseStats,
     consumer_reads: dict[int, IntervalSet],
-    gps_tables,
 ) -> dict[int, PairCost]:
     """Per-destination :class:`PairCost` of one phase."""
     out: dict[int, PairCost] = {}
     if name in _DMA_PARADIGMS:
-        slices = int(params.get("slices", 4)) if name == "dma_sliced" else 1
+        slices = paradigm.slices if name == "dma_sliced" else 1
         by_dst: dict[int, list] = {}
         for tr in phase.dma:
             by_dst.setdefault(tr.dst, []).append(tr)
@@ -312,7 +301,12 @@ def _phase_pair_costs(
 
     stores = stats.stores
     if name == "gps":
-        stores = _gps_filtered_stores(phase, consumer_reads, params, gps_tables)
+        # The DES paradigm's own subscription filter (and, in learned
+        # mode, its SubscriptionTable state): one filter + learn step
+        # per phase invocation.
+        stores = split_by_dst(
+            RemoteStoreBatch.trusted(*paradigm.filter_stores(phase, consumer_reads))
+        )
     for dst in sorted(set(stores) | set(stats.atomics)):
         st = stores.get(dst)
         at = stats.atomics.get(dst)
@@ -321,55 +315,16 @@ def _phase_pair_costs(
         elif name == "wc":
             cost = wc_cost(protocol, st, at)
         elif name == "gps":
-            cost = wc_cost(
-                protocol, st, at,
-                sector_bytes=int(params.get("sector_bytes", 32)),
-            )
+            cost = wc_cost(protocol, st, at, sector_bytes=paradigm.sector_bytes)
         else:
-            cost = finepack_cost(spec.finepack, protocol, st, at)
+            cost = finepack_cost(paradigm.config, protocol, st, at)
         if cost.messages:
             out[dst] = cost
     return out
 
 
-def _gps_filtered_stores(
-    phase, consumer_reads, params: dict, gps_tables
-) -> dict[int, DstOps]:
-    """Subscription-filtered store columns, split by destination.
-
-    Learned mode drives the real :class:`SubscriptionTable` (one filter
-    + learn step per phase invocation, exactly like the DES paradigm);
-    oracle mode replicates the read-overlap filter.
-    """
-    s = phase.stores
-    if s.count == 0:
-        return {}
-    if gps_tables is not None:
-        table = gps_tables[phase.gpu]
-        keep = table.filter_stores(s.addrs, s.sizes, s.dsts)
-        table.learn_epoch(consumer_reads)
-    else:
-        keep = np.zeros(s.count, dtype=bool)
-        for dst in s.destinations():
-            reads = consumer_reads.get(dst, IntervalSet.empty())
-            if not reads:
-                continue
-            idx = np.flatnonzero(s.dsts == dst)
-            a = s.addrs[idx]
-            e = a + s.sizes[idx]
-            i = np.searchsorted(reads.starts, e, side="left") - 1
-            ok = (i >= 0) & (reads.ends[np.clip(i, 0, None)] > a)
-            keep[idx[ok]] = True
-    addrs, sizes, dsts = s.addrs[keep], s.sizes[keep], s.dsts[keep]
-    out: dict[int, DstOps] = {}
-    for dst in np.unique(dsts).tolist():
-        idx = np.flatnonzero(dsts == dst)
-        out[int(dst)] = DstOps(addrs[idx], sizes[idx])
-    return out
-
-
 def _issue_window(
-    name: str, params: dict, t: float, ce: float, n_messages: int
+    name: str, paradigm, t: float, ce: float, n_messages: int
 ) -> tuple[float, float]:
     """(first, last) message issue time of one phase's traffic.
 
@@ -380,41 +335,10 @@ def _issue_window(
     """
     if name in _STORE_PARADIGMS:
         return t, ce
-    per_call = float(params.get("per_call_overhead_ns", 5_000.0))
+    per_call = paradigm.per_call_overhead_ns
     if name == "dma_sliced":
-        slices = int(params.get("slices", 4))
+        slices = paradigm.slices
         first = t + (ce - t) / slices + per_call
         last = ce + per_call * -(-n_messages // slices)
         return first, last
     return ce + per_call, ce + per_call * n_messages
-
-
-def _pair_footprint(stats: PhaseStats, phase, dst: int) -> IntervalSet:
-    """Bytes the producer genuinely wrote for ``dst`` this iteration
-    (mirrors :meth:`MultiGPUSystem._pair_footprint`, unfiltered)."""
-    st = stats.stores.get(dst)
-    fp = st.footprint if st is not None else IntervalSet.empty()
-    at = stats.atomics.get(dst)
-    if at is not None and at.count:
-        fp = fp.union(at.footprint)
-    staged = [tr for tr in phase.dma if tr.dst == dst and tr.aggregated]
-    if staged:
-        fp = fp.union(
-            IntervalSet.from_ranges(
-                [tr.dst_addr for tr in staged],
-                [tr.nbytes for tr in staged],
-            )
-        )
-    return fp
-
-
-def _useful_bytes(
-    cost: PairCost, footprint: IntervalSet, reads: IntervalSet
-) -> int:
-    """Delivered ∩ written ∩ read -- the Figure 10 useful bytes."""
-    written = (
-        cost.delivered
-        if cost.delivered is footprint
-        else cost.delivered.intersect(footprint)
-    )
-    return written.intersect(reads).total_bytes

@@ -3,8 +3,10 @@
 Each function predicts the wire traffic one (source phase, destination)
 pair generates under a paradigm: payload and overhead bytes, message
 counts by kind, packing statistics, and the union of delivered byte
-ranges (for the useful/wasted classification, which is shared with the
-DES -- see :func:`repro.sim.metrics.classify_ranges`).
+ranges.  The model layer classifies that union with the DES's own
+functions (:func:`repro.sim.metrics.pair_footprint` and
+:func:`repro.sim.metrics.useful_bytes`); parameters such as sector size
+and slice count come from the built DES paradigm.
 
 Exactness contract (derivations in ``docs/analytical.md``):
 
@@ -13,7 +15,9 @@ Exactness contract (derivations in ``docs/analytical.md``):
 * ``finepack`` -- exact when a destination's stream packs into a
   single packet (one flush epoch); otherwise a first-order epoch model
   (payload-capacity / queue-entry / window-segment / atomic-conflict
-  flush causes) with duplicate-delivery and sub-header scaling.
+  flush causes) with duplicate-delivery and sub-header scaling.  Its
+  optional flush timeout and multi-window partitions have no model;
+  :func:`~repro.analytical.predict_metrics` rejects them.
 * ``wc``/``gps`` -- line-run model of the final footprint; FIFO
   eviction re-flushes and atomic line splits are neglected.
 """

@@ -23,11 +23,12 @@ same SHA-256 content digest that keys the model-layer memos and
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from ..interconnect.pcie import DW_BYTES
+from ..sim.metrics import pair_footprint
 from ..trace.intervals import IntervalSet
 from ..trace.stream import KernelPhase
 
@@ -188,40 +189,6 @@ class PackProfile:
     dup: DistanceProfile
 
 
-def _prev_producer_distance(
-    q_keys: np.ndarray, p_keys: np.ndarray
-) -> np.ndarray:
-    """Per op ``i``: issue distance to the latest ``j < i`` with
-    ``p_keys[j] == q_keys[i]`` (``_FAR`` when none).
-
-    One lexsort sweep: producer and query events are sorted by
-    ``(key, op index, producer-first)``; within a key segment the
-    nearest preceding producer row is the running maximum.
-    """
-    n = q_keys.size
-    idx = np.arange(n)
-    keys = np.concatenate([p_keys, q_keys])
-    idxs = np.concatenate([idx, idx])
-    flag = np.concatenate(
-        [np.zeros(n, dtype=np.int8), np.ones(n, dtype=np.int8)]
-    )
-    order = np.lexsort((flag, idxs, keys))
-    k = keys[order]
-    ix = idxs[order]
-    fl = flag[order]
-    rows = np.arange(2 * n)
-    last_prod = np.maximum.accumulate(np.where(fl == 0, rows, -1))
-    seg_first = np.empty(2 * n, dtype=bool)
-    seg_first[0] = True
-    seg_first[1:] = k[1:] != k[:-1]
-    seg_start = rows[seg_first][np.cumsum(seg_first) - 1]
-    hit = (fl == 1) & (last_prod >= seg_start)
-    out = np.full(n, _FAR, dtype=np.int64)
-    qrows = rows[hit]
-    out[ix[qrows]] = ix[qrows] - ix[last_prod[qrows]]
-    return out
-
-
 def _build_pack_profile(
     addrs: np.ndarray, sizes: np.ndarray, line_bytes: int
 ) -> PackProfile:
@@ -247,10 +214,10 @@ def _build_pack_profile(
     # Byte-adjacent predecessor (an op extending an earlier op's run).
     # Streaming writes extend the *immediately preceding* op; that
     # d == 1 case is the only adjacency that matters in practice, and
-    # checking it is O(n) (the general any-distance predecessor search
-    # is :func:`_prev_producer_distance`, kept for reference/tests).
-    # Adjacency across a line boundary lands in a different queue
-    # entry, so it never merges sub-transactions.
+    # checking it is O(n).  An adjacent op further back in the stream
+    # is not counted as a merge.  Adjacency across a line boundary
+    # lands in a different queue entry, so it never merges
+    # sub-transactions.
     d_adj = np.full(n, _FAR, dtype=np.int64)
     seq = (addrs[1:] == addrs[:-1] + sizes[:-1]) & (addrs[1:] % line_bytes != 0)
     d_adj[1:][seq] = 1
@@ -345,12 +312,24 @@ class PhaseStats:
     gpu: int
     stores: dict[int, DstOps]
     atomics: dict[int, DstOps]
+    #: :func:`~repro.sim.metrics.pair_footprint` per destination,
+    #: computed on first use.
+    footprints: dict[int, IntervalSet] = field(default_factory=dict)
 
     def destinations(self) -> list[int]:
         return sorted(set(self.stores) | set(self.atomics))
 
+    def footprint(self, phase: KernelPhase, dst: int) -> IntervalSet:
+        """What ``phase`` (the phase these stats describe) genuinely
+        wrote for ``dst``: the DES's own pair footprint, computed once
+        per stats entry."""
+        fp = self.footprints.get(dst)
+        if fp is None:
+            fp = self.footprints[dst] = pair_footprint(phase, dst)
+        return fp
 
-def _split_by_dst(batch) -> dict[int, DstOps]:
+
+def split_by_dst(batch) -> dict[int, DstOps]:
     """Group a RemoteStoreBatch's columns by destination, order kept."""
     out: dict[int, DstOps] = {}
     if batch.count == 0:
@@ -369,8 +348,8 @@ def phase_stats(phase: KernelPhase) -> PhaseStats:
         return hit
     stats = PhaseStats(
         gpu=phase.gpu,
-        stores=_split_by_dst(phase.stores),
-        atomics=_split_by_dst(phase.atomics),
+        stores=split_by_dst(phase.stores),
+        atomics=split_by_dst(phase.atomics),
     )
     if len(_memo) >= _MEMO_MAX_ENTRIES:
         _memo.pop(next(iter(_memo)))

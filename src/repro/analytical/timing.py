@@ -5,8 +5,9 @@ terms here are deliberately first-order -- they replace the DES's
 per-message event interleaving with per-link *fluid* loads:
 
 * every directed link accumulates the wire bytes of all pairs routed
-  over it (routes come from the real :class:`Topology`, so hop counts,
-  trunk widths and plane pinning are exact);
+  over it (routes come from the real :class:`Topology`, built by the
+  same :func:`~repro.interconnect.topology.make_topology` call as the
+  DES's, so hop counts, trunk widths and plane pinning are exact);
 * a link finishes an iteration's traffic no earlier than its last
   message is issued and no earlier than it can serialize its total
   load at full rate (``max(last_issue, first_issue + B/bw)``);
@@ -27,33 +28,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..registry import RegistryError
-from ..registry import topologies as topology_registry
 from ..sim.metrics import RunMetrics
 from .protocol import PairCost
-
-
-def build_topology(spec):
-    """The spec's :class:`Topology` (``None`` for single-GPU runs).
-
-    Mirrors :meth:`MultiGPUSystem.build` -- same registry resolution,
-    same factory arguments -- so routes, link bandwidths and trunk
-    widths are identical to what the DES would use.
-    """
-    if spec.n_gpus <= 1:
-        return None
-    kind = spec.topology or "single_switch"
-    try:
-        factory = topology_registry.resolve(kind)
-    except RegistryError as exc:
-        raise ValueError(str(exc)) from None
-    return factory(
-        n_gpus=spec.n_gpus,
-        generation=spec.generation,
-        with_credits=spec.with_credits,
-        error_rate=spec.fabric.error_rate,
-        **dict(spec.topology_params),
-    )
 
 
 @dataclass

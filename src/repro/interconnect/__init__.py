@@ -12,7 +12,9 @@ The public surface other packages use:
   :func:`~repro.interconnect.topology.two_level_tree` /
   :func:`~repro.interconnect.topology.fat_tree` /
   :func:`~repro.interconnect.topology.switched_mesh` producing a
-  :class:`~repro.interconnect.topology.Topology`.
+  :class:`~repro.interconnect.topology.Topology`, and
+  :func:`~repro.interconnect.topology.make_topology`, which resolves
+  one of them by registry name.
 """
 
 from .flowcontrol import CreditPool
@@ -33,6 +35,7 @@ from .topology import (
     Topology,
     fat_tree,
     fully_connected,
+    make_topology,
     single_switch,
     switched_mesh,
     two_level_tree,
@@ -56,6 +59,7 @@ __all__ = [
     "Topology",
     "fat_tree",
     "fully_connected",
+    "make_topology",
     "single_switch",
     "switched_mesh",
     "two_level_tree",

@@ -37,6 +37,7 @@ from dataclasses import dataclass, field
 import networkx as nx
 
 from ..faults.state import LinkDownError, RouteBlockedError
+from ..registry import RegistryError
 from ..registry import topologies as _registry
 from .flowcontrol import CreditPool
 from .link import Link, LinkStats
@@ -462,4 +463,35 @@ def switched_mesh(
             "max_hops": 2,
             "n_switches": planes,
         },
+    )
+
+
+def make_topology(
+    kind: str | None,
+    n_gpus: int,
+    generation: PCIeGeneration = PCIE_GEN4,
+    with_credits: bool = False,
+    error_rate: float = 0.0,
+    **params,
+) -> Topology | None:
+    """Build a registered topology by name (``None`` for one GPU).
+
+    ``kind`` defaults to ``single_switch``; ``params`` are
+    factory-specific keywords (``fanout``, ``planes``, ...).  The DES
+    system and the analytical tier both build their fabric here.  An
+    unknown kind raises :class:`ValueError` with the registry's
+    suggestions.
+    """
+    if n_gpus <= 1:
+        return None
+    try:
+        factory = _registry.resolve(kind or "single_switch")
+    except RegistryError as exc:
+        raise ValueError(str(exc)) from None
+    return factory(
+        n_gpus=n_gpus,
+        generation=generation,
+        with_credits=with_credits,
+        error_rate=error_rate,
+        **params,
     )

@@ -8,7 +8,7 @@ from .metrics import (
     LinkUtilization,
     PacketStats,
     RunMetrics,
-    classify_messages,
+    classify_egress,
 )
 from .replay import EventReplaySession, ReplayError, ReplayReport, phase_events
 from .timeline import render_comparison, render_timeline
@@ -43,7 +43,7 @@ __all__ = [
     "validate",
     "PacketStats",
     "RunMetrics",
-    "classify_messages",
+    "classify_egress",
     "PARADIGMS",
     "BulkDMAParadigm",
     "FinePackParadigm",

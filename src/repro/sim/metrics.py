@@ -11,7 +11,11 @@ Every payload byte that crosses the interconnect is classified as
 * protocol **overhead** bytes are accounted separately from payload.
 
 Classification is interval arithmetic: delivered ranges vs. the
-producer's final-value footprint vs. the consumer's read set.
+producer's final-value footprint (:func:`pair_footprint`) vs. the
+consumer's read set (:func:`useful_bytes`).  Both DES loops classify
+through :func:`classify_egress`, and the analytical tier applies the
+same footprint, useful-byte rule and :meth:`ByteBreakdown.record` to
+its predicted delivered ranges.
 """
 
 from __future__ import annotations
@@ -21,6 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..interconnect.message import MessageKind, WireMessage
+from ..perf.batch import MessageBatch
 from ..trace.intervals import IntervalSet
 
 
@@ -45,6 +50,16 @@ class ByteBreakdown:
     def total(self) -> int:
         return self.payload + self.overhead
 
+    def record(self, payload: int, overhead: int, unique: int, useful: int) -> None:
+        """Fold in one (src, dst) pair: ``payload`` bytes shipped,
+        ``unique`` of them distinct, ``useful`` of those written and
+        read.  The rest of the distinct bytes are unread, the repeats
+        redundant."""
+        self.useful += useful
+        self.wasted_redundant += payload - unique
+        self.wasted_unread += unique - useful
+        self.overhead += overhead
+
     def add(self, other: "ByteBreakdown") -> None:
         self.useful += other.useful
         self.wasted_redundant += other.wasted_redundant
@@ -61,85 +76,106 @@ class ByteBreakdown:
         }
 
 
-def classify_messages(
-    messages: list[WireMessage],
-    final_footprint: IntervalSet,
-    read_set: IntervalSet,
-) -> ByteBreakdown:
-    """Classify one (src, dst, iteration) group of messages.
+def pair_footprint(phase, dst: int) -> IntervalSet:
+    """The bytes ``phase``'s GPU genuinely wrote for ``dst``.
 
-    Parameters
-    ----------
-    messages:
-        All messages the source sent to this destination during the
-        iteration; each must carry ``meta["ranges"]``.
-    final_footprint:
-        Union of bytes the producer stored this iteration -- bytes
-        outside it were never updated (DMA/GPS over-transfer).
-    read_set:
-        Bytes the destination reads when it consumes this data.
+    That is its store and atomic footprint, plus any
+    software-aggregated DMA staging buffer, which the producer writes
+    in full.  Delivered bytes outside it were never updated (DMA/GPS
+    over-transfer).
     """
-    breakdown = ByteBreakdown()
-    if not messages:
-        return breakdown
-    # Single-range messages carry a scalar (addr, size) annotation
-    # ("range1"); packed messages carry ("ranges") array pairs.  The
-    # scalar path avoids one numpy array pair per store message.
-    single_starts: list[int] = []
-    single_lens: list[int] = []
-    starts_parts: list[np.ndarray] = []
-    lens_parts: list[np.ndarray] = []
-    delivered_payload = 0
-    for msg in messages:
-        breakdown.overhead += msg.overhead_bytes
-        delivered_payload += msg.payload_bytes
-        single = msg.meta.get("range1")
-        if single is not None:
-            single_starts.append(single[0])
-            single_lens.append(single[1])
-            continue
-        ranges = msg.meta.get("ranges")
-        if ranges is None:
-            raise ValueError(f"message {msg} lacks range annotations")
-        starts_parts.append(np.asarray(ranges[0], dtype=np.int64))
-        lens_parts.append(np.asarray(ranges[1], dtype=np.int64))
-    if single_starts:
-        starts_parts.append(np.asarray(single_starts, dtype=np.int64))
-        lens_parts.append(np.asarray(single_lens, dtype=np.int64))
-    starts = np.concatenate(starts_parts) if starts_parts else np.empty(0, np.int64)
-    lens = np.concatenate(lens_parts) if lens_parts else np.empty(0, np.int64)
-    classify_ranges(
-        starts, lens, delivered_payload, final_footprint, read_set, breakdown
-    )
-    return breakdown
-
-
-def classify_ranges(
-    starts: np.ndarray,
-    lens: np.ndarray,
-    delivered_payload: int,
-    final_footprint: IntervalSet,
-    read_set: IntervalSet,
-    breakdown: ByteBreakdown,
-) -> None:
-    """Core of :func:`classify_messages`: classify pre-flattened ranges.
-
-    ``breakdown`` accumulates in place (its ``overhead`` is the
-    caller's concern).  The batch transport path calls this directly
-    with its struct-of-arrays ranges, skipping message objects.
-    """
-    delivered_union = IntervalSet.from_ranges(starts, lens)
-    declared = int(lens.sum())
-    if declared != delivered_payload:
-        raise ValueError(
-            f"range annotations cover {declared} B but messages claim "
-            f"{delivered_payload} B of payload"
+    footprint = phase.stores.for_dst(dst).footprint()
+    if phase.atomics.count:
+        footprint = footprint.union(phase.atomics.for_dst(dst).footprint())
+    staged = [tr for tr in phase.dma if tr.dst == dst and tr.aggregated]
+    if staged:
+        footprint = footprint.union(
+            IntervalSet.from_ranges(
+                [tr.dst_addr for tr in staged],
+                [tr.nbytes for tr in staged],
+            )
         )
-    useful = delivered_union.intersect(final_footprint).intersect(read_set).total_bytes
-    unique = delivered_union.total_bytes
-    breakdown.useful += useful
-    breakdown.wasted_redundant += delivered_payload - unique
-    breakdown.wasted_unread += unique - useful
+    return footprint
+
+
+def useful_bytes(
+    delivered: IntervalSet, footprint: IntervalSet, reads: IntervalSet
+) -> int:
+    """Delivered ∩ written ∩ read: the Figure 10 useful bytes."""
+    return delivered.intersect(footprint).intersect(reads).total_bytes
+
+
+def classify_egress(
+    outputs: list,
+    phases,
+    consumer_reads: dict[int, IntervalSet],
+    dropped: set[int] | frozenset = frozenset(),
+) -> ByteBreakdown:
+    """Classify one iteration's delivered bytes, (src, dst) pair by pair.
+
+    ``outputs`` holds each phase's egress: a :class:`MessageBatch`, or
+    a list of :class:`WireMessage` each annotated with
+    ``meta["range1"]`` (one ``(addr, size)``) or ``meta["ranges"]``
+    (``(starts, lengths)`` arrays).  Messages whose ``id()`` is in
+    ``dropped`` never arrived and are not counted.  A pair's delivered
+    ranges are classified against ``pair_footprint(phases[src], dst)``
+    and the destination's ``consumer_reads``.
+    """
+    # Per-pair accumulators: [array-range starts, array-range lengths,
+    # scalar starts, scalar lengths, payload, overhead].  Range order
+    # inside a pair is irrelevant (interval union and int sums), so
+    # batch segments and scalar messages mix freely.
+    pair_acc: dict[tuple[int, int], list] = {}
+    for item in outputs:
+        if isinstance(item, MessageBatch):
+            for d in np.unique(item.dst).tolist():
+                idx = np.flatnonzero(item.dst == d)
+                acc = pair_acc.setdefault((item.src, d), [[], [], [], [], 0, 0])
+                acc[0].append(item.starts[idx])
+                acc[1].append(item.lengths[idx])
+                acc[4] += int(item.payload[idx].sum())
+                acc[5] += int(item.overhead[idx].sum())
+            continue
+        for m in item:
+            if dropped and id(m) in dropped:
+                continue
+            acc = pair_acc.setdefault((m.src, m.dst), [[], [], [], [], 0, 0])
+            acc[4] += m.payload_bytes
+            acc[5] += m.overhead_bytes
+            single = m.meta.get("range1")
+            if single is not None:
+                acc[2].append(single[0])
+                acc[3].append(single[1])
+                continue
+            ranges = m.meta.get("ranges")
+            if ranges is None:
+                raise ValueError(f"message {m} lacks range annotations")
+            acc[0].append(np.asarray(ranges[0], dtype=np.int64))
+            acc[1].append(np.asarray(ranges[1], dtype=np.int64))
+    breakdown = ByteBreakdown()
+    for (src, dst), (sp, lp, ss, sl, payload, overhead) in pair_acc.items():
+        if ss:
+            sp.append(np.asarray(ss, dtype=np.int64))
+            lp.append(np.asarray(sl, dtype=np.int64))
+        lens = np.concatenate(lp)
+        declared = int(lens.sum())
+        if declared != payload:
+            raise ValueError(
+                f"range annotations cover {declared} B but messages claim "
+                f"{payload} B of payload"
+            )
+        delivered = IntervalSet.from_ranges(np.concatenate(sp), lens)
+        breakdown.record(
+            payload,
+            overhead,
+            delivered.total_bytes,
+            useful_bytes(
+                delivered,
+                pair_footprint(phases[src], dst),
+                consumer_reads.get(dst, IntervalSet.empty()),
+            ),
+        )
+    return breakdown
 
 
 @dataclass

@@ -20,6 +20,13 @@ Timeline of one iteration (paper's execution model):
    buffer).
 4. The next iteration starts when all kernels are done *and* all
    traffic has drained, plus a barrier cost.
+
+Step 3 has two transports: the event engine (one route/drain call per
+message) and the batch plan of :mod:`repro.perf.transport`, which
+reproduces it byte for byte when nothing needs per-message hooks.
+Everything else -- egress collection, byte classification
+(:func:`~repro.sim.metrics.classify_egress`) and the iteration
+epilogue -- is one loop body shared by both.
 """
 
 from __future__ import annotations
@@ -36,9 +43,9 @@ from ..gpu.compute import ComputeModel
 from ..gpu.gpu import GPU
 from ..interconnect.message import MessageKind, WireMessage
 from ..interconnect.pcie import PCIE_GEN4, PCIeGeneration, PCIeProtocol
-from ..interconnect.topology import Topology
+from ..interconnect.topology import Topology, make_topology
 from ..perf import profiler as _prof
-from ..perf.batch import arrays_from_messages
+from ..perf.batch import MessageBatch, arrays_from_messages
 from ..perf.config import scalar_mode
 from ..perf.transport import (
     build_plan,
@@ -46,12 +53,10 @@ from ..perf.transport import (
     links_eligible,
     transmit_flat,
 )
-from ..registry import RegistryError
-from ..registry import topologies as topology_registry
 from ..trace.intervals import IntervalSet
 from ..trace.stream import WorkloadTrace
 from .engine import Engine
-from .metrics import ByteBreakdown, RunMetrics, classify_messages, classify_ranges
+from .metrics import RunMetrics, classify_egress
 from .paradigms import Paradigm
 
 
@@ -100,19 +105,14 @@ class MultiGPUSystem:
         """
         compute = compute or ComputeModel()
         gpus = [GPU(index=i, compute=compute) for i in range(n_gpus)]
-        topology: Topology | None = None
-        if n_gpus > 1:
-            try:
-                factory = topology_registry.resolve(topology_kind or "single_switch")
-            except RegistryError as exc:
-                raise ValueError(str(exc)) from None
-            topology = factory(
-                n_gpus=n_gpus,
-                generation=generation,
-                with_credits=with_credits,
-                error_rate=error_rate,
-                **(topology_params or {}),
-            )
+        topology = make_topology(
+            topology_kind,
+            n_gpus,
+            generation,
+            with_credits=with_credits,
+            error_rate=error_rate,
+            **(topology_params or {}),
+        )
         return cls(
             n_gpus=n_gpus,
             protocol=PCIeProtocol(generation),
@@ -211,121 +211,49 @@ class MultiGPUSystem:
                 p.gpu: p.reads for p in consumer_iter.phases
             }
 
-            if plan is not None:
-                latest = self._iteration_batched(
-                    iteration,
-                    t,
-                    compute_end,
-                    consumer_reads,
-                    paradigm,
-                    phase_batch,
-                    plan,
-                    drain_rates,
-                    depacketizers,
-                    metrics,
-                    prof,
-                )
-                iteration_end = (
-                    max(max(compute_end.values()), t, latest) + self.barrier_ns
-                )
-                metrics.compute_time_ns += max(compute_end.values()) - t
-                # No tracer and no faults on this path (preconditions of
-                # the batch plan), so the scalar epilogue reduces to:
-                metrics.iteration_times_ns.append(iteration_end - t)
-                t = iteration_end
-                continue
-
-            per_pair: dict[tuple[int, int], list[WireMessage]] = {}
-            all_msgs: list[WireMessage] = []
+            # Each phase's egress in phase order: a MessageBatch when
+            # the paradigm's engine batched the whole op stream, else a
+            # list[WireMessage] from the per-message egress path.
             if prof is not None:
                 prof.begin("egress")
+            outputs: list = []
             for phase in iteration.phases:
-                msgs = paradigm.phase_messages(
-                    phase, t, compute_end[phase.gpu], consumer_reads
+                args = (phase, t, compute_end[phase.gpu], consumer_reads)
+                batch = phase_batch(*args) if phase_batch is not None else None
+                outputs.append(
+                    batch if batch is not None else paradigm.phase_messages(*args)
                 )
-                for m in msgs:
-                    per_pair.setdefault((m.src, m.dst), []).append(m)
-                all_msgs.append(msgs)
-            if prof is not None:
-                prof.end()
-            all_msgs = [m for msgs in all_msgs for m in msgs]
-
-            completions = [t]
-
-            def inject(msg: WireMessage) -> None:
-                assert self.topology is not None
-                msg_id = (
-                    tracer.message_injected(msg, engine.now)
-                    if tracer is not None
-                    else None
-                )
-                if prof is not None:
-                    prof.begin("link_serialization")
-                try:
-                    delivered = self.topology.route(msg, engine.now)
-                except RouteBlockedError as exc:
-                    # Graceful degradation: the destination is
-                    # unreachable.  Drop the message, keep accounts
-                    # balanced, and finish the iteration so the run
-                    # ends with partial metrics instead of hanging.
-                    dropped_ids.add(id(msg))
-                    metrics.faults.dropped_messages += 1
-                    metrics.faults.dropped_bytes += msg.payload_bytes
-                    degraded_reasons.append(str(exc))
-                    if msg_id is not None:
-                        tracer.message_dropped(msg_id, msg, engine.now)
-                    if prof is not None:
-                        prof.end()
-                    return
-                if prof is not None:
-                    prof.end()
-                    prof.begin("ingress_drain")
-                if msg.kind is MessageKind.FINEPACK:
-                    drained = depacketizers[msg.dst].admit(
-                        msg.meta["packet"], delivered
-                    )
-                else:
-                    drained = delivered + msg.payload_bytes / self.gpus[
-                        msg.dst
-                    ].hbm.drain_rate()
-                if prof is not None:
-                    prof.end()
-                completions.append(drained)
-                metrics.packets.record(msg)
-                if msg_id is not None:
-                    tracer.message_delivered(msg_id, msg, delivered)
-                    tracer.message_drained(msg_id, msg, drained)
-
-            for m in sorted(all_msgs, key=lambda m: m.issue_time):
-                engine.schedule(m.issue_time, inject, m)
-            if prof is not None:
-                prof.begin("engine_dispatch")
-            engine.run()
             if prof is not None:
                 prof.end()
 
-            iteration_end = (
-                max(max(compute_end.values()), max(completions)) + self.barrier_ns
-            )
-            metrics.compute_time_ns += max(compute_end.values()) - t
+            if plan is not None:
+                latest = self._transmit_batched(
+                    outputs, plan, drain_rates, depacketizers, metrics, prof
+                )
+            else:
+                latest = self._transmit_events(
+                    outputs,
+                    engine,
+                    depacketizers,
+                    metrics,
+                    tracer,
+                    prof,
+                    dropped_ids,
+                    degraded_reasons,
+                )
 
+            kernels_end = max(compute_end.values())
+            iteration_end = max(kernels_end, t, latest) + self.barrier_ns
+            metrics.compute_time_ns += kernels_end - t
             if prof is not None:
                 prof.begin("metrics_classify")
-            for (src, dst), msgs in per_pair.items():
-                if dropped_ids:
-                    msgs = [m for m in msgs if id(m) not in dropped_ids]
-                    if not msgs:
-                        continue
-                metrics.bytes.add(
-                    classify_messages(
-                        msgs,
-                        self._pair_footprint(iteration, src, dst),
-                        consumer_reads.get(dst, IntervalSet.empty()),
-                    )
+            metrics.bytes.add(
+                classify_egress(
+                    outputs, iteration.phases, consumer_reads, dropped_ids
                 )
+            )
             if prof is not None:
                 prof.end()
-
             if tracer is not None:
                 tracer.barrier(k, iteration_end - self.barrier_ns, iteration_end)
                 tracer.iteration(k, t, iteration_end)
@@ -354,75 +282,96 @@ class MultiGPUSystem:
             )
         return metrics
 
-    def _pair_footprint(self, iteration, src: int, dst: int) -> IntervalSet:
-        """Bytes the producer genuinely wrote for ``dst`` this iteration."""
-        src_phase = iteration.phases[src]
-        footprint = src_phase.stores.for_dst(dst).footprint()
-        if src_phase.atomics.count:
-            footprint = footprint.union(
-                src_phase.atomics.for_dst(dst).footprint()
-            )
-        # Software-aggregated DMA staging buffers are genuinely
-        # written by the producer in full.
-        staged = [
-            tr for tr in src_phase.dma if tr.dst == dst and tr.aggregated
-        ]
-        if staged:
-            footprint = footprint.union(
-                IntervalSet.from_ranges(
-                    [tr.dst_addr for tr in staged],
-                    [tr.nbytes for tr in staged],
-                )
-            )
-        return footprint
-
-    def _iteration_batched(
+    def _transmit_events(
         self,
-        iteration,
-        t: float,
-        compute_end: dict[int, float],
-        consumer_reads: dict[int, IntervalSet],
-        paradigm: Paradigm,
-        phase_batch,
+        outputs: list,
+        engine: Engine,
+        depacketizers: list[Depacketizer],
+        metrics: RunMetrics,
+        tracer,
+        prof,
+        dropped_ids: set[int],
+        degraded_reasons: list[str],
+    ) -> float:
+        """One iteration's messages through the event engine, one
+        route/drain per message in issue order; returns the latest
+        drain completion (``-inf`` with no traffic).
+
+        Undeliverable messages land in ``dropped_ids`` and
+        ``degraded_reasons`` instead of the fabric.
+        """
+        latest = float("-inf")
+
+        def inject(msg: WireMessage) -> None:
+            nonlocal latest
+            assert self.topology is not None
+            msg_id = (
+                tracer.message_injected(msg, engine.now)
+                if tracer is not None
+                else None
+            )
+            if prof is not None:
+                prof.begin("link_serialization")
+            try:
+                delivered = self.topology.route(msg, engine.now)
+            except RouteBlockedError as exc:
+                # Graceful degradation: the destination is
+                # unreachable.  Drop the message, keep accounts
+                # balanced, and finish the iteration so the run
+                # ends with partial metrics instead of hanging.
+                dropped_ids.add(id(msg))
+                metrics.faults.dropped_messages += 1
+                metrics.faults.dropped_bytes += msg.payload_bytes
+                degraded_reasons.append(str(exc))
+                if msg_id is not None:
+                    tracer.message_dropped(msg_id, msg, engine.now)
+                if prof is not None:
+                    prof.end()
+                return
+            if prof is not None:
+                prof.end()
+                prof.begin("ingress_drain")
+            if msg.kind is MessageKind.FINEPACK:
+                drained = depacketizers[msg.dst].admit(msg.meta["packet"], delivered)
+            else:
+                drained = delivered + msg.payload_bytes / self.gpus[
+                    msg.dst
+                ].hbm.drain_rate()
+            if prof is not None:
+                prof.end()
+            if drained > latest:
+                latest = drained
+            metrics.packets.record(msg)
+            if msg_id is not None:
+                tracer.message_delivered(msg_id, msg, delivered)
+                tracer.message_drained(msg_id, msg, drained)
+
+        msgs = [m for item in outputs for m in item]
+        for m in sorted(msgs, key=lambda m: m.issue_time):
+            engine.schedule(m.issue_time, inject, m)
+        if prof is not None:
+            prof.begin("engine_dispatch")
+        engine.run()
+        if prof is not None:
+            prof.end()
+        return latest
+
+    def _transmit_batched(
+        self,
+        outputs: list,
         plan,
         drain_rates: np.ndarray,
         depacketizers: list[Depacketizer],
         metrics: RunMetrics,
         prof,
     ) -> float:
-        """One iteration through the batch transport; returns the
-        latest drain completion (``-inf`` with no traffic).
+        """One iteration's messages through the batch transport;
+        returns the latest drain completion (``-inf`` with no traffic).
 
-        Byte-identical to the event-driven path: op streams, issue
-        times, per-link call order, stats mutation order and every
-        float operation match (see :mod:`repro.perf.transport`).
+        Byte-identical to :meth:`_transmit_events`: per-link call
+        order, stats mutation order and every float operation match
+        (see :mod:`repro.perf.transport`).
         """
-        if prof is not None:
-            prof.begin("egress")
-        # Phase outputs in phase order: a (True, MessageBatch) when the
-        # paradigm's engine batched the whole op stream, else a
-        # (False, list[WireMessage]) from the scalar egress path.
-        items: list[tuple[bool, object]] = []
-        for phase in iteration.phases:
-            batch = None
-            if phase_batch is not None:
-                batch = phase_batch(
-                    phase, t, compute_end[phase.gpu], consumer_reads
-                )
-            if batch is not None:
-                items.append((True, batch))
-            else:
-                items.append(
-                    (
-                        False,
-                        paradigm.phase_messages(
-                            phase, t, compute_end[phase.gpu], consumer_reads
-                        ),
-                    )
-                )
-        if prof is not None:
-            prof.end()
-
         src_p: list[np.ndarray] = []
         dst_p: list[np.ndarray] = []
         pay_p: list[np.ndarray] = []
@@ -433,8 +382,8 @@ class MultiGPUSystem:
         #: Flat per-message object refs (pre-sort order); ``None`` for
         #: batch elements, which never need their object back.
         obj_refs: list = []
-        for is_batch, item in items:
-            if is_batch:
+        for item in outputs:
+            if isinstance(item, MessageBatch):
                 n = len(item)
                 if n == 0:
                     continue
@@ -456,110 +405,49 @@ class MultiGPUSystem:
                 issue_p.append(ti)
                 packed_p.append(pk)
                 obj_refs.extend(item)
+        if not obj_refs:
+            return float("-inf")
 
-        latest = float("-inf")
-        if obj_refs:
-            issue = np.concatenate(issue_p)
-            # Stable sort by issue time == the engine's (time, seq)
-            # order, since seq follows the concatenation (phase) order.
-            order = np.argsort(issue, kind="stable")
-            issue = issue[order]
-            src = np.concatenate(src_p)[order]
-            dst = np.concatenate(dst_p)[order]
-            payload = np.concatenate(pay_p)[order]
-            overhead = np.concatenate(ovh_p)[order]
-            kinds = np.concatenate(kind_p)[order]
-            packed = np.concatenate(packed_p)[order]
-            if prof is not None:
-                prof.begin("link_serialization")
-            deliveries = transmit_flat(
-                self.topology,
-                plan,
-                src,
-                dst,
-                issue,
-                payload + overhead,
-                payload,
-                overhead,
-                packed,
-                kinds,
-            )
-            if prof is not None:
-                prof.end()
-                prof.begin("ingress_drain")
-            latest = drain_and_record(
-                deliveries,
-                dst,
-                payload,
-                packed,
-                kinds,
-                order,
-                obj_refs,
-                depacketizers,
-                drain_rates,
-                metrics.packets,
-            )
-            if prof is not None:
-                prof.end()
-
+        issue = np.concatenate(issue_p)
+        # Stable sort by issue time == the engine's (time, seq) order,
+        # since seq follows the concatenation (phase) order.
+        order = np.argsort(issue, kind="stable")
+        issue = issue[order]
+        src = np.concatenate(src_p)[order]
+        dst = np.concatenate(dst_p)[order]
+        payload = np.concatenate(pay_p)[order]
+        overhead = np.concatenate(ovh_p)[order]
+        kinds = np.concatenate(kind_p)[order]
+        packed = np.concatenate(packed_p)[order]
         if prof is not None:
-            prof.begin("metrics_classify")
-        # Per-(src, dst) range/byte accumulators: [array-range starts,
-        # array-range lengths, scalar starts, scalar lengths, payload,
-        # overhead].  Range order inside a pair is irrelevant (interval
-        # union and int sums), so batch segments and scalar messages
-        # mix freely.
-        pair_acc: dict[tuple[int, int], list] = {}
-        for is_batch, item in items:
-            if is_batch:
-                if len(item) == 0:
-                    continue
-                d_arr = item.dst
-                uniq, first = np.unique(d_arr, return_index=True)
-                for j in np.argsort(first, kind="stable").tolist():
-                    d = int(uniq[j])
-                    idx = np.flatnonzero(d_arr == d)
-                    acc = pair_acc.setdefault(
-                        (item.src, d), [[], [], [], [], 0, 0]
-                    )
-                    acc[0].append(item.starts[idx])
-                    acc[1].append(item.lengths[idx])
-                    acc[4] += int(item.payload[idx].sum())
-                    acc[5] += int(item.overhead[idx].sum())
-            else:
-                for m in item:
-                    acc = pair_acc.setdefault(
-                        (m.src, m.dst), [[], [], [], [], 0, 0]
-                    )
-                    acc[4] += m.payload_bytes
-                    acc[5] += m.overhead_bytes
-                    single = m.meta.get("range1")
-                    if single is not None:
-                        acc[2].append(single[0])
-                        acc[3].append(single[1])
-                        continue
-                    ranges = m.meta.get("ranges")
-                    if ranges is None:
-                        raise ValueError(f"message {m} lacks range annotations")
-                    acc[0].append(np.asarray(ranges[0], dtype=np.int64))
-                    acc[1].append(np.asarray(ranges[1], dtype=np.int64))
-        for (src_gpu, dst_gpu), acc in pair_acc.items():
-            sp, lp, ss, sl, payload_sum, overhead_sum = acc
-            if ss:
-                sp.append(np.asarray(ss, dtype=np.int64))
-                lp.append(np.asarray(sl, dtype=np.int64))
-            starts = np.concatenate(sp) if sp else np.empty(0, np.int64)
-            lens = np.concatenate(lp) if lp else np.empty(0, np.int64)
-            breakdown = ByteBreakdown(overhead=overhead_sum)
-            classify_ranges(
-                starts,
-                lens,
-                payload_sum,
-                self._pair_footprint(iteration, src_gpu, dst_gpu),
-                consumer_reads.get(dst_gpu, IntervalSet.empty()),
-                breakdown,
-            )
-            metrics.bytes.add(breakdown)
+            prof.begin("link_serialization")
+        deliveries = transmit_flat(
+            self.topology,
+            plan,
+            src,
+            dst,
+            issue,
+            payload + overhead,
+            payload,
+            overhead,
+            packed,
+            kinds,
+        )
+        if prof is not None:
+            prof.end()
+            prof.begin("ingress_drain")
+        latest = drain_and_record(
+            deliveries,
+            dst,
+            payload,
+            packed,
+            kinds,
+            order,
+            obj_refs,
+            depacketizers,
+            drain_rates,
+            metrics.packets,
+        )
         if prof is not None:
             prof.end()
         return latest

@@ -11,7 +11,6 @@ from repro.analytical.stats import (
     DistanceProfile,
     DstOps,
     _build_pack_profile,
-    _prev_producer_distance,
     line_geometry,
     overlap_count,
     sector_expand,
@@ -204,17 +203,6 @@ class TestPackProfile:
         sizes = np.asarray([8, 8], dtype=np.int64)
         prof = _build_pack_profile(addrs, sizes, 128)
         assert prof.merge.d_sorted.size == 0
-
-    def test_prev_producer_distance_reference(self):
-        # The O(n log n) reference sweep the d == 1 fast path was
-        # derived from: latest j < i with p_keys[j] == q_keys[i].
-        p = np.asarray([10, 20, 10, 30], dtype=np.int64)
-        q = np.asarray([99, 10, 20, 10], dtype=np.int64)
-        d = _prev_producer_distance(q, p)
-        assert d[0] > 1 << 60  # no producer of 99
-        assert d[1] == 1  # q[1]=10 <- p[0]
-        assert d[2] == 1  # q[2]=20 <- p[1]
-        assert d[3] == 1  # q[3]=10 <- p[2] (latest, not p[0])
 
 
 class TestStatsHelpers:

@@ -50,6 +50,49 @@ class TestSpec:
         assert ana.single_gpu_baseline().fidelity == "analytical"
 
 
+class TestParadigmParams:
+    """Both tiers build the paradigm with ``spec.build_paradigm()``, so
+    parameters the DES rejects are rejected at analytical fidelity with
+    the DES's own error, and configurations the analytical tier cannot
+    model are refused rather than predicted."""
+
+    @staticmethod
+    def spec(paradigm, **params):
+        return RunSpec(
+            workload="jacobi", paradigm=paradigm, paradigm_params=params,
+            n_gpus=2, iterations=1,
+        )
+
+    @pytest.mark.parametrize(
+        "paradigm, params, error, match",
+        [
+            ("gps", {"subscription": "bogus"}, ValueError, "subscription mode"),
+            ("dma_sliced", {"slices": 0}, ValueError, "slices must be >= 1"),
+            ("dma_sliced", {"slice": 3}, TypeError, "unexpected keyword"),
+        ],
+        ids=["gps-subscription", "dma_sliced-slices0", "dma_sliced-slice"],
+    )
+    def test_rejected_with_the_des_error(self, paradigm, params, error, match):
+        spec = self.spec(paradigm, **params)
+        with pytest.raises(error, match=match) as des:
+            RunContext(spec).run()
+        with pytest.raises(error) as ana:
+            RunContext(spec.with_options(fidelity="analytical")).run()
+        assert str(ana.value) == str(des.value)
+
+    @pytest.mark.parametrize(
+        "params", [{"flush_timeout_ns": 50.0}, {"windows": 2}],
+        ids=["flush_timeout", "windows"],
+    )
+    def test_finepack_extensions_need_des(self, params):
+        spec = self.spec("finepack", **params)
+        des = RunContext(spec).run()
+        assert des.fidelity == "des"
+        assert des.wire_bytes > 0
+        with pytest.raises(ValueError, match="fidelity='des'"):
+            RunContext(spec.with_options(fidelity="analytical")).run()
+
+
 class TestContext:
     def test_analytical_dispatch_builds_no_system(self):
         spec = RunSpec(

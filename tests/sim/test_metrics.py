@@ -3,9 +3,11 @@
 import numpy as np
 import pytest
 
+from repro.gpu.compute import KernelWork
 from repro.interconnect.message import MessageKind, WireMessage
-from repro.sim.metrics import ByteBreakdown, PacketStats, RunMetrics, classify_messages
+from repro.sim.metrics import ByteBreakdown, PacketStats, RunMetrics, classify_egress
 from repro.trace.intervals import IntervalSet
+from repro.trace.stream import KernelPhase, RemoteStoreBatch
 
 
 def msg(ranges, overhead=32, kind=MessageKind.STORE, packed=1):
@@ -26,14 +28,26 @@ def iset(*ranges):
     return IntervalSet.from_ranges([r[0] for r in ranges], [r[1] for r in ranges])
 
 
+def classify(messages, footprint, reads):
+    """Classify one GPU 0 -> GPU 1 message group through the DES's
+    classifier; GPU 0's phase stores exactly ``footprint`` for GPU 1."""
+    stores = RemoteStoreBatch(
+        footprint.starts,
+        footprint.ends - footprint.starts,
+        np.ones(len(footprint), dtype=np.int64),
+    )
+    phase = KernelPhase(gpu=0, work=KernelWork(0.0, 0.0), stores=stores)
+    return classify_egress([messages], [phase], {1: reads})
+
+
 class TestClassification:
     def test_all_useful(self):
-        b = classify_messages([msg([(0, 8)])], iset((0, 8)), iset((0, 8)))
+        b = classify([msg([(0, 8)])], iset((0, 8)), iset((0, 8)))
         assert (b.useful, b.wasted, b.overhead) == (8, 0, 32)
 
     def test_redundant_same_address_twice(self):
         """Two deliveries of the same byte: one is redundant."""
-        b = classify_messages(
+        b = classify(
             [msg([(0, 8)]), msg([(0, 8)])], iset((0, 8)), iset((0, 8))
         )
         assert b.useful == 8
@@ -41,30 +55,30 @@ class TestClassification:
         assert b.wasted_unread == 0
 
     def test_unread_bytes(self):
-        b = classify_messages([msg([(0, 16)])], iset((0, 16)), iset((0, 4)))
+        b = classify([msg([(0, 16)])], iset((0, 16)), iset((0, 4)))
         assert b.useful == 4
         assert b.wasted_unread == 12
 
     def test_overtransfer_outside_footprint(self):
         """DMA copying un-updated bytes: read but never written."""
-        b = classify_messages([msg([(0, 100)])], iset((0, 20)), iset((0, 100)))
+        b = classify([msg([(0, 100)])], iset((0, 20)), iset((0, 100)))
         assert b.useful == 20
         assert b.wasted_unread == 80
 
     def test_empty_messages(self):
-        b = classify_messages([], iset((0, 8)), iset((0, 8)))
+        b = classify([], iset((0, 8)), iset((0, 8)))
         assert b.total == 0
 
     def test_range_annotation_required(self):
         bad = WireMessage(src=0, dst=1, payload_bytes=8, overhead_bytes=0)
         with pytest.raises(ValueError, match="range"):
-            classify_messages([bad], iset((0, 8)), iset((0, 8)))
+            classify([bad], iset((0, 8)), iset((0, 8)))
 
     def test_range_payload_mismatch_detected(self):
         m = msg([(0, 8)])
         m.payload_bytes = 99
         with pytest.raises(ValueError, match="claim"):
-            classify_messages([m], iset((0, 8)), iset((0, 8)))
+            classify([m], iset((0, 8)), iset((0, 8)))
 
 
 class TestByteBreakdown:
