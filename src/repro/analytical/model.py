@@ -42,8 +42,8 @@ _DMA_PARADIGMS = frozenset({"dma", "dma_sliced"})
 # digests of KernelPhase, never by object identity, so a prediction
 # does not depend on what ran earlier in the process:
 #
-# * _PAIR_MEMO: (phase digest, paradigm, params, generation, finepack)
-#   -> pair_costs.
+# * _PAIR_MEMO: (phase digest, paradigm, params, TLP overhead, max
+#   payload, flit mode, finepack) -> pair_costs.
 # * _CLS_MEMO: (phase digest, dst, delivered rule, consumer reads
 #   digest) -> useful bytes.  The delivered rule is how PairCost.delivered
 #   is built: the store/atomic footprint (p2p, wc, finepack) or the DMA
@@ -122,14 +122,19 @@ def predict_metrics(spec, trace) -> RunMetrics:
     iter_cache: dict | None = None if learned else {}
     # Pair costs are pure functions of (phase content, paradigm, its
     # cost-relevant config); the cross-run _PAIR_MEMO keys them under
-    # this prediction-wide suffix.  None disables the memo (GPS:
-    # reads-dependent/stateful).
+    # this prediction-wide suffix.  Of the protocol, the cost functions
+    # read only the TLP overhead, the max payload and flit mode, which
+    # every PCIe generation shares, so a sweep over generations costs
+    # each pair once.  None disables the memo (GPS: reads-dependent/
+    # stateful).
     memo_ctx: tuple | None = None
     if name != "gps":
         memo_ctx = (
             name,
             spec.paradigm_params,
-            spec.generation,
+            protocol.per_tlp_overhead,
+            protocol.max_payload,
+            protocol.flit_mode,
             spec.finepack if name == "finepack" else None,
         )
     for k, iteration in enumerate(trace.iterations):

@@ -76,26 +76,33 @@ class ByteBreakdown:
         }
 
 
-def pair_footprint(phase, dst: int) -> IntervalSet:
-    """The bytes ``phase``'s GPU genuinely wrote for ``dst``.
+def footprint_columns(phase) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """The ``(dsts, addrs, sizes)`` columns of ``phase``'s footprint.
 
-    That is its store and atomic footprint, plus any
-    software-aggregated DMA staging buffer, which the producer writes
-    in full.  Delivered bytes outside it were never updated (DMA/GPS
-    over-transfer).
+    The footprint is what the GPU genuinely wrote, for every
+    destination: its stores and atomics, plus any software-aggregated
+    DMA staging buffer, which the producer writes in full.  Delivered
+    bytes outside it were never updated (DMA/GPS over-transfer).
     """
-    footprint = phase.stores.for_dst(dst).footprint()
-    if phase.atomics.count:
-        footprint = footprint.union(phase.atomics.for_dst(dst).footprint())
-    staged = [tr for tr in phase.dma if tr.dst == dst and tr.aggregated]
+    stores, atomics = phase.stores, phase.atomics
+    columns = [(stores.dsts, stores.addrs, stores.sizes)]
+    if atomics.count:
+        columns.append((atomics.dsts, atomics.addrs, atomics.sizes))
+    staged = [(tr.dst, tr.dst_addr, tr.nbytes) for tr in phase.dma if tr.aggregated]
     if staged:
-        footprint = footprint.union(
-            IntervalSet.from_ranges(
-                [tr.dst_addr for tr in staged],
-                [tr.nbytes for tr in staged],
-            )
-        )
-    return footprint
+        columns.append(tuple(np.array(staged, dtype=np.int64).T))
+    return columns
+
+
+def pair_footprint(phase, dst: int) -> IntervalSet:
+    """The bytes ``phase``'s GPU genuinely wrote for ``dst``
+    (:func:`footprint_columns` restricted to ``dst``)."""
+    columns = footprint_columns(phase)
+    masks = [dsts == dst for dsts, _, _ in columns]
+    return IntervalSet.from_ranges(
+        np.concatenate([a[m] for (_, a, _), m in zip(columns, masks)]),
+        np.concatenate([s[m] for (_, _, s), m in zip(columns, masks)]),
+    )
 
 
 def useful_bytes(
@@ -105,77 +112,224 @@ def useful_bytes(
     return delivered.intersect(footprint).intersect(reads).total_bytes
 
 
+#: A grouped classification pass closes once its delivered ranges plus
+#: its producers' store and atomic ops reach this many.  A 16-GPU
+#: collective iteration is then one pass, and a large HPC iteration
+#: splits by source, which bounds the working set.
+GROUP_BUDGET = 1 << 16
+
+
 def classify_egress(
     outputs: list,
     phases,
     consumer_reads: dict[int, IntervalSet],
     dropped: set[int] | frozenset = frozenset(),
 ) -> ByteBreakdown:
-    """Classify one iteration's delivered bytes, (src, dst) pair by pair.
+    """Classify one iteration's delivered bytes.
 
     ``outputs`` holds each phase's egress: a :class:`MessageBatch`, or
     a list of :class:`WireMessage` each annotated with
     ``meta["range1"]`` (one ``(addr, size)``) or ``meta["ranges"]``
     (``(starts, lengths)`` arrays).  Messages whose ``id()`` is in
-    ``dropped`` never arrived and are not counted.  A pair's delivered
-    ranges are classified against ``pair_footprint(phases[src], dst)``
-    and the destination's ``consumer_reads``.
+    ``dropped`` never arrived and are not counted.  Each (src, dst)
+    pair's delivered ranges are classified against
+    ``pair_footprint(phases[src], dst)`` and the destination's
+    ``consumer_reads``.
+
+    Consecutive items are classified together in one vectorized pass
+    (:class:`_Group`), which closes once it holds
+    :data:`GROUP_BUDGET` ranges and ops.  A source's messages must
+    therefore not straddle two passes; one item per source suffices.
     """
-    # Per-pair accumulators: [array-range starts, array-range lengths,
-    # scalar starts, scalar lengths, payload, overhead].  Range order
-    # inside a pair is irrelevant (interval union and int sums), so
-    # batch segments and scalar messages mix freely.
-    pair_acc: dict[tuple[int, int], list] = {}
-    for item in outputs:
-        if isinstance(item, MessageBatch):
-            for d in np.unique(item.dst).tolist():
-                idx = np.flatnonzero(item.dst == d)
-                acc = pair_acc.setdefault((item.src, d), [[], [], [], [], 0, 0])
-                acc[0].append(item.starts[idx])
-                acc[1].append(item.lengths[idx])
-                acc[4] += int(item.payload[idx].sum())
-                acc[5] += int(item.overhead[idx].sum())
-            continue
-        for m in item:
-            if dropped and id(m) in dropped:
-                continue
-            acc = pair_acc.setdefault((m.src, m.dst), [[], [], [], [], 0, 0])
-            acc[4] += m.payload_bytes
-            acc[5] += m.overhead_bytes
-            single = m.meta.get("range1")
-            if single is not None:
-                acc[2].append(single[0])
-                acc[3].append(single[1])
-                continue
-            ranges = m.meta.get("ranges")
-            if ranges is None:
-                raise ValueError(f"message {m} lacks range annotations")
-            acc[0].append(np.asarray(ranges[0], dtype=np.int64))
-            acc[1].append(np.asarray(ranges[1], dtype=np.int64))
     breakdown = ByteBreakdown()
-    for (src, dst), (sp, lp, ss, sl, payload, overhead) in pair_acc.items():
-        if ss:
-            sp.append(np.asarray(ss, dtype=np.int64))
-            lp.append(np.asarray(sl, dtype=np.int64))
-        lens = np.concatenate(lp)
-        declared = int(lens.sum())
-        if declared != payload:
+    group = _Group()
+    closed: set[int] = set()
+    for item in outputs:
+        srcs = group.add(item, phases, dropped)
+        if not closed.isdisjoint(srcs):
             raise ValueError(
-                f"range annotations cover {declared} B but messages claim "
-                f"{payload} B of payload"
+                f"sources {sorted(closed & srcs)} have egress in more than "
+                "one classification pass"
             )
-        delivered = IntervalSet.from_ranges(np.concatenate(sp), lens)
-        breakdown.record(
-            payload,
-            overhead,
-            delivered.total_bytes,
-            useful_bytes(
-                delivered,
-                pair_footprint(phases[src], dst),
-                consumer_reads.get(dst, IntervalSet.empty()),
-            ),
-        )
+        if group.size >= GROUP_BUDGET:
+            group.classify(phases, consumer_reads, breakdown)
+            closed |= group.srcs
+            group = _Group()
+    if group.srcs:
+        group.classify(phases, consumer_reads, breakdown)
     return breakdown
+
+
+class _Group:
+    """Consecutive egress items, classified in one vectorized pass.
+
+    Every delivered range (D), footprint op (F) and consumer-read
+    interval (R) gets the key ``(src·n + dst) << S`` added to its
+    address (less the smallest address seen), with ``n`` above every
+    GPU id and ``2**S`` above the address span.  Pairs then occupy
+    disjoint, non-adjacent key ranges, so one :class:`IntervalSet` per
+    set holds every pair at once, and ``D.total_bytes`` and
+    ``useful_bytes(D, F, R)`` are the sums of the per-pair answers.
+    """
+
+    def __init__(self) -> None:
+        self.srcs: set[int] = set()
+        #: Delivered ranges plus the producers' store and atomic ops.
+        self.size = 0
+        self.overhead = 0
+        #: Per batch: ``(src, dst, starts, lengths, payload)`` columns.
+        self.batches: list[tuple] = []
+        # Message lists, in two streams kept as plain Python values
+        # until classify(): messages with a ``ranges`` array pair (one
+        # row each, plus their arrays) and single-range messages.
+        self.multi: tuple[list, ...] = ([], [], [], [], [], [])
+        self.single: tuple[list, ...] = ([], [], [], [], [])
+
+    def add(self, item, phases, dropped) -> set[int]:
+        """Append one item's arrived messages, count each new producer's
+        store and atomic ops, and return the item's sources."""
+        if isinstance(item, MessageBatch):
+            srcs = {item.src} if len(item) else set()
+            if srcs:
+                self.batches.append(
+                    (item.src, item.dst, item.starts, item.lengths, item.payload)
+                )
+                self.overhead += int(item.overhead.sum())
+                self.size += len(item)
+        else:
+            m_src, m_dst, m_pay, m_count, m_starts, m_lens = self.multi
+            s_src, s_dst, s_pay, s_starts, s_lens = self.single
+            first_m, first_s = len(m_src), len(s_src)
+            for m in item:
+                if dropped and id(m) in dropped:
+                    continue
+                self.overhead += m.overhead_bytes
+                single = m.meta.get("range1")
+                if single is not None:
+                    s_src.append(m.src)
+                    s_dst.append(m.dst)
+                    s_pay.append(m.payload_bytes)
+                    s_starts.append(single[0])
+                    s_lens.append(single[1])
+                    continue
+                ranges = m.meta.get("ranges")
+                if ranges is None:
+                    raise ValueError(f"message {m} lacks range annotations")
+                m_src.append(m.src)
+                m_dst.append(m.dst)
+                m_pay.append(m.payload_bytes)
+                m_count.append(len(ranges[0]))
+                m_starts.append(ranges[0])
+                m_lens.append(ranges[1])
+            self.size += sum(m_count[first_m:]) + len(s_src) - first_s
+            srcs = set(m_src[first_m:]) | set(s_src[first_s:])
+        for src in srcs - self.srcs:
+            self.size += phases[src].stores.count + phases[src].atomics.count
+        self.srcs |= srcs
+        return srcs
+
+    def classify(self, phases, consumer_reads, breakdown: ByteBreakdown) -> None:
+        """Fold the group's byte categories into ``breakdown``."""
+        m_src, m_dst, m_pay, m_count, m_starts, m_lens = self.multi
+        s_src, s_dst, s_pay, s_starts, s_lens = self.single
+        b_src, b_dst, b_starts, b_lens, b_pay = (
+            zip(*self.batches) if self.batches else ((),) * 5
+        )
+        # One row per listed message: multi-range ones, then singles;
+        # ``row`` is each listed range's message.
+        l_src = np.asarray(m_src + s_src, dtype=np.int64)
+        l_dst = np.asarray(m_dst + s_dst, dtype=np.int64)
+        row = np.concatenate(
+            (
+                np.repeat(np.arange(len(m_src)), m_count),
+                np.arange(len(m_src), l_src.size),
+            )
+        )
+        f_src, f_dst, f_addr, f_size = [], [], [], []
+        for src in sorted(self.srcs):
+            for dsts, addrs, sizes in footprint_columns(phases[src]):
+                f_src.append(src)
+                f_dst.append(dsts)
+                f_addr.append(addrs)
+                f_size.append(sizes)
+        f_count = [d.size for d in f_dst]
+        f_dst = np.concatenate(f_dst)
+        n = 1 + max(
+            max(self.srcs),
+            int(l_dst.max(initial=0)),
+            int(f_dst.max(initial=0)),
+            *(int(d.max()) for d in b_dst),
+        )
+        b_code = [s * n + d for s, d in zip(b_src, b_dst)]
+        l_code = l_src * n + l_dst
+        d_code = np.concatenate(b_code + [l_code[row]])
+        # "unsafe" casts as np.asarray(..., dtype=np.int64) would; an
+        # empty list of plain ints is float64.
+        starts = np.concatenate(
+            [*b_starts, *m_starts, s_starts], dtype=np.int64, casting="unsafe"
+        )
+        lengths = np.concatenate(
+            [*b_lens, *m_lens, s_lens], dtype=np.int64, casting="unsafe"
+        )
+        payload = np.concatenate([*b_pay, np.asarray(m_pay + s_pay, dtype=np.int64)])
+        # Per-pair byte sums; float64 is exact below 2**53 B a pair.
+        declared = np.bincount(d_code, weights=lengths, minlength=n * n)
+        claimed = np.bincount(
+            np.concatenate(b_code + [l_code]), weights=payload, minlength=n * n
+        )
+        bad = np.flatnonzero(declared != claimed)
+        if bad.size:
+            raise ValueError(
+                f"range annotations cover {int(declared[bad[0]])} B but "
+                f"messages claim {int(claimed[bad[0]])} B of payload"
+            )
+        unique = useful = 0
+        live = np.flatnonzero(np.bincount(d_code, minlength=n * n))
+        if live.size:
+            f_code = np.repeat(np.asarray(f_src, dtype=np.int64) * n, f_count) + f_dst
+            f_addr = np.concatenate(f_addr)
+            f_size = np.concatenate(f_size)
+            empty = IntervalSet.empty()
+            reads = [consumer_reads.get(d, empty) for d in range(n)]
+            r_count = np.asarray([len(r) for r in reads])
+            r_starts = np.concatenate([r.starts for r in reads])
+            r_ends = np.concatenate([r.ends for r in reads])
+            # Each live pair's copy of its destination's reads.
+            live_dst = live % n
+            want = r_count[live_dst]
+            take = np.arange(int(want.sum())) + np.repeat(
+                (np.cumsum(r_count) - r_count)[live_dst] - (np.cumsum(want) - want),
+                want,
+            )
+            base = min(
+                int(starts.min()),
+                int(f_addr.min(initial=starts[0])),
+                int(r_starts.min(initial=starts[0])),
+            )
+            span = max(
+                int((starts + lengths).max()),
+                int((f_addr + f_size).max(initial=0)),
+                int(r_ends.max(initial=0)),
+            ) - base
+            shift = span.bit_length()
+            if (n * n) << shift > 1 << 63:
+                raise ValueError(
+                    f"classification keys overflow int64: {n * n} (src, dst) "
+                    f"codes over a {span} B address span"
+                )
+            delivered = IntervalSet.from_ranges(
+                (d_code << shift) + (starts - base), lengths
+            )
+            unique = delivered.total_bytes
+            useful = useful_bytes(
+                delivered,
+                IntervalSet.from_ranges((f_code << shift) + (f_addr - base), f_size),
+                IntervalSet.from_ranges(
+                    (np.repeat(live, want) << shift) + (r_starts[take] - base),
+                    r_ends[take] - r_starts[take],
+                ),
+            )
+        breakdown.record(int(payload.sum()), self.overhead, unique, useful)
 
 
 @dataclass

@@ -39,18 +39,18 @@ class IntervalSet:
         s, l = _as_arrays(starts, lengths)
         if s.size == 0:
             return IntervalSet.empty()
-        order = np.argsort(s, kind="stable")
-        s, e = s[order], (s + l)[order]
+        e = s + l
+        if not (s[1:] >= s[:-1]).all():
+            order = np.argsort(s, kind="stable")
+            s, e = s[order], e[order]
         running = np.maximum.accumulate(e)
-        new_run = np.empty(s.size, dtype=bool)
-        new_run[0] = True
+        new_run = np.empty(s.size + 1, dtype=bool)
+        new_run[0] = new_run[-1] = True
         # Strictly-greater keeps adjacent ranges merged ([0,4)+[4,8) -> [0,8)).
-        np.greater(s[1:], running[:-1], out=new_run[1:])
-        run_id = np.cumsum(new_run) - 1
-        out_starts = s[new_run]
-        out_ends = np.zeros(out_starts.size, dtype=np.int64)
-        np.maximum.at(out_ends, run_id, e)
-        return IntervalSet(out_starts, out_ends)
+        np.greater(s[1:], running[:-1], out=new_run[1:-1])
+        # A run ends at the running maximum of its last range: every
+        # earlier run ended before it started.
+        return IntervalSet(s[new_run[:-1]], running[new_run[1:]])
 
     @staticmethod
     def empty() -> "IntervalSet":
@@ -91,7 +91,9 @@ class IntervalSet:
         other_idx = lo[self_idx] + within
         s = np.maximum(self.starts[self_idx], other.starts[other_idx])
         e = np.minimum(self.ends[self_idx], other.ends[other_idx])
-        return IntervalSet.from_ranges(s, e - s)
+        # Already normalized: the pieces come out sorted, non-empty, and
+        # separated by the gaps of one normalized side or the other.
+        return IntervalSet(s, e)
 
     def difference(self, other: "IntervalSet") -> "IntervalSet":
         """Bytes in self but not in other."""

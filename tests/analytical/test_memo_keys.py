@@ -8,7 +8,9 @@ these tests perturb a single element of one column of a small
 hand-built trace and require the exact paradigms (p2p, dma) to keep
 matching the DES byte for byte -- with cleared memos and with memos
 warmed by the unperturbed trace -- and every paradigm's prediction to
-be independent of what was predicted before it.
+be independent of what was predicted before it.  The pair-cost memo
+leaves the PCIe generation out of its key, so the last test requires
+every paradigm's pair costs to be equal across generations.
 """
 
 from __future__ import annotations
@@ -19,8 +21,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.analytical import predict_metrics
-from repro.analytical.stats import clear_memo
+from repro.analytical.model import _phase_pair_costs
+from repro.analytical.stats import clear_memo, phase_stats
 from repro.gpu.compute import KernelWork
+from repro.interconnect.pcie import GENERATIONS, PCIeProtocol
 from repro.perf.harness import fingerprint_metrics
 from repro.run import RunContext, RunSpec
 from repro.trace.intervals import IntervalSet
@@ -192,3 +196,42 @@ def test_prediction_is_independent_of_earlier_predictions(paradigm):
     clear_memo()
     predict_metrics(spec, other)
     assert fingerprint_metrics(predict_metrics(spec, trace)) == fresh
+
+
+def _cost_fields(cost) -> dict:
+    fields = dict(vars(cost))
+    delivered = fields.pop("delivered")
+    return {**fields, "delivered": (delivered.starts.tolist(), delivered.ends.tolist())}
+
+
+@pytest.mark.parametrize(
+    "paradigm", ["p2p", "wc", "finepack", "gps", "dma", "dma_sliced", "infinite"]
+)
+def test_pair_costs_do_not_depend_on_the_pcie_generation(paradigm):
+    """_PAIR_MEMO keys pair costs on the protocol's TLP overhead, max
+    payload and flit mode, not on the generation, so one cost must serve
+    every generation: each paradigm's pair costs for a sample phase are
+    equal across GENERATIONS, and so are those key terms."""
+    trace = _trace()
+    phase = trace.iterations[0].phases[0]
+    reads = {p.gpu: p.reads for p in trace.iterations[1].phases}
+    costs, terms = [], set()
+    for generation in GENERATIONS.values():
+        spec = RunSpec(
+            workload=trace.name,
+            paradigm=paradigm,
+            n_gpus=N_GPUS,
+            generation=generation,
+        )
+        protocol = PCIeProtocol(generation)
+        built = spec.build_paradigm()
+        built.attach(N_GPUS, protocol)
+        pair_costs = _phase_pair_costs(
+            paradigm, built, protocol, phase, phase_stats(phase), reads
+        )
+        costs.append({dst: _cost_fields(c) for dst, c in pair_costs.items()})
+        terms.add((protocol.per_tlp_overhead, protocol.max_payload, protocol.flit_mode))
+    assert len(terms) == 1
+    assert all(c == costs[0] for c in costs)
+    if paradigm != "infinite":
+        assert costs[0]
