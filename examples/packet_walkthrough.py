@@ -46,7 +46,7 @@ def main() -> None:
             f"available payload={partition.available_payload} B)"
         )
         print(f"store {size:2d} B @ +{addr - base:#07x}: {status}")
-    print(f"queue hits from same-address overwrite: {partition.stats.store_hits}")
+    print(f"{len(stores)} stores held in {partition.entry_count} entries")
 
     print("\n--- kernel-end release: flush + packetize ---")
     window = partition.flush(FlushReason.RELEASE)

@@ -19,21 +19,15 @@ from .config import (
     addressable_window,
     offset_bits_for,
 )
-from .depacketizer import Depacketizer, DepacketizerStats, DisaggregatedStore
+from .depacketizer import Depacketizer, DisaggregatedStore
 from .nvlink_embedding import NVLinkFinePackEmbedding
-from .egress import (
-    EgressStats,
-    FinePackEgress,
-    PassthroughEgress,
-    WriteCombiningEgress,
-)
+from .egress import FinePackEgress, PassthroughEgress, WriteCombiningEgress
 from .packet import FinePackPacket, SubTransaction
 from .packetizer import Packetizer
 from .remote_write_queue import (
     FlushedWindow,
     FlushReason,
     MultiWindowPartition,
-    PartitionStats,
     QueueEntry,
     QueuePartition,
     RemoteWriteQueue,
@@ -47,9 +41,7 @@ __all__ = [
     "addressable_window",
     "offset_bits_for",
     "Depacketizer",
-    "DepacketizerStats",
     "DisaggregatedStore",
-    "EgressStats",
     "FinePackEgress",
     "PassthroughEgress",
     "WriteCombiningEgress",
@@ -60,7 +52,6 @@ __all__ = [
     "FlushReason",
     "MultiWindowPartition",
     "NVLinkFinePackEmbedding",
-    "PartitionStats",
     "QueueEntry",
     "QueuePartition",
     "RemoteWriteQueue",

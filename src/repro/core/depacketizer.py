@@ -27,14 +27,6 @@ class DisaggregatedStore:
 
 
 @dataclass
-class DepacketizerStats:
-    packets: int = 0
-    stores_out: int = 0
-    bytes_out: int = 0
-    peak_buffer_entries: int = 0
-
-
-@dataclass
 class Depacketizer:
     """Receiver-side disaggregation with a bounded ingress buffer.
 
@@ -52,7 +44,6 @@ class Depacketizer:
     config: FinePackConfig
     buffer_entries: int = 64
     drain_bytes_per_ns: float = 900.0
-    stats: DepacketizerStats = field(default_factory=DepacketizerStats)
     #: (drain_completion_time, entries) of in-flight buffered packets.
     _occupancy: list[tuple[float, int]] = field(default_factory=list)
 
@@ -61,13 +52,9 @@ class Depacketizer:
 
     def disaggregate(self, packet: FinePackPacket) -> list[DisaggregatedStore]:
         """Split a packet into individual stores (address reconstruction)."""
-        stores = [
+        return [
             DisaggregatedStore(addr=a, size=n, data=d) for a, n, d in packet.stores()
         ]
-        self.stats.packets += 1
-        self.stats.stores_out += len(stores)
-        self.stats.bytes_out += sum(s.size for s in stores)
-        return stores
 
     def decode_wire_payload(
         self, base_addr: int, raw: bytes
@@ -103,7 +90,4 @@ class Depacketizer:
             i += 1
         drain_done = start + packet.payload_data_bytes / self.drain_bytes_per_ns
         self._occupancy.append((drain_done, entries_needed))
-        self.stats.peak_buffer_entries = max(
-            self.stats.peak_buffer_entries, occupied + entries_needed
-        )
         return drain_done

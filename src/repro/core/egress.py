@@ -20,7 +20,7 @@ payload bytes as useful or wasted.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -32,17 +32,6 @@ from .config import FinePackConfig
 from .packetizer import Packetizer
 from .phase_kernel import pack_phase
 from .remote_write_queue import FlushedWindow, FlushReason, RemoteWriteQueue
-
-
-@dataclass
-class EgressStats:
-    stores_in: int = 0
-    atomics_in: int = 0
-    messages_out: int = 0
-    releases: int = 0
-
-    def stores_per_message(self) -> float:
-        return self.stores_in / self.messages_out if self.messages_out else 0.0
 
 
 def _single_range(addr: int, size: int) -> dict:
@@ -61,14 +50,11 @@ class PassthroughEgress:
 
     protocol: PCIeProtocol
     src: int
-    stats: EgressStats = field(default_factory=EgressStats)
 
     def on_store(
         self, addr: int, size: int, dst: int, time: float, data: bytes | None = None
     ) -> list[WireMessage]:
-        self.stats.stores_in += 1
         payload, overhead = self.protocol.store_wire_cost(size)
-        self.stats.messages_out += 1
         return [
             WireMessage(
                 src=self.src,
@@ -83,9 +69,7 @@ class PassthroughEgress:
         ]
 
     def on_atomic(self, addr: int, size: int, dst: int, time: float) -> list[WireMessage]:
-        self.stats.atomics_in += 1
         payload, overhead = self.protocol.store_wire_cost(size)
-        self.stats.messages_out += 1
         return [
             WireMessage(
                 src=self.src,
@@ -103,7 +87,6 @@ class PassthroughEgress:
         return []
 
     def on_release(self, time: float) -> list[WireMessage]:
-        self.stats.releases += 1
         return []
 
     def batch_ops(
@@ -120,8 +103,8 @@ class PassthroughEgress:
         element, in order; the engine is stateless so the batch is just
         the concatenation of the per-op messages.  Returns ``None``
         when any size is invalid -- the caller then replays the ops
-        through the scalar path so the error (and the stats mutated
-        before it) match the scalar run exactly.
+        through the scalar path so the error matches the scalar run
+        exactly.
         """
         n = int(sizes.size)
         if n and (
@@ -129,10 +112,6 @@ class PassthroughEgress:
         ):
             return None
         payload, overhead = self.protocol.store_wire_cost_batch(sizes)
-        n_atomic = int(is_atomic.sum())
-        self.stats.stores_in += n - n_atomic
-        self.stats.atomics_in += n_atomic
-        self.stats.messages_out += n
         return MessageBatch(
             src=self.src,
             dst=np.asarray(dsts, dtype=np.int64),
@@ -185,7 +164,6 @@ class WriteCombiningEgress:
         self._open: dict[int, dict[int, tuple[int, int]]] = {
             d: {} for d in range(n_gpus) if d != src
         }
-        self.stats = EgressStats()
 
     def _expand_to_sectors(self, mask: int) -> int:
         """Round the byte-enable mask out to sector boundaries."""
@@ -216,7 +194,6 @@ class WriteCombiningEgress:
         msgs = []
         if self.full_line:
             payload, overhead = self.protocol.store_wire_cost(self.line_bytes)
-            self.stats.messages_out += 1
             return [
                 WireMessage(
                     src=self.src,
@@ -232,7 +209,6 @@ class WriteCombiningEgress:
         runs = self._runs(self._expand_to_sectors(mask))
         for i, (off, length) in enumerate(runs):
             payload, overhead = self.protocol.store_wire_cost(length)
-            self.stats.messages_out += 1
             msgs.append(
                 WireMessage(
                     src=self.src,
@@ -263,7 +239,6 @@ class WriteCombiningEgress:
     def _store_within_line(
         self, addr: int, size: int, dst: int, time: float
     ) -> list[WireMessage]:
-        self.stats.stores_in += 1
         open_lines = self._open[dst]
         line = addr & ~(self.line_bytes - 1)
         off = addr - line
@@ -278,14 +253,12 @@ class WriteCombiningEgress:
         return msgs
 
     def on_atomic(self, addr: int, size: int, dst: int, time: float) -> list[WireMessage]:
-        self.stats.atomics_in += 1
         msgs: list[WireMessage] = []
         line = addr & ~(self.line_bytes - 1)
         entry = self._open[dst].pop(line, None)
         if entry is not None:
             msgs.extend(self._emit_line(dst, line, entry[0], entry[1], time))
         payload, overhead = self.protocol.store_wire_cost(size)
-        self.stats.messages_out += 1
         msgs.append(
             WireMessage(
                 src=self.src,
@@ -311,49 +284,12 @@ class WriteCombiningEgress:
         return msgs
 
     def on_release(self, time: float) -> list[WireMessage]:
-        self.stats.releases += 1
         msgs: list[WireMessage] = []
         for dst, open_lines in self._open.items():
             for line, (mask, absorbed) in sorted(open_lines.items()):
                 msgs.extend(self._emit_line(dst, line, mask, absorbed, time))
             open_lines.clear()
         return msgs
-
-
-@dataclass(frozen=True)
-class _PartitionDelta:
-    """One phase's stat mutations on a single destination partition."""
-
-    stores_in: int
-    store_hits: int
-    packets: int
-    #: (reason, count) pairs in the order new reasons first appeared,
-    #: so replaying preserves the flushes dict's insertion order.
-    flushes: tuple[tuple[FlushReason, int], ...]
-    stores_per_packet: tuple[int, ...]
-
-
-@dataclass(frozen=True)
-class _PhaseTemplate:
-    """The recorded outcome of packetizing one phase's op columns.
-
-    FinePack egress output is a pure function of the op columns within
-    one phase: a system-scoped release bounds every phase, flushing all
-    partitions and clearing activity state, so no aggregation window
-    survives across phases.  Issue times enter only as message stamps
-    -- each message records which op slot stamped it (``-1`` for
-    release-flushed messages, stamped with the release time), and a
-    replay re-stamps fresh times onto structurally identical messages.
-    """
-
-    #: (op slot, message) pairs in emission order; slot ``-1`` means
-    #: the message was flushed by the end-of-phase release.
-    messages: tuple[tuple[int, WireMessage], ...]
-    stores_in: int
-    atomics_in: int
-    messages_out: int
-    packets_built: int
-    partition_deltas: tuple[tuple[int, _PartitionDelta], ...]
 
 
 #: Retained phase templates per engine; enough for every distinct
@@ -384,11 +320,11 @@ class FinePackEgress:
         self.flush_timeout_ns = flush_timeout_ns
         self.queue = RemoteWriteQueue(config, src, n_gpus, windows=windows)
         self.packetizer = Packetizer(config, protocol)
-        self.stats = EgressStats()
         self._last_activity: dict[int, float] = {}
         self._windows = windows
-        #: Content-addressed phase templates (see :meth:`phase_ops`).
-        self._memo: dict[bytes, _PhaseTemplate] = {}
+        #: Content-addressed phase templates (see :meth:`phase_ops`):
+        #: each phase's ``(op slot, message)`` pairs in emission order.
+        self._memo: dict[bytes, tuple[tuple[int, WireMessage], ...]] = {}
         #: Optional :class:`repro.obs.Tracer`; set by the system when a
         #: run is traced.  Every hook below is guarded by a None check.
         self.tracer = None
@@ -403,7 +339,6 @@ class FinePackEgress:
         for dst, window in windows:
             packet = self.packetizer.packetize(window)
             msgs.append(self.packetizer.to_wire_message(packet, self.src, dst, time))
-            self.stats.messages_out += 1
             if self.tracer is not None:
                 self.tracer.rwq_flush(
                     self.src,
@@ -438,7 +373,6 @@ class FinePackEgress:
     def on_store(
         self, addr: int, size: int, dst: int, time: float, data: bytes | None = None
     ) -> list[WireMessage]:
-        self.stats.stores_in += 1
         msgs = self._expire_idle(time)
         self._last_activity[dst] = time
         prof = _prof.ACTIVE
@@ -462,7 +396,6 @@ class FinePackEgress:
     def on_atomic(self, addr: int, size: int, dst: int, time: float) -> list[WireMessage]:
         """Atomics are never coalesced (Sec. IV-C): flush any buffered
         store to the same address, then forward the atomic directly."""
-        self.stats.atomics_in += 1
         msgs: list[WireMessage] = self._expire_idle(time)
         partition = self.queue.partition(dst)
         if partition.matches_load(addr, size):
@@ -473,7 +406,6 @@ class FinePackEgress:
                 )
             )
         payload, overhead = self.protocol.store_wire_cost(size)
-        self.stats.messages_out += 1
         msgs.append(
             WireMessage(
                 src=self.src,
@@ -494,7 +426,6 @@ class FinePackEgress:
         )
 
     def on_release(self, time: float) -> list[WireMessage]:
-        self.stats.releases += 1
         msgs = self._expire_idle(time)
         self._last_activity.clear()
         msgs.extend(
@@ -518,14 +449,22 @@ class FinePackEgress:
 
         Semantically identical to calling :meth:`on_store` /
         :meth:`on_atomic` per element in order followed by
-        :meth:`on_release` at ``release_time`` -- same messages, same
-        stats mutation order, same float stamps.  The first sight of a
-        phase runs the columnar phase kernel
-        (:func:`repro.core.phase_kernel.pack_phase`); phases whose
-        ``key`` was already packed this run replay the recorded
-        template with fresh issue times (content-addressed
-        memoization; collectives and stencil workloads repeat the same
-        store stream every iteration).
+        :meth:`on_release` at ``release_time``: the same messages in
+        the same order, stamped from the same op slots.  The first
+        sight of a phase runs the columnar phase kernel
+        (:func:`repro.core.phase_kernel.pack_phase`) and records its
+        ``(op slot, message)`` pairs; phases whose ``key`` was already
+        packed this run replay them with fresh issue times
+        (content-addressed memoization; collectives and stencil
+        workloads repeat the same store stream every iteration).
+
+        Replay is exact because FinePack egress is a pure function of
+        the op columns within one phase: the system-scoped release that
+        ends every phase flushes all partitions and clears activity
+        state, so no aggregation window survives across phases.  Issue
+        times enter only as message stamps -- each message keeps the
+        op slot that stamped it (``-1`` for release-flushed messages,
+        stamped with the release time).
 
         ``key`` must determine the op columns (``addrs``, ``sizes``,
         ``dsts``, ``is_atomic``; not the times).  The store paradigms
@@ -553,38 +492,12 @@ class FinePackEgress:
         ):
             return None
         template = self._memo.get(key)
-        if template is None:
-            recorded = self._record_phase(
-                addrs, sizes, dsts, times, is_atomic, release_time
-            )
-            if recorded is None:
-                return None
-            msgs, template = recorded
-            if len(self._memo) >= _MEMO_MAX_ENTRIES:
-                self._memo.pop(next(iter(self._memo)))
-            self._memo[key] = template
-            return msgs
-        return self._replay_phase(template, times, release_time)
-
-    def _record_phase(
-        self,
-        addrs: np.ndarray,
-        sizes: np.ndarray,
-        dsts: np.ndarray,
-        times: np.ndarray,
-        is_atomic: np.ndarray,
-        release_time: float,
-    ) -> tuple[list[WireMessage], _PhaseTemplate] | None:
-        """Pack a first-seen phase with the columnar phase kernel,
-        apply its stat deltas, and record the template for replays.
-
-        ``None`` when the kernel declines (input the per-op hooks
-        would reject); nothing has been mutated then.
-        """
+        if template is not None:
+            return self._replay_phase(template, times, release_time)
         prof = _prof.ACTIVE
         if prof is not None:
             prof.begin("packetizer_rwq")
-        packed = pack_phase(
+        template = pack_phase(
             self.config,
             self.protocol,
             self.src,
@@ -598,52 +511,16 @@ class FinePackEgress:
         )
         if prof is not None:
             prof.end()
-        if packed is None:
+        if template is None:
             return None
-        template = _PhaseTemplate(
-            messages=tuple(zip(packed.slots, packed.messages)),
-            stores_in=packed.stores,
-            atomics_in=packed.atomics,
-            messages_out=len(packed.messages),
-            packets_built=packed.packets,
-            partition_deltas=tuple(
-                (
-                    dst,
-                    _PartitionDelta(
-                        stores_in=pieces,
-                        store_hits=hits,
-                        packets=len(per_packet),
-                        flushes=flushes,
-                        stores_per_packet=per_packet,
-                    ),
-                )
-                for dst, pieces, hits, flushes, per_packet in packed.partitions
-            ),
-        )
-        self._apply_template_stats(template)
-        return packed.messages, template
-
-    def _apply_template_stats(self, template: _PhaseTemplate) -> None:
-        """Apply one phase's egress, packetizer and partition stat
-        deltas, keeping each partition's flush-reason key order."""
-        stats = self.stats
-        stats.stores_in += template.stores_in
-        stats.atomics_in += template.atomics_in
-        stats.messages_out += template.messages_out
-        stats.releases += 1
-        self.packetizer.packets_built += template.packets_built
-        for dst, delta in template.partition_deltas:
-            pstats = self.queue.partition(dst).stats
-            pstats.stores_in += delta.stores_in
-            pstats.store_hits += delta.store_hits
-            pstats.packets += delta.packets
-            for reason, count in delta.flushes:
-                pstats.flushes[reason] = pstats.flushes.get(reason, 0) + count
-            pstats.stores_per_packet.extend(delta.stores_per_packet)
+        if len(self._memo) >= _MEMO_MAX_ENTRIES:
+            self._memo.pop(next(iter(self._memo)))
+        self._memo[key] = template
+        return [msg for _, msg in template]
 
     def _replay_phase(
         self,
-        template: _PhaseTemplate,
+        template: tuple[tuple[int, WireMessage], ...],
         times: np.ndarray,
         release_time: float,
     ) -> list[WireMessage]:
@@ -654,12 +531,11 @@ class FinePackEgress:
         -- depacketizer, byte ledger -- only reads them), so only the
         issue stamps differ between replays.
         """
-        self._apply_template_stats(template)
         stamps = times.tolist()
         return [
             replace(
                 msg,
                 issue_time=release_time if slot < 0 else stamps[slot],
             )
-            for slot, msg in template.messages
+            for slot, msg in template
         ]

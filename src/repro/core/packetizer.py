@@ -26,7 +26,6 @@ class Packetizer:
     def __init__(self, config: FinePackConfig, protocol: PCIeProtocol) -> None:
         self.config = config
         self.protocol = protocol
-        self.packets_built = 0
         # masks_to_runs packs masks into whole bytes, so the vectorized
         # path needs byte-aligned entries (the default 128 qualifies).
         self._fast = not scalar_mode() and config.entry_bytes % 8 == 0
@@ -42,7 +41,6 @@ class Packetizer:
                 [e.line_addr for e in window.entries], dtype=np.int64
             )
             offsets = line_addrs[rows] + starts - window.base_addr
-            self.packets_built += 1
             # Column-native packet: downstream accounting consumes the
             # (offset, length) arrays; SubTransaction objects are only
             # materialized if something asks for them.
@@ -61,7 +59,6 @@ class Packetizer:
                 subs.append(
                     SubTransaction(offset=offset, length=length, data=data)
                 )
-        self.packets_built += 1
         return FinePackPacket(
             base_addr=window.base_addr,
             subs=subs,

@@ -24,8 +24,8 @@ in two passes instead of one :class:`QueuePartition` insert per op:
 
 The result is bit-identical to the per-op path
 (``FinePackEgress.on_store``/``on_atomic``/``on_release``): the same
-messages in the same emission order, the same stat deltas in the same
-per-partition order.  :class:`~repro.core.remote_write_queue.QueuePartition`
+messages, in the same order, stamped from the same op slots.
+:class:`~repro.core.remote_write_queue.QueuePartition`
 and :class:`~repro.core.packetizer.Packetizer` stay the reference
 implementation and the path for multi-window, timeout and traced runs.
 """
@@ -33,7 +33,6 @@ implementation and the path for multi-window, timeout and traced runs.
 from __future__ import annotations
 
 from collections.abc import Collection
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -46,28 +45,6 @@ from .remote_write_queue import FlushReason
 #: Addresses and store ends must stay below this bound so that the
 #: int64 column arithmetic cannot overflow; phases beyond it decline.
 _ADDR_LIMIT = 1 << 62
-
-
-@dataclass(frozen=True)
-class PackedPhase:
-    """One phase's egress output, as :func:`pack_phase` computes it."""
-
-    #: Wire messages in emission order.
-    messages: list[WireMessage]
-    #: The op slot that stamped each message; ``-1`` marks a message
-    #: flushed by the end-of-phase release.
-    slots: list[int]
-    stores: int
-    atomics: int
-    packets: int
-    #: ``(dst, stores_in, store_hits, flushes, stores_per_packet)`` per
-    #: destination that received stores, ascending by destination.
-    #: ``stores_in`` counts line pieces (the partition's unit),
-    #: ``flushes`` holds ``(reason, count)`` pairs in the order each
-    #: reason first occurred, ``stores_per_packet`` one entry per flush.
-    partitions: list[
-        tuple[int, int, int, tuple[tuple[FlushReason, int], ...], tuple[int, ...]]
-    ]
 
 
 def _phase_events(
@@ -123,7 +100,7 @@ def _scan_destination(
     lengths: list[int],
     first_pos: int,
     config: FinePackConfig,
-) -> tuple[list[tuple[int, FlushReason, int, int]], int]:
+) -> list[tuple[int, FlushReason, int, int]]:
     """Replay one partition over its events with plain ints.
 
     ``starts``/``lengths`` are the destination's events in issue order:
@@ -131,7 +108,7 @@ def _scan_destination(
     negated size.  Returns the flush points as ``(position, reason,
     stores absorbed, window base)`` -- positions count from
     ``first_pos``, and the end-of-phase release flush sits one past the
-    last event -- and the number of tag hits.
+    last event.
     """
     entry_bytes = config.entry_bytes
     line_mask = ~(entry_bytes - 1)
@@ -150,7 +127,7 @@ def _scan_destination(
     flushes: list[tuple[int, FlushReason, int, int]] = []
     entries: dict[int, int] = {}
     # ``absorbed`` is nonzero exactly while the partition is non-empty.
-    base = base_end = cost = absorbed = hits = n_entries = 0
+    base = base_end = cost = absorbed = n_entries = 0
     pos = first_pos - 1
     for start, length in zip(starts, lengths):
         pos += 1
@@ -199,7 +176,6 @@ def _scan_destination(
             cost += length + subheader
             n_entries += 1
         else:
-            hits += 1
             new = old | spans[length] << (start - line)
             if new != old:
                 entries[line] = new
@@ -212,7 +188,7 @@ def _scan_destination(
         flushes.append(
             (first_pos + len(starts), FlushReason.RELEASE, absorbed, base)
         )
-    return flushes, hits
+    return flushes
 
 
 def _sub_runs(
@@ -281,13 +257,16 @@ def pack_phase(
     times: np.ndarray,
     is_atomic: np.ndarray,
     release_time: float,
-) -> PackedPhase | None:
+) -> tuple[tuple[int, WireMessage], ...] | None:
     """Pack one phase's op columns, ended by a release at ``release_time``.
 
     Equivalent to one ``on_store``/``on_atomic`` call per op in order,
     then ``on_release``, on a :class:`~repro.core.egress.FinePackEgress`
     whose single-window queue starts empty and has no flush timeout.
     ``destinations`` are the queue's partition keys.  Mutates nothing.
+    Returns ``(op slot, message)`` pairs in emission order: the slot
+    whose issue time stamped the message, ``-1`` for a message flushed
+    by the end-of-phase release.
 
     Returns ``None`` -- before doing any work a caller could observe --
     for a phase the per-op path would reject (a size <= 0, an atomic
@@ -322,27 +301,12 @@ def pack_phase(
     # Pass 1: flush structure, one plain-int scan per destination.
     flushes: list[tuple[int, FlushReason, int, int]] = []
     flush_dsts: list[int] = []
-    partitions = []
     for dst, lo, hi in segments:
-        dst_flushes, hits = _scan_destination(
+        dst_flushes = _scan_destination(
             ev_start[lo:hi].tolist(), ev_len[lo:hi].tolist(), lo, config
         )
         flushes.extend(dst_flushes)
         flush_dsts.extend([dst] * len(dst_flushes))
-        n_dst_pieces = int(np.count_nonzero(ev_len[lo:hi] > 0))
-        if n_dst_pieces:
-            reasons: dict[FlushReason, int] = {}
-            for _, reason, _, _ in dst_flushes:
-                reasons[reason] = reasons.get(reason, 0) + 1
-            partitions.append(
-                (
-                    dst,
-                    n_dst_pieces,
-                    hits,
-                    tuple(reasons.items()),
-                    tuple(f[2] for f in dst_flushes),
-                )
-            )
 
     # Pass 2: the packets, one per flush.
     n_flush = len(flushes)
@@ -437,11 +401,6 @@ def pack_phase(
     emit_key = 2 * np.where(pool_slots < 0, n, pool_slots)
     emit_key[n_flush:] += 1
     emit = np.argsort(emit_key, kind="stable")
-    return PackedPhase(
-        messages=[pool[i] for i in emit.tolist()],
-        slots=pool_slots[emit].tolist(),
-        stores=n - n_atomics,
-        atomics=n_atomics,
-        packets=n_flush,
-        partitions=partitions,
+    return tuple(
+        zip(pool_slots[emit].tolist(), [pool[i] for i in emit.tolist()])
     )

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import dataclasses
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from ..perf.config import scalar_mode
 from .config import FinePackConfig
@@ -81,26 +81,6 @@ class QueueEntry:
 
 
 @dataclass
-class PartitionStats:
-    stores_in: int = 0
-    store_hits: int = 0
-    flushes: dict[FlushReason, int] = field(default_factory=dict)
-    packets: int = 0
-    stores_per_packet: list[int] = field(default_factory=list)
-
-    def record_flush(self, reason: FlushReason, absorbed: int) -> None:
-        self.flushes[reason] = self.flushes.get(reason, 0) + 1
-        self.packets += 1
-        self.stores_per_packet.append(absorbed)
-
-    @property
-    def mean_stores_per_packet(self) -> float:
-        if not self.stores_per_packet:
-            return 0.0
-        return sum(self.stores_per_packet) / len(self.stores_per_packet)
-
-
-@dataclass
 class FlushedWindow:
     """The contents of one partition flush, ready for the packetizer."""
 
@@ -122,7 +102,6 @@ class QueuePartition:
         # payload budget already committed (sub-headers + data bytes).
         self._payload_cost = 0
         self._stores_absorbed = 0
-        self.stats = PartitionStats()
         # The config's derived values are computed properties; the
         # insert path touches them per store, so cache them here.
         self._entry_bytes = config.entry_bytes
@@ -210,8 +189,6 @@ class QueuePartition:
         self, addr: int, size: int, data: bytes | None
     ) -> list[FlushedWindow]:
         flushes: list[FlushedWindow] = []
-        self.stats.stores_in += 1
-
         base = self.base_addr
         if base is not None:
             in_window = base <= addr < base + self._window_bytes
@@ -236,8 +213,6 @@ class QueuePartition:
         if entry is None:
             entry = QueueEntry(line_addr=line)
             self._entries[line] = entry
-        else:
-            self.stats.store_hits += 1
 
         old_cost = self._entry_cost(entry) if entry.mask else 0
         span_mask = ((1 << size) - 1) << off
@@ -259,7 +234,6 @@ class QueuePartition:
             stores_absorbed=self._stores_absorbed,
             reason=reason,
         )
-        self.stats.record_flush(reason, self._stores_absorbed)
         self.base_addr = None
         self._entries = {}
         self._payload_cost = 0
@@ -302,7 +276,6 @@ class MultiWindowPartition:
         self._subs = [QueuePartition(sub_config, dst) for _ in range(windows)]
         self._lru: list[int] = list(range(windows))
         self._window_bytes = config.window_bytes
-        self.stats = PartitionStats()
 
     @property
     def empty(self) -> bool:
@@ -318,10 +291,6 @@ class MultiWindowPartition:
     def _touch(self, idx: int) -> None:
         self._lru.remove(idx)
         self._lru.append(idx)
-
-    def _absorb_stats(self) -> None:
-        self.stats.stores_in = sum(s.stats.stores_in for s in self._subs)
-        self.stats.store_hits = sum(s.stats.store_hits for s in self._subs)
 
     def insert(
         self, addr: int, size: int, data: bytes | None = None
@@ -340,9 +309,6 @@ class MultiWindowPartition:
             piece = None if data is None else data[pos : pos + chunk]
             flushes.extend(self._insert_in_window(addr + pos, chunk, piece))
             pos += chunk
-        for w in flushes:
-            self.stats.record_flush(w.reason, w.stores_absorbed)
-        self._absorb_stats()
         return flushes
 
     def _insert_in_window(
@@ -378,8 +344,6 @@ class MultiWindowPartition:
             window = sub.flush(reason)
             if window is not None:
                 out.append(window)
-                self.stats.record_flush(window.reason, window.stores_absorbed)
-        self._absorb_stats()
         return out
 
     def matches_load(self, addr: int, size: int) -> bool:

@@ -22,7 +22,7 @@ import numpy as np
 
 from ..faults.state import LinkFaultState
 from .flowcontrol import CreditPool
-from .message import KINDS_BY_CODE, MessageKind, WireMessage
+from .message import WireMessage
 
 #: DLL replay cap: a packet corrupted this many times in a row stops
 #: being retried (the real DLL would retrain the link instead).  Hitting
@@ -37,8 +37,6 @@ class LinkStats:
     messages: int = 0
     payload_bytes: int = 0
     overhead_bytes: int = 0
-    stores_packed: int = 0
-    by_kind: dict[MessageKind, int] = field(default_factory=dict)
     busy_time_ns: float = 0.0
     #: DLL replays triggered by injected CRC errors, and the wire bytes
     #: the retransmissions consumed (not counted in ``wire_bytes``).
@@ -67,8 +65,6 @@ class LinkStats:
         self.messages += 1
         self.payload_bytes += msg.payload_bytes
         self.overhead_bytes += msg.overhead_bytes
-        self.stores_packed += msg.stores_packed
-        self.by_kind[msg.kind] = self.by_kind.get(msg.kind, 0) + 1
         self.busy_time_ns += duration_ns
 
     def fault_summary(self) -> dict[str, float]:
@@ -253,8 +249,6 @@ class Link:
         wire_bytes: np.ndarray,
         payload: np.ndarray,
         overhead: np.ndarray,
-        stores_packed: np.ndarray,
-        kinds: np.ndarray,
     ) -> np.ndarray:
         """Batched :meth:`transmit` for the fault-free, uncredited case.
 
@@ -294,13 +288,6 @@ class Link:
         st.messages += int(ready.size)
         st.payload_bytes += int(payload.sum())
         st.overhead_bytes += int(overhead.sum())
-        st.stores_packed += int(stores_packed.sum())
-        codes, first_seen, counts = np.unique(
-            kinds, return_index=True, return_counts=True
-        )
-        for j in np.argsort(first_seen, kind="stable").tolist():
-            kind = KINDS_BY_CODE[int(codes[j])]
-            st.by_kind[kind] = st.by_kind.get(kind, 0) + int(counts[j])
         return ends + self.propagation_ns
 
     def reset(self) -> None:

@@ -186,10 +186,7 @@ class Topology:
             total.messages += stats.messages
             total.payload_bytes += stats.payload_bytes
             total.overhead_bytes += stats.overhead_bytes
-            total.stores_packed += stats.stores_packed
             total.busy_time_ns += stats.busy_time_ns
-            for kind, count in stats.by_kind.items():
-                total.by_kind[kind] = total.by_kind.get(kind, 0) + count
         return total
 
     def all_stats(self) -> dict[tuple[str, str], LinkStats]:

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..interconnect.message import KIND_CODES, KINDS_BY_CODE, MessageKind, WireMessage
+from ..interconnect.message import KIND_CODES, MessageKind, WireMessage
 
 STORE_CODE = KIND_CODES[MessageKind.STORE]
 ATOMIC_CODE = KIND_CODES[MessageKind.ATOMIC]
@@ -69,32 +69,6 @@ class MessageBatch:
     @property
     def wire(self) -> np.ndarray:
         return self.payload + self.overhead
-
-    def to_messages(self) -> list[WireMessage]:
-        """Materialize the equivalent scalar :class:`WireMessage` list."""
-        src = self.src
-        return [
-            WireMessage(
-                src=src,
-                dst=d,
-                payload_bytes=p,
-                overhead_bytes=o,
-                kind=KINDS_BY_CODE[k],
-                issue_time=t,
-                stores_packed=n,
-                meta={"range1": (a, ln)},
-            )
-            for d, p, o, k, t, n, a, ln in zip(
-                self.dst.tolist(),
-                self.payload.tolist(),
-                self.overhead.tolist(),
-                self.kind.tolist(),
-                self.issue.tolist(),
-                self.packed.tolist(),
-                self.starts.tolist(),
-                self.lengths.tolist(),
-            )
-        ]
 
 
 def arrays_from_messages(

@@ -52,7 +52,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .batch import FINEPACK_CODE, KINDS_BY_CODE, PACKED_KIND_CODES
+from ..interconnect.message import KINDS_BY_CODE
+from .batch import FINEPACK_CODE, PACKED_KIND_CODES
 
 Edge = tuple[str, str]
 
@@ -158,8 +159,6 @@ def transmit_flat(
     wire: np.ndarray,
     payload: np.ndarray,
     overhead: np.ndarray,
-    packed: np.ndarray,
-    kinds: np.ndarray,
 ) -> np.ndarray:
     """Serialize pre-sorted messages through the fabric; returns
     delivery times aligned with the inputs.
@@ -205,12 +204,7 @@ def transmit_flat(
             # the order the scalar engine calls this link in.
             idx = np.sort(np.concatenate([p[0] for p in parts]))
         ready[idx] = topology.links[edge].transmit_batch(
-            ready[idx],
-            wire[idx],
-            payload[idx],
-            overhead[idx],
-            packed[idx],
-            kinds[idx],
+            ready[idx], wire[idx], payload[idx], overhead[idx]
         )
     return ready
 

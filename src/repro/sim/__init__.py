@@ -13,7 +13,7 @@ from .metrics import (
 from .replay import EventReplaySession, ReplayError, ReplayReport, phase_events
 from .timeline import render_comparison, render_timeline
 from .validation import ValidationError, ValidationReport, validate
-from .gps import SubscriptionStats, SubscriptionTable
+from .gps import SubscriptionTable
 from .paradigms import (
     PARADIGMS,
     BulkDMAParadigm,
@@ -52,7 +52,6 @@ __all__ = [
     "P2PStoreParadigm",
     "Paradigm",
     "SlicedDMAParadigm",
-    "SubscriptionStats",
     "SubscriptionTable",
     "WriteCombiningParadigm",
     "make_paradigm",

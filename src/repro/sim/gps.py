@@ -24,17 +24,6 @@ from ..trace.intervals import IntervalSet
 
 
 @dataclass
-class SubscriptionStats:
-    stores_seen: int = 0
-    stores_elided: int = 0
-    pages_unsubscribed: int = 0
-
-    @property
-    def elision_rate(self) -> float:
-        return self.stores_elided / self.stores_seen if self.stores_seen else 0.0
-
-
-@dataclass
 class SubscriptionTable:
     """Per-destination page subscription state for one producer GPU.
 
@@ -48,7 +37,6 @@ class SubscriptionTable:
     _unsubscribed: dict[int, set[int]] = field(default_factory=dict)
     #: Pages written to each destination during the current epoch.
     _written: dict[int, set[int]] = field(default_factory=dict)
-    stats: SubscriptionStats = field(default_factory=SubscriptionStats)
 
     def __post_init__(self) -> None:
         if self.page_bytes & (self.page_bytes - 1):
@@ -63,7 +51,6 @@ class SubscriptionTable:
         this epoch's learning step.
         """
         keep = np.ones(addrs.size, dtype=bool)
-        self.stats.stores_seen += int(addrs.size)
         pages = addrs // self.page_bytes
         for dst in np.unique(dsts).tolist():
             idx = np.flatnonzero(dsts == dst)
@@ -76,7 +63,6 @@ class SubscriptionTable:
                 idx = idx[~drop]
             written = self._written.setdefault(dst, set())
             written.update(int(p) for p in np.unique(pages[idx]))
-        self.stats.stores_elided += int((~keep).sum())
         return keep
 
     def learn_epoch(self, consumer_reads: dict[int, IntervalSet]) -> None:
@@ -90,12 +76,7 @@ class SubscriptionTable:
                         range(s // self.page_bytes, (e - 1) // self.page_bytes + 1)
                     )
             dead = self._unsubscribed.setdefault(dst, set())
-            newly_dead = written - read_pages
-            self.stats.pages_unsubscribed += len(newly_dead - dead)
-            dead |= newly_dead
+            dead |= written - read_pages
             # Pages read this epoch resubscribe.
             dead -= read_pages
         self._written.clear()
-
-    def is_subscribed(self, dst: int, addr: int) -> bool:
-        return addr // self.page_bytes not in self._unsubscribed.get(dst, set())

@@ -430,8 +430,6 @@ class MultiGPUSystem:
             payload + overhead,
             payload,
             overhead,
-            packed,
-            kinds,
         )
         if prof is not None:
             prof.end()

@@ -14,7 +14,6 @@ import abc
 import numpy as np
 
 from ..gpu.coalescer import coalesce_stream
-from ..gpu.memory import MemorySpace, ReplicatedBuffer
 from ..trace.columns import (
     DEFAULT_CHUNK_OPS,
     ColumnBlockBuilder,
@@ -181,9 +180,3 @@ def element_intervals(
 def contiguous_interval(base: int, nbytes: int) -> IntervalSet:
     return IntervalSet.from_ranges([base], [nbytes])
 
-
-def replicate(
-    memory: MemorySpace, name: str, nbytes: int
-) -> ReplicatedBuffer:
-    """Allocate one replica of a buffer on every GPU."""
-    return memory.alloc_replicated(name, nbytes)

@@ -33,10 +33,11 @@ class TestPassthrough:
 
     def test_stats(self, protocol):
         eg = PassthroughEgress(protocol, src=0)
-        eg.on_store(BASE, 8, 1, 0.0)
-        eg.on_store(BASE, 8, 1, 0.0)
-        assert eg.stats.stores_in == 2
-        assert eg.stats.stores_per_message() == 1.0
+        msgs = eg.on_store(BASE, 8, 1, 0.0) + eg.on_store(BASE, 8, 1, 0.0)
+        assert [(m.kind, m.stores_packed) for m in msgs] == [
+            (MessageKind.STORE, 1),
+            (MessageKind.STORE, 1),
+        ]
 
 
 class TestWriteCombining:

@@ -13,7 +13,9 @@ from repro.core.remote_write_queue import (
     MultiWindowPartition,
     RemoteWriteQueue,
 )
+from repro.interconnect.message import MessageKind
 from repro.interconnect.nvlink import NVLinkProtocol
+from repro.obs import Tracer
 
 BASE = 1 << 34
 
@@ -44,10 +46,13 @@ class TestTimeoutFlush:
         eg = FinePackEgress(
             config, protocol, src=0, n_gpus=2, flush_timeout_ns=100.0
         )
+        eg.tracer = Tracer(check_invariants=False)
         eg.on_store(BASE, 8, 1, time=0.0)
-        eg.on_store(BASE + 128, 8, 1, time=10_000.0)
-        stats = eg.queue.partition(1).stats
-        assert stats.flushes.get(FlushReason.TIMEOUT) == 1
+        msgs = eg.on_store(BASE + 128, 8, 1, time=10_000.0)
+        assert eg.tracer.counters.snapshot()["rwq_flushes:timeout"] == 1
+        assert [(m.kind, m.issue_time) for m in msgs] == [
+            (MessageKind.FINEPACK, 100.0)
+        ]
 
     def test_disabled_by_default(self, config, protocol):
         eg = FinePackEgress(config, protocol, src=0, n_gpus=2)

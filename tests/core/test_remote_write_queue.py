@@ -47,7 +47,9 @@ class TestPartitionBasics:
         part.insert(BASE, 8)
         part.insert(BASE, 8)
         assert part.entry_count == 1
-        assert part.stats.store_hits == 1
+        window = part.flush(FlushReason.RELEASE)
+        assert window.stores_absorbed == 2
+        assert [e.runs(128) for e in window.entries] == [[(0, 8)]]
 
     def test_same_line_different_bytes_merge(self, part):
         part.insert(BASE, 8)

@@ -48,8 +48,6 @@ class TestStats:
         assert s.messages == 2
         assert s.payload_bytes == 128
         assert s.overhead_bytes == 64
-        assert s.stores_packed == 11
-        assert s.by_kind[MessageKind.FINEPACK] == 1
         assert s.wire_bytes == 192
         assert s.goodput == pytest.approx(128 / 192)
 

@@ -142,14 +142,11 @@ class TestTransmitBatch:
         seq = [a.transmit(m, m.issue_time)[1] for m in msgs]
 
         b = Link("b", bytes_per_ns=2.0)
-        _, _, payload, overhead, kind, issue, packed = arrays_from_messages(msgs)
-        deliveries = b.transmit_batch(
-            issue, payload + overhead, payload, overhead, packed, kind
-        )
+        _, _, payload, overhead, _, issue, _ = arrays_from_messages(msgs)
+        deliveries = b.transmit_batch(issue, payload + overhead, payload, overhead)
         assert deliveries.tolist() == seq
         assert b.busy_until == a.busy_until
         assert b.stats == a.stats
-        assert list(b.stats.by_kind) == list(a.stats.by_kind)
 
     def test_rejects_stateful_links(self):
         link = Link("c", bytes_per_ns=2.0, credits=CreditPool())
@@ -159,8 +156,6 @@ class TestTransmitBatch:
                 np.ones(1),
                 np.ones(1, dtype=np.int64),
                 np.zeros(1, dtype=np.int64),
-                np.ones(1, dtype=np.int64),
-                np.zeros(1, dtype=np.uint8),
             )
 
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.interconnect.message import KIND_CODES, MessageKind, WireMessage
+from repro.interconnect.message import MessageKind, WireMessage
 from repro.interconnect.topology import fat_tree, switched_mesh, two_level_tree
 from repro.perf.transport import TransportPlan, build_plan, transmit_flat
 
@@ -60,8 +60,6 @@ def _scalar_deliveries(topology, src, dst, issue, payload, overhead):
 def test_transmit_flat_matches_scalar_routing(factory, kwargs):
     n_gpus = kwargs["n_gpus"]
     src, dst, issue, payload, overhead = _random_stream(n_gpus, 400, seed=11)
-    kinds = np.full(issue.size, KIND_CODES[MessageKind.STORE], dtype=np.uint8)
-    packed = np.ones(issue.size, dtype=np.int64)
 
     batch_topo = factory(**kwargs)
     plan = build_plan(batch_topo)
@@ -75,8 +73,6 @@ def test_transmit_flat_matches_scalar_routing(factory, kwargs):
         payload + overhead,
         payload,
         overhead,
-        packed,
-        kinds,
     )
 
     scalar_topo = factory(**kwargs)
