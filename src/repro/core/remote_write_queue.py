@@ -121,10 +121,6 @@ class QueuePartition:
     def entry_count(self) -> int:
         return len(self._entries)
 
-    def pending_bytes(self) -> int:
-        """Valid (pending) data bytes currently buffered."""
-        return sum(e.enabled_bytes() for e in self._entries.values())
-
     @property
     def available_payload(self) -> int:
         """Remaining payload budget (max payload minus committed cost)."""
@@ -285,9 +281,6 @@ class MultiWindowPartition:
     def entry_count(self) -> int:
         return sum(s.entry_count for s in self._subs)
 
-    def pending_bytes(self) -> int:
-        return sum(s.pending_bytes() for s in self._subs)
-
     def _touch(self, idx: int) -> None:
         self._lru.remove(idx)
         self._lru.append(idx)
@@ -430,10 +423,6 @@ class RemoteWriteQueue:
     def pending_entries(self) -> int:
         """Occupied entries across all partitions (observability hook)."""
         return sum(p.entry_count for p in self.partitions.values())
-
-    def pending_bytes(self) -> int:
-        """Buffered data bytes across all partitions (observability hook)."""
-        return sum(p.pending_bytes() for p in self.partitions.values())
 
     def total_sram_data_bytes(self) -> int:
         return len(self.partitions) * self.config.partition_data_bytes

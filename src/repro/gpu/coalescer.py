@@ -75,35 +75,35 @@ def coalesce_stream(
     vstart = addrs + warp * _WARP_STRIDE
     vend = vstart + sizes
 
-    order = np.argsort(vstart, kind="stable")
-    vstart, vend = vstart[order], vend[order]
+    # Warps occupy ascending slices of the virtual space, so a stream
+    # whose stores ascend within each warp is already sorted.
+    if not (vstart[1:] >= vstart[:-1]).all():
+        order = np.argsort(vstart, kind="stable")
+        vstart, vend = vstart[order], vend[order]
 
     # Merge overlapping/adjacent intervals: a new run begins wherever the
-    # interval start exceeds the running maximum of previous ends.
+    # interval start exceeds the running maximum of previous ends.  Every
+    # earlier run ended before a run starts, so the running maximum at a
+    # run's last interval is that run's end.
     running_end = np.maximum.accumulate(vend)
-    new_run = np.empty(vstart.size, dtype=bool)
-    new_run[0] = True
-    np.greater(vstart[1:], running_end[:-1], out=new_run[1:])
-    run_id = np.cumsum(new_run) - 1
-    n_runs = run_id[-1] + 1
-    run_start = vstart[new_run]
-    run_end = np.zeros(n_runs, dtype=np.int64)
-    np.maximum.at(run_end, run_id, vend)
+    new_run = np.empty(vstart.size + 1, dtype=bool)
+    new_run[0] = new_run[-1] = True
+    np.greater(vstart[1:], running_end[:-1], out=new_run[1:-1])
+    run_start = vstart[new_run[:-1]]
+    run_end = running_end[new_run[1:]]
 
     # Split each merged run at 128 B line boundaries.  _WARP_STRIDE is a
     # multiple of LINE_BYTES so line boundaries are warp-consistent.
     first_line = run_start // LINE_BYTES
-    last_line = (run_end - 1) // LINE_BYTES
-    pieces = (last_line - first_line + 1).astype(np.int64)
-    total = int(pieces.sum())
-    run_of_piece = np.repeat(np.arange(n_runs), pieces)
-    # Index of each piece within its run.
-    offsets = np.concatenate(([0], np.cumsum(pieces)[:-1]))
-    piece_idx = np.arange(total) - offsets[run_of_piece]
-
-    line_base = (first_line[run_of_piece] + piece_idx) * LINE_BYTES
-    tx_start = np.maximum(run_start[run_of_piece], line_base)
-    tx_end = np.minimum(run_end[run_of_piece], line_base + LINE_BYTES)
+    pieces = (run_end - 1) // LINE_BYTES - first_line + 1
+    # Line of each piece: its run's first line plus its index in the run.
+    piece_ends = np.cumsum(pieces)
+    line = np.arange(int(piece_ends[-1])) + np.repeat(
+        first_line - (piece_ends - pieces), pieces
+    )
+    line_base = line * LINE_BYTES
+    tx_start = np.maximum(np.repeat(run_start, pieces), line_base)
+    tx_end = np.minimum(np.repeat(run_end, pieces), line_base + LINE_BYTES)
 
     txn_warp = tx_start // _WARP_STRIDE
     txn_addrs = tx_start - txn_warp * _WARP_STRIDE

@@ -53,6 +53,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..interconnect.message import KINDS_BY_CODE
+from ..trace.ids import stable_argsort
 from .batch import FINEPACK_CODE, PACKED_KIND_CODES
 
 Edge = tuple[str, str]
@@ -177,15 +178,23 @@ def transmit_flat(
         # Match Topology.route's contract for self-traffic.
         raise ValueError("local traffic must not enter the interconnect")
     n_gpus = topology.n_gpus
+    n_keys = n_gpus * n_gpus
     keys = src * n_gpus + dst
+    # Messages grouped by (src, dst) pair, ascending within each group:
+    # one stable sort, then each pair is a slice of it.
+    by_pair = stable_argsort(keys, n_keys)
+    ends = np.cumsum(np.bincount(keys, minlength=n_keys)).tolist()
     # Per-link segments: (indices, hop position on that route).  A
     # message crosses a given link at most once (routes are simple
     # paths), so the merged indices below are unique.
     by_link: dict[Edge, list[tuple[np.ndarray, int]]] = {}
-    for key in np.unique(keys).tolist():
-        s, d = divmod(key, n_gpus)
-        idx = np.flatnonzero(keys == key)
-        for hop, edge in enumerate(plan.routes[(s, d)]):
+    start = 0
+    for key, end in enumerate(ends):
+        if end == start:
+            continue
+        idx = by_pair[start:end]
+        start = end
+        for hop, edge in enumerate(plan.routes[divmod(key, n_gpus)]):
             by_link.setdefault(edge, []).append((idx, hop))
     forwarding = topology.forwarding_ns
     for edge in plan.link_order:

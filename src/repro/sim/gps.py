@@ -20,6 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ..trace.ids import unique_ints
 from ..trace.intervals import IntervalSet
 
 
@@ -52,7 +53,7 @@ class SubscriptionTable:
         """
         keep = np.ones(addrs.size, dtype=bool)
         pages = addrs // self.page_bytes
-        for dst in np.unique(dsts).tolist():
+        for dst in np.flatnonzero(np.bincount(dsts)).tolist():
             idx = np.flatnonzero(dsts == dst)
             dead = self._unsubscribed.get(dst)
             if dead:
@@ -62,7 +63,7 @@ class SubscriptionTable:
                 keep[idx[drop]] = False
                 idx = idx[~drop]
             written = self._written.setdefault(dst, set())
-            written.update(int(p) for p in np.unique(pages[idx]))
+            written.update(unique_ints(pages[idx]).tolist())
         return keep
 
     def learn_epoch(self, consumer_reads: dict[int, IntervalSet]) -> None:

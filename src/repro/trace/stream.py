@@ -105,7 +105,7 @@ class RemoteStoreBatch:
         )
 
     def destinations(self) -> list[int]:
-        return sorted(int(d) for d in np.unique(self.dsts)) if self.count else []
+        return np.flatnonzero(np.bincount(self.dsts)).tolist()
 
     def footprint(self) -> IntervalSet:
         """Union of all bytes stored (the final-value byte set)."""

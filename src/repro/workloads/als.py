@@ -23,7 +23,7 @@ import numpy as np
 
 from ..gpu.compute import KernelWork
 from ..gpu.memory import MemorySpace
-from ..trace.intervals import IntervalSet
+from ..trace.ids import unique_ints
 from ..trace.stream import (
     DMATransfer,
     KernelPhase,
@@ -31,7 +31,7 @@ from ..trace.stream import (
 )
 from ..registry import workloads as _registry
 from .base import MultiGPUWorkload, element_intervals, push_elements
-from .datasets import bipartite_ratings, owner_of_vertex, partition_bounds
+from .datasets import bipartite_ratings, partition_bounds
 
 
 @_registry.register("als")
@@ -71,20 +71,20 @@ class ALSWorkload(MultiGPUWorkload):
 
         k = self.rank
         fb = self.factor_bytes
-        item_owner_of_rating = owner_of_vertex(
-            np.repeat(np.arange(self.n_items), np.diff(ratings.item_indptr)),
-            ibounds,
-        )
-        user_owner_of_rating = owner_of_vertex(
-            np.repeat(np.arange(self.n_users), np.diff(ratings.user_indptr)),
-            ubounds,
-        )
+        # Ratings are stored by user and by item, so the ratings of the
+        # rows a GPU owns are one contiguous run in each order.
+        user_cuts = ratings.user_indptr[ubounds]
+        item_cuts = ratings.item_indptr[ibounds]
         users_needed_by = {
-            g: np.unique(ratings.user_ids[item_owner_of_rating == g])
+            g: unique_ints(
+                ratings.user_ids[item_cuts[g] : item_cuts[g + 1]], self.n_users
+            )
             for g in range(n_gpus)
         }
         items_needed_by = {
-            g: np.unique(ratings.item_ids[user_owner_of_rating == g])
+            g: unique_ints(
+                ratings.item_ids[user_cuts[g] : user_cuts[g + 1]], self.n_items
+            )
             for g in range(n_gpus)
         }
 
@@ -93,18 +93,16 @@ class ALSWorkload(MultiGPUWorkload):
         def sub_iteration(user_phase: bool) -> list[KernelPhase]:
             """One ALS half-step: solve users (or items), broadcast."""
             if user_phase:
-                bounds, buf = ubounds, ufac
-                ratings_of = user_owner_of_rating
+                bounds, buf, cuts = ubounds, ufac, user_cuts
                 indptr = ratings.user_indptr
             else:
-                bounds, buf = ibounds, ifac
-                ratings_of = item_owner_of_rating
+                bounds, buf, cuts = ibounds, ifac, item_cuts
                 indptr = ratings.item_indptr
             phases = []
             for g in range(n_gpus):
                 lo, hi = int(bounds[g]), int(bounds[g + 1])
                 owned = hi - lo
-                n_ratings = int((ratings_of == g).sum())
+                n_ratings = int(cuts[g + 1] - cuts[g])
                 work = KernelWork(
                     # Normal-equation assembly (k^2 per rating) plus the
                     # k x k solve per factor.

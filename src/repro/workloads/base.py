@@ -144,7 +144,8 @@ def push_elements(
     sizes = np.full(element_ids.size, elem_bytes, dtype=np.int64)
     tx_addrs, tx_sizes, _ = coalesce_stream(addrs, sizes, warp_size=warp_size)
     dsts = np.full(tx_addrs.size, dst_gpu, dtype=np.int64)
-    return RemoteStoreBatch(tx_addrs, tx_sizes, dsts)
+    # The coalescer returns int64 transactions of positive size.
+    return RemoteStoreBatch.trusted(tx_addrs, tx_sizes, dsts)
 
 
 def interleave(element_ids: np.ndarray, ways: int = 32) -> np.ndarray:

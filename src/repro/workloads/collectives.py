@@ -30,7 +30,8 @@ tested at scale.
 from __future__ import annotations
 
 import abc
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -117,32 +118,45 @@ class CollectiveSchedule:
 
     @property
     def n_steps(self) -> int:
-        return max((t.step for t in self.transfers), default=-1) + 1
+        # Transfers are step-ordered (checked above).
+        return self.transfers[-1].step + 1 if self.transfers else 0
+
+    @cached_property
+    def _by_rank_step(self) -> dict[str, dict[tuple[int, int], list]]:
+        """Transfers grouped by (sender, step) under ``"src"`` and by
+        (receiver, step) under ``"dst"``, in schedule order: built once,
+        so the trace lowering's per-(rank, step) queries do not rescan
+        every transfer."""
+        by: dict[str, dict[tuple[int, int], list]] = {"src": {}, "dst": {}}
+        for t in self.transfers:
+            by["src"].setdefault((t.src, t.step), []).append(t)
+            by["dst"].setdefault((t.dst, t.step), []).append(t)
+        return by
+
+    def _matching(self, side: str, rank: int | None, step: int | None):
+        """Transfers whose ``side`` rank is ``rank`` at ``step`` (each
+        ``None`` for all)."""
+        by = self._by_rank_step[side]
+        ranks = range(self.n_ranks) if rank is None else (rank,)
+        steps = range(self.n_steps) if step is None else (step,)
+        for r in ranks:
+            for s in steps:
+                yield from by.get((r, s), ())
 
     def outgoing(self, rank: int, step: int) -> list[CollectiveTransfer]:
-        return [t for t in self.transfers if t.src == rank and t.step == step]
+        return list(self._matching("src", rank, step))
 
     def incoming(self, rank: int, step: int) -> list[CollectiveTransfer]:
-        return [t for t in self.transfers if t.dst == rank and t.step == step]
+        return list(self._matching("dst", rank, step))
 
     def sent_bytes(self, rank: int | None = None, step: int | None = None) -> int:
         """Total bytes sent, optionally filtered by rank and/or step."""
-        return sum(
-            t.nbytes
-            for t in self.transfers
-            if (rank is None or t.src == rank)
-            and (step is None or t.step == step)
-        )
+        return sum(t.nbytes for t in self._matching("src", rank, step))
 
     def received_bytes(
         self, rank: int | None = None, step: int | None = None
     ) -> int:
-        return sum(
-            t.nbytes
-            for t in self.transfers
-            if (rank is None or t.dst == rank)
-            and (step is None or t.step == step)
-        )
+        return sum(t.nbytes for t in self._matching("dst", rank, step))
 
     def total_bytes(self) -> int:
         return sum(t.nbytes for t in self.transfers)

@@ -23,6 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..trace.ids import stable_argsort, unique_ints
+
 
 @dataclass(frozen=True)
 class Graph:
@@ -47,12 +49,11 @@ class Graph:
 
 
 def _to_csr(n: int, src: np.ndarray, dst: np.ndarray) -> Graph:
-    order = np.argsort(src, kind="stable")
-    src, dst = src[order], dst[order]
+    """CSR of edges whose ``src`` column is already ascending (every
+    caller builds it from ``np.repeat`` over ``arange`` or a sort)."""
     indptr = np.zeros(n + 1, dtype=np.int64)
-    np.add.at(indptr, src + 1, 1)
-    np.cumsum(indptr, out=indptr)
-    return Graph(n=n, indptr=indptr, dst=dst.astype(np.int64))
+    np.cumsum(np.bincount(src, minlength=n), out=indptr[1:])
+    return Graph(n=n, indptr=indptr, dst=dst.astype(np.int64, copy=False))
 
 
 def banded_matrix(
@@ -124,30 +125,25 @@ def bipartite_ratings(
     if min(n_users, n_items, avg_ratings) <= 0:
         raise ValueError("all dimensions must be positive")
     rng = np.random.default_rng(seed)
-    users = np.repeat(np.arange(n_users, dtype=np.int64), avg_ratings)
+    # Rating r belongs to user r // avg_ratings: the by-user (CSR)
+    # order is generation order.
+    n_ratings = n_users * avg_ratings
     # Mild skew: squared-uniform concentrates ratings on popular items.
-    items = np.floor(n_items * rng.random(users.size) ** 1.5).astype(np.int64)
+    items = np.floor(n_items * rng.random(n_ratings) ** 1.5).astype(np.int64)
     items = np.clip(items, 0, n_items - 1)
+    user_indptr = np.arange(n_users + 1, dtype=np.int64) * avg_ratings
 
-    order = np.argsort(users, kind="stable")
-    user_indptr = np.zeros(n_users + 1, dtype=np.int64)
-    np.add.at(user_indptr, users + 1, 1)
-    np.cumsum(user_indptr, out=user_indptr)
-    item_ids = items[order]
-
-    order_i = np.argsort(items, kind="stable")
+    by_item = stable_argsort(items, n_items)
     item_indptr = np.zeros(n_items + 1, dtype=np.int64)
-    np.add.at(item_indptr, items + 1, 1)
-    np.cumsum(item_indptr, out=item_indptr)
-    user_ids = users[order_i]
+    np.cumsum(np.bincount(items, minlength=n_items), out=item_indptr[1:])
 
     return RatingMatrix(
         n_users=n_users,
         n_items=n_items,
         user_indptr=user_indptr,
-        item_ids=item_ids,
+        item_ids=items,
         item_indptr=item_indptr,
-        user_ids=user_ids,
+        user_ids=by_item // avg_ratings,
     )
 
 
@@ -163,7 +159,7 @@ def dedup_edges(
     src = np.repeat(np.arange(graph.n), graph.out_degree())
     key = src * graph.n + graph.dst
     if weights is None:
-        uniq = np.unique(key)
+        uniq = unique_ints(key)
         new_src = (uniq // graph.n).astype(np.int64)
         new_dst = (uniq % graph.n).astype(np.int64)
         return _to_csr(graph.n, new_src, new_dst), None
@@ -171,16 +167,10 @@ def dedup_edges(
     key_sorted = key[order]
     first = np.ones(key_sorted.size, dtype=bool)
     first[1:] = key_sorted[1:] != key_sorted[:-1]
-    kept = order[first]  # per key, the minimum weight comes first
-    new_src = src[kept]
-    new_dst = graph.dst[kept]
-    new_w = weights[kept]
-    # _to_csr re-sorts by src (stable), keeping weights aligned.
-    sort2 = np.argsort(new_src, kind="stable")
-    return (
-        _to_csr(graph.n, new_src[sort2], new_dst[sort2]),
-        new_w[sort2],
-    )
+    # Per key the minimum weight comes first, and keys ascend, so the
+    # kept edges are already in CSR (ascending src) order.
+    kept = order[first]
+    return _to_csr(graph.n, src[kept], graph.dst[kept]), weights[kept]
 
 
 def partition_bounds(n: int, n_parts: int) -> np.ndarray:

@@ -26,6 +26,7 @@ import numpy as np
 
 from ..gpu.compute import KernelWork
 from ..gpu.memory import MemorySpace
+from ..trace.ids import unique_ints
 from ..trace.intervals import IntervalSet
 from ..trace.stream import (
     DMATransfer,
@@ -78,9 +79,9 @@ class PagerankWorkload(MultiGPUWorkload):
         out_deg = np.maximum(graph.out_degree(), 1)
         src = np.repeat(np.arange(n), graph.out_degree())
         for _ in range(iterations):
-            contrib = x[src] / out_deg[src]
-            y = np.zeros(n)
-            np.add.at(y, graph.dst, contrib)
+            contrib = (x / out_deg)[src]
+            # bincount adds the weights in edge order, like np.add.at.
+            y = np.bincount(graph.dst, weights=contrib, minlength=n)
             x = self.damping * y + (1 - self.damping) / n
         return x
 
@@ -95,14 +96,15 @@ class PagerankWorkload(MultiGPUWorkload):
         # u pushes x[u] to the owner of v, once per out-edge, in CSR
         # (ascending u) order.
         src = np.repeat(np.arange(self.n), graph.out_degree())
-        producer = owner_of_vertex(src, bounds)
         consumer = owner_of_vertex(graph.dst, bounds)
-        cross = producer != consumer
+        # CSR order makes each producer's out-edges one contiguous slice.
+        edge_bounds = graph.indptr[bounds]
 
         phases: list[KernelPhase] = []
-        edges_per_consumer = np.zeros(n_gpus, dtype=np.int64)
-        np.add.at(edges_per_consumer, consumer, 1)
+        edges_per_consumer = np.bincount(consumer, minlength=n_gpus)
         for g in range(n_gpus):
+            lo, hi = edge_bounds[g], edge_bounds[g + 1]
+            src_g, dst_g, consumer_g = src[lo:hi], graph.dst[lo:hi], consumer[lo:hi]
             owned = int(bounds[g + 1] - bounds[g])
             e_g = int(edges_per_consumer[g])
             work = KernelWork(
@@ -121,20 +123,20 @@ class PagerankWorkload(MultiGPUWorkload):
             for d in range(n_gpus):
                 if d == g:
                     continue
-                mask = cross & (producer == g) & (consumer == d)
+                mask = consumer_g == d
                 # Per-edge pushes, duplicates included; dynamic CTA
                 # scheduling interleaves many blocks' streams, so
                 # neighbouring vertices neither coalesce in the L1 nor
                 # arrive window-adjacent at the remote write queue.
                 if pushed_atomics is None:
-                    pushed = interleave(src[mask], ways=256)
+                    pushed = interleave(src_g[mask], ways=256)
                     if pushed.size == 0:
                         continue
                     batches.append(push_elements(pushed, 8, d, xbuf.replicas[d]))
                 else:
                     # Atomic port: contributions accumulate into the
                     # consumer's copy per destination vertex.
-                    targets = interleave(graph.dst[mask], ways=256)
+                    targets = interleave(dst_g[mask], ways=256)
                     if targets.size == 0:
                         continue
                     pushed_atomics.append(
@@ -157,10 +159,12 @@ class PagerankWorkload(MultiGPUWorkload):
                     [xbuf.replicas[g] + int(bounds[g]) * 8], [owned * 8]
                 )
             else:
-                reads = IntervalSet.empty()
-                referenced = np.unique(src[cross & (consumer == g)])
-                if referenced.size:
-                    reads = element_intervals(referenced, 8, xbuf.replicas[g])
+                # The remote ranks this GPU's rows reference.
+                into_g = src[consumer == g]
+                referenced = unique_ints(
+                    into_g[owner_of_vertex(into_g, bounds) != g], self.n
+                )
+                reads = element_intervals(referenced, 8, xbuf.replicas[g])
             phases.append(
                 KernelPhase(
                     gpu=g,

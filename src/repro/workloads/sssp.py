@@ -24,6 +24,7 @@ import numpy as np
 
 from ..gpu.compute import KernelWork
 from ..gpu.memory import MemorySpace
+from ..trace.ids import unique_ints
 from ..trace.intervals import IntervalSet
 from ..trace.stream import (
     DMATransfer,
@@ -66,23 +67,47 @@ class SSSPWorkload(MultiGPUWorkload):
         # consumer of u, the owner of u the producer.
         src = np.repeat(np.arange(self.n), graph.out_degree())
         bounds = partition_bounds(self.n, n_gpus)
-        producer = owner_of_vertex(src, bounds)
         consumer = owner_of_vertex(graph.dst, bounds)
-        cross = producer != consumer
 
         memory = MemorySpace(n_gpus)
         dbuf = memory.alloc_replicated("sssp.dist", self.n * 8)
 
-        # Which source vertices each GPU's relaxations reference.
+        # Which source vertices each GPU's relaxations reference.  CSR
+        # order makes each producer's out-edges one contiguous slice.
+        edge_bounds = graph.indptr[bounds]
         needs: dict[tuple[int, int], np.ndarray] = {}
         for g in range(n_gpus):
+            lo, hi = edge_bounds[g], edge_bounds[g + 1]
+            src_g, consumer_g = src[lo:hi], consumer[lo:hi]
             for d in range(n_gpus):
-                if d == g:
-                    continue
-                needs[(g, d)] = np.unique(src[cross & (producer == g) & (consumer == d)])
+                if d != g:
+                    needs[(g, d)] = unique_ints(src_g[consumer_g == d], self.n)
 
-        edges_per_consumer = np.zeros(n_gpus, dtype=np.int64)
-        np.add.at(edges_per_consumer, consumer, 1)
+        # Each GPU's relaxation work, and the source distances its
+        # in-edges reference (the same every round).  Producers own
+        # disjoint ascending ranges, so in producer order their parts
+        # concatenate sorted and distinct.
+        edges_per_consumer = np.bincount(consumer, minlength=n_gpus)
+        works = []
+        reads = []
+        for g in range(n_gpus):
+            e_g = int(edges_per_consumer[g])
+            owned = int(bounds[g + 1] - bounds[g])
+            works.append(
+                KernelWork(
+                    flops=3.0 * e_g,
+                    # Edge weight + target index per edge; distance
+                    # reads of hub vertices are cache-resident.
+                    dram_bytes=14.0 * e_g + 8.0 * owned,
+                    precision="fp64",
+                )
+            )
+            parts = [needs[(o, g)] for o in range(n_gpus) if o != g]
+            reads.append(
+                element_intervals(np.concatenate(parts), 8, dbuf.replicas[g])
+                if parts
+                else IntervalSet.empty()
+            )
 
         inf = np.iinfo(np.int64).max // 4
         dist = np.full(self.n, inf, dtype=np.int64)
@@ -93,21 +118,12 @@ class SSSPWorkload(MultiGPUWorkload):
             # Synchronous relaxation against the previous round's dist.
             candidate = dist[src] + weights
             improving = candidate < dist[graph.dst]
-            improved = np.unique(graph.dst[improving])
             record = rnd >= self.warmup_iterations
             if record:
                 improved_mask = np.zeros(self.n, dtype=bool)
-                improved_mask[improved] = True
+                improved_mask[graph.dst[improving]] = True
                 for g in range(n_gpus):
-                    e_g = int(edges_per_consumer[g])
                     owned = int(bounds[g + 1] - bounds[g])
-                    work = KernelWork(
-                        flops=3.0 * e_g,
-                        # Edge weight + target index per edge; distance
-                        # reads of hub vertices are cache-resident.
-                        dram_bytes=14.0 * e_g + 8.0 * owned,
-                        precision="fp64",
-                    )
                     batches = []
                     dma = []
                     for d in range(n_gpus):
@@ -133,26 +149,13 @@ class SSSPWorkload(MultiGPUWorkload):
                                 nbytes=owned * 8,
                             )
                         )
-                    # This GPU's relaxations read the source distances
-                    # its in-edges reference.
-                    reads = IntervalSet.empty()
-                    ref_parts = [
-                        needs[(o, g)] for o in range(n_gpus) if o != g
-                    ]
-                    ref_parts = [r for r in ref_parts if r.size]
-                    if ref_parts:
-                        reads = element_intervals(
-                            np.unique(np.concatenate(ref_parts)),
-                            8,
-                            dbuf.replicas[g],
-                        )
                     # Rounds stream as they are relaxed; the wavefront
                     # state (dist) is all that generation retains.
                     yield rnd - self.warmup_iterations, KernelPhase(
                         gpu=g,
-                        work=work,
+                        work=works[g],
                         stores=RemoteStoreBatch.concat(batches),
-                        reads=reads,
+                        reads=reads[g],
                         dma=dma,
                     )
             # Commit this round's relaxations.
