@@ -16,9 +16,7 @@ Three design points the paper discusses but does not evaluate:
 import pytest
 
 from repro.analysis import format_table
-from repro.run import RunSpec, labeled_sweep
-from repro.sim.paradigms import FinePackParadigm
-from repro.sim.system import MultiGPUSystem
+from repro.run import RunContext, RunSpec, TraceCache, labeled_sweep
 from repro.workloads import CTWorkload, PagerankWorkload, SSSPWorkload
 
 
@@ -91,11 +89,12 @@ def _timeout_sweep():
 
 
 def _window_sweep():
-    trace = CTWorkload().generate_trace(n_gpus=4, iterations=2, seed=7)
+    base = RunSpec.for_workload(CTWorkload(), n_gpus=4, iterations=2, seed=7)
+    cache = TraceCache()
     rows = []
     for windows in (1, 2, 4, 8):
-        system = MultiGPUSystem.build(n_gpus=4)
-        m = system.run(trace, FinePackParadigm(windows=windows))
+        spec = base.with_options(paradigm_params={"windows": windows})
+        m = RunContext(spec, cache).run()
         rows.append(
             [
                 windows,

@@ -8,8 +8,7 @@ targets: performance rises to a maximum at 4 bytes, changes little at
 
 from repro.analysis import format_table, geomean
 from repro.core.config import FinePackConfig, addressable_window
-from repro.sim.paradigms import FinePackParadigm, make_paradigm
-from repro.sim.system import MultiGPUSystem
+from repro.run import RunSpec, labeled_sweep
 from repro.workloads import default_suite
 
 SUBHEADER_BYTES = (2, 3, 4, 5, 6)
@@ -18,20 +17,14 @@ SUBHEADER_BYTES = (2, 3, 4, 5, 6)
 def _sweep():
     speedups: dict[str, dict[int, float]] = {}
     for workload in default_suite():
-        trace = workload.generate_trace(n_gpus=4, iterations=2, seed=7)
-        single = workload.generate_trace(n_gpus=1, iterations=2, seed=7)
-        t1 = (
-            MultiGPUSystem.build(n_gpus=1)
-            .run(single, make_paradigm("infinite"))
-            .total_time_ns
-        )
-        row = {}
-        for b in SUBHEADER_BYTES:
-            cfg = FinePackConfig(subheader_bytes=b)
-            system = MultiGPUSystem.build(n_gpus=4, finepack_config=cfg)
-            m = system.run(trace, FinePackParadigm(cfg))
-            row[b] = t1 / m.total_time_ns
-        speedups[workload.name] = row
+        base = RunSpec.for_workload(workload, n_gpus=4, iterations=2, seed=7)
+        points = labeled_sweep(
+            {
+                str(b): base.with_options(finepack=FinePackConfig(subheader_bytes=b))
+                for b in SUBHEADER_BYTES
+            }
+        ).result.by_label()
+        speedups[workload.name] = {b: points[str(b)].speedup for b in SUBHEADER_BYTES}
     return speedups
 
 

@@ -8,38 +8,33 @@ DMA nor raw P2P stores catch FinePack at any bandwidth step.
 
 from repro.analysis import format_table, geomean
 from repro.interconnect import GENERATIONS
-from repro.sim.paradigms import make_paradigm
-from repro.sim.system import MultiGPUSystem
+from repro.run import RunSpec, labeled_sweep
 from repro.workloads import default_suite
 
 PARADIGMS = ("p2p", "dma", "finepack")
 
 
 def _sweep():
-    geo: dict[int, dict[str, float]] = {}
-    suite = default_suite()
-    traces = {
-        w.name: (
-            w.generate_trace(n_gpus=4, iterations=2, seed=7),
-            w.generate_trace(n_gpus=1, iterations=2, seed=7),
-        )
-        for w in suite
+    gens = sorted(GENERATIONS)
+    speedups: dict[int, dict[str, list[float]]] = {
+        gen: {p: [] for p in PARADIGMS} for gen in gens
     }
-    t1 = {
-        name: MultiGPUSystem.build(n_gpus=1)
-        .run(single, make_paradigm("infinite"))
-        .total_time_ns
-        for name, (_, single) in traces.items()
-    }
-    for gen, generation in sorted(GENERATIONS.items()):
-        per_paradigm: dict[str, list[float]] = {p: [] for p in PARADIGMS}
-        for name, (trace, _) in traces.items():
+    for workload in default_suite():
+        base = RunSpec.for_workload(workload, n_gpus=4, iterations=2, seed=7)
+        points = labeled_sweep(
+            {
+                f"{gen}/{p}": base.with_options(generation=GENERATIONS[gen], paradigm=p)
+                for gen in gens
+                for p in PARADIGMS
+            }
+        ).result.by_label()
+        for gen in gens:
             for p in PARADIGMS:
-                system = MultiGPUSystem.build(n_gpus=4, generation=generation)
-                m = system.run(trace, make_paradigm(p))
-                per_paradigm[p].append(t1[name] / m.total_time_ns)
-        geo[gen] = {p: geomean(v) for p, v in per_paradigm.items()}
-    return geo
+                speedups[gen][p].append(points[f"{gen}/{p}"].speedup)
+    return {
+        gen: {p: geomean(v) for p, v in per_paradigm.items()}
+        for gen, per_paradigm in speedups.items()
+    }
 
 
 def test_fig13_bandwidth_sensitivity(benchmark, emit):

@@ -9,8 +9,7 @@ its per-GPU remote-write-queue SRAM stays at the paper's 120 kB.
 from repro.analysis import format_table, geomean
 from repro.core.config import FinePackConfig
 from repro.interconnect import PCIE_GEN6
-from repro.sim.paradigms import make_paradigm
-from repro.sim.system import MultiGPUSystem
+from repro.run import RunSpec, labeled_sweep
 from repro.workloads import ALSWorkload, HITWorkload, PagerankWorkload, SSSPWorkload
 
 PARADIGMS = ("p2p", "dma", "finepack")
@@ -29,20 +28,18 @@ def _suite_16():
 def _run():
     rows = {}
     for workload in _suite_16():
-        trace = workload.generate_trace(n_gpus=16, iterations=2, seed=7)
-        single = workload.generate_trace(n_gpus=1, iterations=2, seed=7)
-        t1 = (
-            MultiGPUSystem.build(n_gpus=1)
-            .run(single, make_paradigm("infinite"))
-            .total_time_ns
+        base = RunSpec.for_workload(
+            workload,
+            n_gpus=16,
+            iterations=2,
+            seed=7,
+            generation=PCIE_GEN6,
+            topology="two_level",
         )
-        row = {}
-        for p in PARADIGMS:
-            system = MultiGPUSystem.build(
-                n_gpus=16, generation=PCIE_GEN6, topology_kind="two_level"
-            )
-            row[p] = t1 / system.run(trace, make_paradigm(p)).total_time_ns
-        rows[workload.name] = row
+        points = labeled_sweep(
+            {p: base.with_options(paradigm=p) for p in PARADIGMS}
+        ).result.by_label()
+        rows[workload.name] = {p: points[p].speedup for p in PARADIGMS}
     return rows
 
 

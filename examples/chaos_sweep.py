@@ -15,16 +15,14 @@ where ``scenario`` is a preset name (see ``python -m repro chaos
 
 import sys
 
+from repro import registry
 from repro.faults import (
     DegradedRunError,
-    FaultInjector,
     chaos_sweep,
     format_chaos_table,
-    list_scenarios,
     load_scenario,
 )
-from repro.run import RunSpec
-from repro.sim.system import MultiGPUSystem
+from repro.run import RunContext, RunSpec
 from repro.workloads import JacobiWorkload
 
 
@@ -32,7 +30,7 @@ def main() -> None:
     name = sys.argv[1] if len(sys.argv) > 1 else "flaky-retimer"
     schedule = load_scenario(name)
     print(f"Sweeping '{schedule.name}' ({schedule.description or 'no description'})")
-    print(f"Presets available: {', '.join(list_scenarios())}\n")
+    print(f"Presets available: {', '.join(registry.scenarios.names())}\n")
 
     # The degradation curve: every paradigm, five intensity rungs.
     base = RunSpec.for_workload(JacobiWorkload(), n_gpus=4, iterations=3)
@@ -47,14 +45,13 @@ def main() -> None:
     # Graceful degradation, driven by hand: partition the topology and
     # catch the partial metrics.
     print("\nPartitioning gpu0 off the switch mid-run ...")
-    system = MultiGPUSystem.build(
-        n_gpus=4,
-        topology_kind="single_switch",
-        fault_injector=FaultInjector(load_scenario("partition")),
+    partition = base.with_options(
+        seed=0,
+        topology="single_switch",
+        scenario=load_scenario("partition").to_json(),
     )
-    trace = JacobiWorkload().generate_trace(n_gpus=4, iterations=3, seed=0)
     try:
-        system.run(trace, base.build_paradigm())
+        RunContext(partition).run()
         raise AssertionError("partition scenario should degrade the run")
     except DegradedRunError as err:
         m = err.metrics

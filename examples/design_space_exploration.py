@@ -13,35 +13,36 @@ Reproduces the paper's two sensitivity studies on one workload:
     python examples/design_space_exploration.py
 """
 
-from repro import FinePackConfig, MultiGPUSystem
+from repro import FinePackConfig
 from repro.analysis import format_table
 from repro.interconnect import GENERATIONS
-from repro.sim.paradigms import FinePackParadigm, make_paradigm
+from repro.run import RunSpec, TraceCache, labeled_sweep
 from repro.workloads import SSSPWorkload
+
+PARADIGMS = ("p2p", "dma", "finepack")
 
 
 def main() -> None:
     workload = SSSPWorkload()
-    trace = workload.generate_trace(n_gpus=4, iterations=3, seed=7)
-    single = workload.generate_trace(n_gpus=1, iterations=3, seed=7)
-    t1 = (
-        MultiGPUSystem.build(n_gpus=1)
-        .run(single, make_paradigm("infinite"))
-        .total_time_ns
-    )
+    base = RunSpec.for_workload(workload, n_gpus=4, iterations=3, seed=7)
+    # Both sweeps replay the same trace; share it across them.
+    cache = TraceCache()
 
+    configs = {b: FinePackConfig(subheader_bytes=b) for b in (2, 3, 4, 5, 6)}
+    points = labeled_sweep(
+        {str(b): base.with_options(finepack=cfg) for b, cfg in configs.items()},
+        trace_cache=cache,
+    ).result.by_label()
     rows = []
-    for b in (2, 3, 4, 5, 6):
-        cfg = FinePackConfig(subheader_bytes=b)
-        system = MultiGPUSystem.build(n_gpus=4, finepack_config=cfg)
-        m = system.run(trace, FinePackParadigm(cfg))
+    for b, cfg in configs.items():
+        point = points[str(b)]
         rows.append(
             [
                 b,
                 f"{cfg.window_bytes:,} B",
-                t1 / m.total_time_ns,
-                m.wire_bytes / 1e6,
-                m.packets.mean_stores_per_packet,
+                point.speedup,
+                point.metrics.wire_bytes / 1e6,
+                point.metrics.packets.mean_stores_per_packet,
             ]
         )
     print(
@@ -54,19 +55,22 @@ def main() -> None:
     )
 
     print()
-    rows = []
-    for gen in sorted(GENERATIONS):
-        generation = GENERATIONS[gen]
-        per_paradigm = []
-        for paradigm in ("p2p", "dma", "finepack"):
-            system = MultiGPUSystem.build(n_gpus=4, generation=generation)
-            m = system.run(trace, make_paradigm(paradigm))
-            per_paradigm.append(t1 / m.total_time_ns)
-        rows.append([generation.name, *per_paradigm])
+    points = labeled_sweep(
+        {
+            f"{gen}/{p}": base.with_options(generation=generation, paradigm=p)
+            for gen, generation in GENERATIONS.items()
+            for p in PARADIGMS
+        },
+        trace_cache=cache,
+    ).result.by_label()
+    rows = [
+        [generation.name, *(points[f"{gen}/{p}"].speedup for p in PARADIGMS)]
+        for gen, generation in sorted(GENERATIONS.items())
+    ]
     print(
         format_table(
             f"{workload.name}: interconnect bandwidth sweep (Fig. 13)",
-            ["link", "p2p", "dma", "finepack"],
+            ["link", *PARADIGMS],
             rows,
             float_fmt="{:.2f}",
         )

@@ -13,16 +13,17 @@ diffusion, hit (default: jacobi).
 
 import sys
 
+from repro import registry
 from repro.analysis import format_table
 from repro.run import RunSpec, labeled_sweep
-from repro.workloads import WORKLOADS
 
 
 def main() -> None:
     name = sys.argv[1] if len(sys.argv) > 1 else "jacobi"
-    if name not in WORKLOADS:
-        raise SystemExit(f"unknown workload {name!r}; pick from {sorted(WORKLOADS)}")
-    workload = WORKLOADS[name]()
+    try:
+        workload = registry.workloads.resolve(name)()
+    except registry.RegistryError as exc:
+        raise SystemExit(str(exc)) from None
 
     print(f"Tracing '{name}' ({workload.comm_pattern} communication) ...")
     # One spec per paradigm; the sweep adds the single-GPU baseline the

@@ -20,27 +20,23 @@ the CLI as ``python -m repro run jacobi finepack --trace-out trace.json``.
 import sys
 
 from repro.analysis import format_link_timeline
+from repro.registry import RegistryError
 from repro.obs import InvariantChecker, Tracer, read_jsonl, write_chrome_trace, write_jsonl
 from repro.run import RunContext, RunSpec
-from repro.sim.paradigms import PARADIGMS
-from repro.workloads import WORKLOADS
 
 
 def main() -> None:
     workload = sys.argv[1] if len(sys.argv) > 1 else "jacobi"
     paradigm = sys.argv[2] if len(sys.argv) > 2 else "finepack"
-    if workload not in WORKLOADS:
-        raise SystemExit(f"unknown workload {workload!r}; pick from {sorted(WORKLOADS)}")
-    if paradigm not in PARADIGMS:
-        raise SystemExit(f"unknown paradigm {paradigm!r}; pick from {sorted(PARADIGMS)}")
+    try:
+        spec = RunSpec.for_workload(workload, paradigm, n_gpus=4, iterations=2)
+    except RegistryError as exc:
+        raise SystemExit(str(exc)) from None
 
     # The tracer records typed events and checks conservation invariants
     # online (byte conservation, link exclusivity, empty queues at
     # barriers); a violation raises InvariantViolation immediately.
     tracer = Tracer()
-    spec = RunSpec(
-        workload=workload, paradigm=paradigm, n_gpus=4, iterations=2
-    )
     metrics = RunContext(spec, tracer=tracer).run()
     print(f"{workload}/{paradigm}: {metrics.total_time_ns / 1e6:.3f} ms, "
           f"{len(tracer.events)} events recorded")

@@ -57,7 +57,7 @@ from .run import (
     execute_grid,
     labeled_sweep,
 )
-from .sim import MultiGPUSystem, RunMetrics, make_paradigm
+from .sim import MultiGPUSystem, RunMetrics
 from .workloads import (
     ALSWorkload,
     CTWorkload,
@@ -101,7 +101,6 @@ __all__ = [
     "labeled_sweep",
     "MultiGPUSystem",
     "RunMetrics",
-    "make_paradigm",
     "ALSWorkload",
     "CTWorkload",
     "DiffusionWorkload",

@@ -77,14 +77,13 @@ import argparse
 import sys
 from typing import Sequence
 
+from . import registry
 from .analysis import format_table, goodput_curve
 from .core.config import FabricConfig, FinePackConfig
 from .interconnect.pcie import GENERATIONS
 from .run import RunContext, RunSpec, labeled_sweep
 from .sim.metrics import RunMetrics
-from .sim.paradigms import PARADIGMS
 from .trace.tracefile import load_trace, save_trace
-from .workloads import WORKLOADS
 
 
 def _add_shape_args(p: argparse.ArgumentParser) -> None:
@@ -174,11 +173,9 @@ def _topology_fields(args: argparse.Namespace) -> tuple[str | None, tuple]:
             "--fanout/--oversubscription/--planes require --topology"
         )
     if kind is not None:
-        from .registry import RegistryError, topologies
-
         try:
-            topologies.resolve(kind)
-        except RegistryError as exc:
+            registry.topologies.resolve(kind)
+        except registry.RegistryError as exc:
             raise SystemExit(str(exc)) from None
     return kind, tuple(sorted(params.items()))
 
@@ -397,11 +394,9 @@ def _fidelity_label(metrics: RunMetrics, refined: bool = False) -> str:
 
 
 def _workload(name: str):
-    from .registry import RegistryError, workloads
-
     try:
-        return workloads.resolve(name)()
-    except RegistryError as exc:
+        return registry.workloads.resolve(name)()
+    except registry.RegistryError as exc:
         raise SystemExit(str(exc)) from None
 
 
@@ -411,17 +406,13 @@ def _print_metrics(m: RunMetrics, out) -> None:
 
 
 def cmd_list(args, out) -> int:
-    from .registry import topologies
-
-    rows = [
-        [name, cls().comm_pattern] for name, cls in sorted(WORKLOADS.items())
-    ]
+    rows = [[name, cls().comm_pattern] for name, cls in registry.workloads.items()]
     print(format_table("workloads", ["name", "communication"], rows), file=out)
     print(file=out)
-    rows = [[name] for name in sorted(PARADIGMS)]
+    rows = [[name] for name in registry.paradigms.names()]
     print(format_table("paradigms", ["name"], rows), file=out)
     print(file=out)
-    rows = [[name] for name, _ in sorted(topologies.items())]
+    rows = [[name] for name in registry.topologies.names()]
     print(format_table("topologies", ["name"], rows), file=out)
     return 0
 
@@ -692,14 +683,12 @@ def cmd_validate(args, out) -> int:
 
 
 def cmd_chaos(args, out) -> int:
-    from .faults import chaos_sweep, format_chaos_table, list_scenarios, load_scenario
+    from .faults import chaos_sweep, format_chaos_table, load_scenario
 
     if args.list:
-        from .faults.scenarios import SCENARIOS
-
         rows = [
-            [name, SCENARIOS[name].get("description", "")]
-            for name in list_scenarios()
+            [name, preset.get("description", "")]
+            for name, preset in registry.scenarios.items()
         ]
         print(format_table("chaos scenarios", ["name", "description"], rows), file=out)
         return 0
@@ -815,6 +804,9 @@ def cmd_goodput(args, out) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    # Choices come from the registry when the parser is built, so
+    # components registered after import are accepted too.
+    paradigms = registry.paradigms.names()
     parser = argparse.ArgumentParser(
         prog="repro",
         description="FinePack (HPCA 2023) reproduction experiments",
@@ -828,7 +820,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("run", help="run one workload under one paradigm")
     p.add_argument("workload", nargs="?", default=None)
     p.add_argument(
-        "paradigm", nargs="?", default="finepack", choices=sorted(PARADIGMS)
+        "paradigm", nargs="?", default="finepack", choices=paradigms
     )
     p.add_argument(
         "--workload",
@@ -855,14 +847,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--paradigm",
         default="finepack",
-        choices=sorted(PARADIGMS),
+        choices=paradigms,
         help="paradigm for generation sweeps (default finepack)",
     )
     p.add_argument(
         "--paradigms",
         nargs="+",
         default=["p2p", "dma", "finepack"],
-        choices=sorted(PARADIGMS),
+        choices=paradigms,
         help="paradigm ladder for paradigm sweeps (default p2p dma "
         "finepack)",
     )
@@ -889,7 +881,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--paradigms",
         nargs="+",
         default=["p2p", "dma", "finepack", "infinite"],
-        choices=sorted(PARADIGMS),
+        choices=paradigms,
     )
     _add_shape_args(p)
     _add_fabric_args(p)
@@ -905,13 +897,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("replay", help="replay a saved trace")
     p.add_argument("trace")
-    p.add_argument("paradigm", choices=sorted(PARADIGMS))
+    p.add_argument("paradigm", choices=paradigms)
     _add_fabric_args(p)
     p.set_defaults(fn=cmd_replay)
 
     p = sub.add_parser("validate", help="run the invariant battery")
     p.add_argument("workload")
-    p.add_argument("paradigm", choices=sorted(PARADIGMS))
+    p.add_argument("paradigm", choices=paradigms)
     _add_shape_args(p)
     _add_fabric_args(p)
     p.set_defaults(fn=cmd_validate)
@@ -933,7 +925,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--paradigms",
         nargs="+",
         default=["p2p", "dma", "finepack"],
-        choices=sorted(PARADIGMS),
+        choices=paradigms,
     )
     p.add_argument(
         "--intensities",
@@ -968,7 +960,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("workload")
     p.add_argument(
-        "paradigm", nargs="?", default="finepack", choices=sorted(PARADIGMS)
+        "paradigm", nargs="?", default="finepack", choices=paradigms
     )
     p.add_argument(
         "--scalar",

@@ -21,14 +21,16 @@ The subsystem splits into policy and mechanism:
 
 Usage::
 
-    from repro.faults import FaultInjector, load_scenario
-    from repro.sim.system import MultiGPUSystem
+    from repro.faults import load_scenario
+    from repro.run import RunContext, RunSpec
 
     schedule = load_scenario("flaky-retimer")
-    system = MultiGPUSystem.build(n_gpus=4, with_credits=True,
-                                  fault_injector=FaultInjector(schedule))
-    metrics = system.run(trace, paradigm)   # may raise DegradedRunError
+    spec = RunSpec(workload="jacobi", with_credits=True,
+                   scenario=schedule.to_json())
+    metrics = RunContext(spec).run()   # may raise DegradedRunError
     print(metrics.faults.as_dict())
+
+``registry.scenarios.names()`` lists the shipped presets.
 
 See ``docs/faults.md`` for the scenario schema and semantics.
 """
@@ -36,7 +38,7 @@ See ``docs/faults.md`` for the scenario schema and semantics.
 from .chaos import ChaosPoint, ChaosResult, chaos_sweep, format_chaos_table
 from .errors import DegradedRunError, ScenarioError
 from .injector import FaultInjector
-from .scenarios import SCENARIOS, list_scenarios, load_scenario
+from .scenarios import load_scenario
 from .schedule import (
     FAULT_TYPES,
     CrcBurst,
@@ -66,8 +68,6 @@ __all__ = [
     "DegradedRunError",
     "ScenarioError",
     "FaultInjector",
-    "SCENARIOS",
-    "list_scenarios",
     "load_scenario",
     "FAULT_TYPES",
     "CrcBurst",

@@ -8,9 +8,11 @@ hundred microseconds to a few milliseconds of simulated time); windows
 deliberately land inside the first iterations so every workload
 observes them.
 
-``list_scenarios()`` / ``load_scenario()`` are the lookup surface the
-CLI uses; ``load_scenario`` falls back to treating its argument as a
-file path, so presets and files are interchangeable.
+The presets are registered into :data:`repro.registry.scenarios`
+(``registry.scenarios.names()`` lists them; downstream code adds its
+own with ``registry.scenarios.add(name, dict)``).  ``load_scenario``
+falls back to treating its argument as a file path, so presets and
+files are interchangeable.
 """
 
 from __future__ import annotations
@@ -22,15 +24,14 @@ from ..registry import scenarios as _registry
 from .errors import ScenarioError
 from .schedule import FaultSchedule
 
-#: Preset name -> scenario dict (the JSON schema, as Python literals).
-#: Registered into :data:`repro.registry.scenarios` below; downstream
-#: code can add presets with ``registry.scenarios.add(name, dict)``.
-SCENARIOS: dict[str, dict] = {
+#: The presets (the JSON schema, as Python literals), registered under
+#: their ``name`` below.
+_PRESETS: tuple[dict, ...] = (
     # PCIe lane retraining: one GPU's uplink renegotiates x16 -> x4 for
     # most of the run, dropping to x16/16 where the windows overlap.
     # (Timings target the default experiment scale: a 3-iteration run
     # lasts ~130-170 us with fabric traffic from ~0 to ~160 us.)
-    "lane-retraining": {
+    {
         "name": "lane-retraining",
         "description": "gpu0 uplink retrains to quarter width mid-run",
         "faults": [
@@ -42,7 +43,7 @@ SCENARIOS: dict[str, dict] = {
     },
     # A flapping retimer: repeated short outages plus a CRC error burst
     # on the same lane bundle; traffic rides through on retransmits.
-    "flaky-retimer": {
+    {
         "name": "flaky-retimer",
         "description": "gpu0 uplink flaps twice and suffers CRC bursts",
         "faults": [
@@ -56,7 +57,7 @@ SCENARIOS: dict[str, dict] = {
     },
     # A receiver that cannot keep up: its ingress drain slows to a
     # trickle and part of its buffer leaks away, squeezing credits.
-    "slow-drain": {
+    {
         "name": "slow-drain",
         "description": "gpu1 ingress drains at 1/4 rate with leaked credits",
         "with_credits": True,
@@ -69,7 +70,7 @@ SCENARIOS: dict[str, dict] = {
     },
     # A mid-run permanent link failure on a topology with alternate
     # paths: traffic reroutes (store-and-forward through a peer GPU).
-    "link-failure": {
+    {
         "name": "link-failure",
         "description": "gpu0<->gpu1 dies mid-run; traffic reroutes via peers",
         "topology": "fully_connected",
@@ -81,7 +82,7 @@ SCENARIOS: dict[str, dict] = {
     # A partitioning failure on the paper's single-switch tree: gpu0's
     # only uplink dies, no alternate path exists, and the run degrades
     # cleanly (DegradedRunError with partial metrics).
-    "partition": {
+    {
         "name": "partition",
         "description": "gpu0's only uplink dies; the run degrades cleanly",
         "topology": "single_switch",
@@ -89,15 +90,10 @@ SCENARIOS: dict[str, dict] = {
             {"type": "link_fail", "link": "gpu0->sw0", "start_ns": 40_000.0},
         ],
     },
-}
+)
 
-
-for _name, _preset in SCENARIOS.items():
-    _registry.add(_name, _preset)
-
-
-def list_scenarios() -> list[str]:
-    return _registry.names()
+for _preset in _PRESETS:
+    _registry.add(_preset["name"], _preset)
 
 
 def load_scenario(name_or_path: str) -> FaultSchedule:

@@ -8,12 +8,12 @@ and the benchmarks are all thin layers over it, so a new knob is
 added by (1) giving :class:`RunSpec` a field and (2) consuming it
 here.
 
-A single in-process run may override three components: a pre-generated
-``trace`` (which must match the spec's ``n_gpus``), a hand-built
-:class:`Paradigm` instance, and a :class:`~repro.obs.Tracer`.
-Overrides are deliberately *not* part of the spec, so the spec stays
-hashable and picklable for the parallel executor.  The workload is
-always the spec's registered one.
+A single in-process run may override two components: a pre-generated
+``trace`` (which must match the spec's ``n_gpus``) and a
+:class:`~repro.obs.Tracer`.  Overrides are deliberately *not* part of
+the spec, so the spec stays hashable and picklable for the parallel
+executor.  The workload and the paradigm are always the spec's
+registered ones, so a :class:`RunOutcome` names what actually ran.
 
 Two execution surfaces:
 
@@ -73,7 +73,7 @@ class RunContext:
     trace_cache:
         Optional :class:`TraceCache`; a private memory-only cache is
         created when omitted.
-    trace, paradigm, tracer:
+    trace, tracer:
         In-process component overrides (see module docstring).
     """
 
@@ -83,14 +83,13 @@ class RunContext:
         trace_cache: TraceCache | None = None,
         *,
         trace=None,
-        paradigm=None,
         tracer=None,
     ) -> None:
         self.spec = spec
         self.trace_cache = trace_cache if trace_cache is not None else TraceCache()
         self.tracer = tracer
         self._trace = trace
-        self._paradigm = paradigm
+        self._paradigm = None
         self._system = None
         self._injector_built = False
         self._injector = None
@@ -135,7 +134,6 @@ class RunContext:
                 n_gpus=spec.n_gpus,
                 generation=spec.generation,
                 compute=spec.compute,
-                finepack_config=spec.finepack,
                 barrier_ns=spec.barrier_ns,
                 topology_kind=spec.topology,
                 topology_params=dict(spec.topology_params),

@@ -29,6 +29,7 @@ import json
 from dataclasses import asdict, dataclass, field, fields, replace
 from typing import Any, Mapping
 
+from .. import registry
 from ..core.config import FabricConfig, FinePackConfig
 from ..gpu.compute import ComputeModel
 from ..interconnect.pcie import GENERATIONS, PCIE_GEN4, PCIeGeneration
@@ -128,6 +129,16 @@ class RunSpec:
     def __post_init__(self) -> None:
         if not self.workload:
             raise ValueError("spec needs a workload name")
+        # Unknown component names fail here, with suggestions, not in
+        # every retry of a grid cell.  The workload name is left alone:
+        # a replayed trace may name a workload this process never
+        # registered.
+        registry.paradigms.resolve(self.paradigm)
+        if self.topology is not None:
+            try:
+                registry.topologies.resolve(self.topology)
+            except registry.RegistryError as exc:
+                raise ValueError(str(exc)) from None
         if self.fidelity not in ("des", "analytical"):
             raise ValueError(
                 f"fidelity must be 'des' or 'analytical': {self.fidelity!r}"
@@ -248,8 +259,6 @@ class RunSpec:
 
     def build_workload(self):
         """Instantiate the workload via the registry."""
-        from .. import registry
-
         return registry.workloads.resolve(self.workload)(
             **dict(self.workload_params)
         )
@@ -260,7 +269,6 @@ class RunSpec:
         ``finepack`` receives the spec's :attr:`finepack` config unless
         ``paradigm_params`` overrides ``config``.
         """
-        from .. import registry
         from ..sim.paradigms import FinePackParadigm
 
         cls = registry.paradigms.resolve(self.paradigm)
@@ -280,7 +288,6 @@ class RunSpec:
 
 def _workload_identity(workload) -> tuple[str, Params]:
     """``(registry name, constructor params)`` for name/class/instance."""
-    from .. import registry
     from ..workloads.base import MultiGPUWorkload
 
     if isinstance(workload, str):

@@ -15,7 +15,6 @@ from .timeline import render_comparison, render_timeline
 from .validation import ValidationError, ValidationReport, validate
 from .gps import SubscriptionTable
 from .paradigms import (
-    PARADIGMS,
     BulkDMAParadigm,
     FinePackParadigm,
     GPSParadigm,
@@ -24,7 +23,6 @@ from .paradigms import (
     Paradigm,
     SlicedDMAParadigm,
     WriteCombiningParadigm,
-    make_paradigm,
 )
 from .system import MultiGPUSystem
 
@@ -44,7 +42,6 @@ __all__ = [
     "PacketStats",
     "RunMetrics",
     "classify_egress",
-    "PARADIGMS",
     "BulkDMAParadigm",
     "FinePackParadigm",
     "GPSParadigm",
@@ -54,6 +51,5 @@ __all__ = [
     "SlicedDMAParadigm",
     "SubscriptionTable",
     "WriteCombiningParadigm",
-    "make_paradigm",
     "MultiGPUSystem",
 ]

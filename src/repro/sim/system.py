@@ -31,11 +31,10 @@ epilogue -- is one loop body shared by both.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from ..core.config import FinePackConfig
 from ..core.depacketizer import Depacketizer
 from ..faults.errors import DegradedRunError
 from ..faults.state import RouteBlockedError
@@ -57,7 +56,7 @@ from ..trace.intervals import IntervalSet
 from ..trace.stream import WorkloadTrace
 from .engine import Engine
 from .metrics import RunMetrics, classify_egress
-from .paradigms import Paradigm
+from .paradigms import FinePackParadigm, Paradigm
 
 
 @dataclass
@@ -68,7 +67,6 @@ class MultiGPUSystem:
     protocol: PCIeProtocol
     gpus: list[GPU]
     topology: Topology | None
-    finepack_config: FinePackConfig = field(default_factory=FinePackConfig)
     #: Cost of the inter-GPU synchronization barrier per iteration.
     barrier_ns: float = 2_000.0
     #: Optional :class:`~repro.faults.injector.FaultInjector`; when set,
@@ -81,7 +79,6 @@ class MultiGPUSystem:
         n_gpus: int = 4,
         generation: PCIeGeneration = PCIE_GEN4,
         compute: ComputeModel | None = None,
-        finepack_config: FinePackConfig | None = None,
         barrier_ns: float = 2_000.0,
         topology_kind: str | None = None,
         topology_params: dict | None = None,
@@ -118,7 +115,6 @@ class MultiGPUSystem:
             protocol=PCIeProtocol(generation),
             gpus=gpus,
             topology=topology,
-            finepack_config=finepack_config or FinePackConfig(),
             barrier_ns=barrier_ns,
             fault_injector=fault_injector,
         )
@@ -149,13 +145,16 @@ class MultiGPUSystem:
         if self.fault_injector is not None and self.topology is not None:
             self.fault_injector.arm(self.topology, tracer=tracer)
         engine = Engine(tracer=tracer)
-        depacketizers = [
-            Depacketizer(
-                self.finepack_config,
-                drain_bytes_per_ns=g.hbm.drain_rate(),
-            )
-            for g in self.gpus
-        ]
+        # Only FinePack emits packets, so its config is the one the
+        # de-packetizers decode them with.
+        depacketizers = (
+            [
+                Depacketizer(paradigm.config, drain_bytes_per_ns=g.hbm.drain_rate())
+                for g in self.gpus
+            ]
+            if isinstance(paradigm, FinePackParadigm)
+            else []
+        )
         metrics = RunMetrics(
             workload=trace.name, paradigm=paradigm.name, n_gpus=self.n_gpus
         )

@@ -27,7 +27,7 @@ import numpy as np
 from ..trace.intervals import IntervalSet
 from ..trace.stream import WorkloadTrace
 from .metrics import RunMetrics
-from .paradigms import Paradigm, make_paradigm
+from .paradigms import InfiniteBandwidthParadigm, Paradigm
 from .system import MultiGPUSystem
 
 
@@ -76,15 +76,13 @@ def _delivered_union(messages) -> IntervalSet:
 
 def validate(
     trace: WorkloadTrace,
-    paradigm: Paradigm | str = "finepack",
+    paradigm: Paradigm,
     system: MultiGPUSystem | None = None,
     raise_on_failure: bool = False,
 ) -> ValidationReport:
     """Run the invariant battery on one (trace, paradigm, system)."""
     report = ValidationReport()
     system = system or MultiGPUSystem.build(n_gpus=trace.n_gpus)
-    if isinstance(paradigm, str):
-        paradigm = make_paradigm(paradigm)
 
     # --- per-phase byte conservation and release emptiness ----------
     paradigm.attach(system.n_gpus, system.protocol)
@@ -140,7 +138,7 @@ def validate(
         metrics.total_time_ns >= metrics.compute_time_ns * 0.999,
         "the run finished before its compute",
     )
-    infinite = system.run(trace, make_paradigm("infinite"))
+    infinite = system.run(trace, InfiniteBandwidthParadigm())
     report.record(
         "infinite-lower-bound",
         metrics.total_time_ns >= infinite.total_time_ns * 0.999,

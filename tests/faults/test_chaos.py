@@ -5,8 +5,9 @@ import json
 
 import pytest
 
+from repro import registry
 from repro.faults import FaultSchedule, chaos_sweep, format_chaos_table
-from repro.faults.scenarios import SCENARIOS, list_scenarios, load_scenario
+from repro.faults.scenarios import load_scenario
 from repro.run import RunSpec
 from repro.workloads import JacobiWorkload
 from tests.test_cli import run_cli
@@ -26,7 +27,7 @@ def sweep():
 
 class TestScenarios:
     def test_all_presets_parse(self):
-        for name in list_scenarios():
+        for name in registry.scenarios.names():
             sched = load_scenario(name)
             assert sched.name == name
             assert len(sched) > 0
@@ -97,7 +98,7 @@ class TestChaosSweep:
 class TestChaosCli:
     def test_list_scenarios(self):
         text = run_cli("chaos", "--list")
-        for name in SCENARIOS:
+        for name in registry.scenarios:
             assert name in text
 
     def test_workload_required_without_list(self):

@@ -10,9 +10,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import registry
 from repro.faults import DegradedRunError, FaultInjector, FaultSchedule
 from repro.faults.scenarios import load_scenario
-from repro.sim.paradigms import make_paradigm
 from repro.sim.system import MultiGPUSystem
 from repro.workloads import JacobiWorkload
 
@@ -37,7 +37,7 @@ def _fingerprint(n_gpus=2, iterations=2, scenario=SCENARIO, runs=1):
     trace = JacobiWorkload().generate_trace(
         n_gpus=n_gpus, iterations=iterations, seed=11
     )
-    paradigm = make_paradigm("finepack")
+    paradigm = registry.paradigms.resolve("finepack")()
     for _ in range(runs):
         metrics = system.run(trace, paradigm)
     raw = {
@@ -130,7 +130,7 @@ class TestScheduleProperty:
         )
         trace = JacobiWorkload().generate_trace(n_gpus=2, iterations=1, seed=3)
         try:
-            metrics = system.run(trace, make_paradigm("finepack"))
+            metrics = system.run(trace, registry.paradigms.resolve("finepack")())
         except DegradedRunError as err:
             metrics = err.metrics
             assert metrics.degraded

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro import registry
 from repro.faults import (
     DegradedRunError,
     FaultInjector,
@@ -14,7 +15,6 @@ from repro.interconnect.flowcontrol import CreditPool
 from repro.obs import Tracer
 from repro.obs.events import EventKind
 from repro.obs.invariants import InvariantChecker, InvariantViolation
-from repro.sim.paradigms import make_paradigm
 from repro.sim.system import MultiGPUSystem
 from repro.workloads import JacobiWorkload
 
@@ -41,7 +41,7 @@ def _run(schedule, paradigm="finepack", topology_kind="single_switch",
     trace = JacobiWorkload().generate_trace(
         n_gpus=n_gpus, iterations=iterations, seed=7
     )
-    return system.run(trace, make_paradigm(paradigm), tracer=tracer)
+    return system.run(trace, registry.paradigms.resolve(paradigm)(), tracer=tracer)
 
 
 @pytest.fixture(scope="module")

@@ -11,8 +11,8 @@ import io
 
 import pytest
 
+from repro import registry
 from repro.run import RunContext, RunSpec, labeled_sweep
-from repro.workloads import WORKLOADS
 
 #: Captured at 4 GPUs, iterations=2, seed 7 (the ``RunSpec`` defaults
 #: otherwise).
@@ -64,7 +64,7 @@ TOLERANCE = 0.15
 
 @pytest.mark.parametrize("name", sorted(GOLDEN))
 def test_golden_metrics(name):
-    base = RunSpec.for_workload(WORKLOADS[name](), iterations=2)
+    base = RunSpec.for_workload(registry.workloads.resolve(name)(), iterations=2)
     result = labeled_sweep(
         {
             p: base.with_options(paradigm=p)
@@ -95,7 +95,8 @@ class TestDeterminism:
         from repro.obs import Tracer, write_chrome_trace
 
         tracer = Tracer()
-        spec = RunSpec.for_workload(WORKLOADS["jacobi"](), n_gpus=4, iterations=2)
+        jacobi = registry.workloads.resolve("jacobi")()
+        spec = RunSpec.for_workload(jacobi, n_gpus=4, iterations=2)
         metrics = RunContext(spec, tracer=tracer).run()
         export = io.StringIO()
         write_chrome_trace(export, tracer)
@@ -114,7 +115,8 @@ class TestDeterminism:
         observation must not change the physics."""
         from repro.obs import Tracer
 
-        spec = RunSpec.for_workload(WORKLOADS["jacobi"](), n_gpus=2, iterations=2)
+        jacobi = registry.workloads.resolve("jacobi")()
+        spec = RunSpec.for_workload(jacobi, n_gpus=2, iterations=2)
         plain = RunContext(spec).run()
         traced = RunContext(spec, tracer=Tracer()).run()
         assert plain.summary() == traced.summary()

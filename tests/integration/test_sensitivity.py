@@ -5,8 +5,6 @@ import pytest
 from repro.core.config import FinePackConfig
 from repro.interconnect.pcie import PCIE_GEN4, PCIE_GEN6
 from repro.run import RunContext, RunSpec
-from repro.sim.paradigms import FinePackParadigm
-from repro.sim.system import MultiGPUSystem
 from repro.workloads import PagerankWorkload, SSSPWorkload
 
 
@@ -22,13 +20,12 @@ class TestSubheaderSweep:
 
     @pytest.fixture(scope="class")
     def sweep(self, pagerank_trace):
+        spec = RunSpec(workload="pagerank", iterations=2)
         times = {}
         for b in (2, 3, 4, 5, 6):
-            system = MultiGPUSystem.build(
-                n_gpus=4, finepack_config=FinePackConfig(subheader_bytes=b)
-            )
-            paradigm = FinePackParadigm(FinePackConfig(subheader_bytes=b))
-            times[b] = system.run(pagerank_trace, paradigm).total_time_ns
+            cfg = FinePackConfig(subheader_bytes=b)
+            ctx = RunContext(spec.with_options(finepack=cfg), trace=pagerank_trace)
+            times[b] = ctx.run().total_time_ns
         return times
 
     def test_tiny_window_is_worst(self, sweep):

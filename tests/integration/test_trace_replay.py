@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.sim.paradigms import make_paradigm
+from repro import registry
 from repro.sim.system import MultiGPUSystem
 from repro.trace.tracefile import load_trace, save_trace
 from repro.workloads import DiffusionWorkload, SSSPWorkload
@@ -18,8 +18,9 @@ def test_replay_identical(tmp_path, workload, paradigm):
     save_trace(trace, path)
     loaded = load_trace(path)
 
-    a = MultiGPUSystem.build(n_gpus=4).run(trace, make_paradigm(paradigm))
-    b = MultiGPUSystem.build(n_gpus=4).run(loaded, make_paradigm(paradigm))
+    cls = registry.paradigms.resolve(paradigm)
+    a = MultiGPUSystem.build(n_gpus=4).run(trace, cls())
+    b = MultiGPUSystem.build(n_gpus=4).run(loaded, cls())
 
     assert a.total_time_ns == pytest.approx(b.total_time_ns)
     assert a.wire_bytes == b.wire_bytes

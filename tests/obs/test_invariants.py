@@ -8,9 +8,9 @@ corrupted stream.
 
 import pytest
 
+from repro import registry
 from repro.obs import EventKind, InvariantChecker, InvariantViolation, TraceEvent, Tracer
 from repro.run import RunContext, RunSpec
-from repro.sim.paradigms import PARADIGMS
 from repro.workloads import small_suite
 
 
@@ -172,7 +172,7 @@ def test_every_workload_passes_under_every_paradigm(name, n_gpus):
     workload = SMALL[name]
     base = RunSpec.for_workload(workload, n_gpus=n_gpus, iterations=2)
     trace = workload.generate_trace(n_gpus=n_gpus, iterations=2, seed=7)
-    for paradigm in sorted(PARADIGMS):
+    for paradigm in registry.paradigms.names():
         tracer = Tracer()  # online InvariantChecker attached by default
         spec = base.with_options(paradigm=paradigm)
         RunContext(spec, trace=trace, tracer=tracer).run()

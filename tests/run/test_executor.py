@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.core.config import FinePackConfig
 from repro.run import (
     RunContext,
     RunSpec,
@@ -130,9 +131,18 @@ class TestRunContextOverrides:
         assert ctx.trace is trace
         assert ctx.run().total_time_ns > 0
 
-    def test_paradigm_override(self):
-        from repro.sim.paradigms import make_paradigm
+    def test_spec_alone_owns_paradigm_and_finepack_config(self):
+        """No override can make a run disagree with its spec: the
+        paradigm comes from the spec, and the system carries no FinePack
+        config of its own (its de-packetizers take the paradigm's)."""
+        import inspect
 
-        p = make_paradigm("p2p")
-        ctx = RunContext(JACOBI, paradigm=p)
-        assert ctx.paradigm is p
+        from repro.sim.system import MultiGPUSystem
+
+        assert "paradigm" not in inspect.signature(RunContext).parameters
+        build = inspect.signature(MultiGPUSystem.build)
+        assert "finepack_config" not in build.parameters
+        spec = JACOBI.with_options(finepack=FinePackConfig(subheader_bytes=3))
+        ctx = RunContext(spec)
+        assert ctx.paradigm.config == spec.finepack
+        assert ctx.execute().metrics.paradigm == spec.paradigm

@@ -91,16 +91,28 @@ class TestGlobalRegistries:
         cls = registry.workloads.resolve("jacobi")
         assert cls.name == "jacobi"
 
-    def test_legacy_dict_views_match_registries(self):
-        from repro.sim.paradigms import PARADIGMS
-        from repro.workloads import WORKLOADS
+    def test_no_import_time_name_copies(self):
+        """The registries are the only name views: a copy taken at
+        import time would miss anything registered later."""
+        import importlib
 
-        assert WORKLOADS == dict(registry.workloads.items())
-        assert PARADIGMS == dict(registry.paradigms.items())
+        copies = (
+            "WORKLOADS", "PARADIGMS", "make_paradigm", "SCENARIOS", "list_scenarios",
+        )
+        for name in (
+            "repro",
+            "repro.workloads",
+            "repro.sim",
+            "repro.sim.paradigms",
+            "repro.faults",
+            "repro.faults.scenarios",
+        ):
+            module = importlib.import_module(name)
+            assert [c for c in copies if hasattr(module, c)] == [], name
 
 
 class TestSharedValidationSurface:
-    """One resolve() serves the CLI, make_paradigm, topology and chaos."""
+    """One resolve() serves the CLI, the run layer, topology and chaos."""
 
     def test_cli_unknown_workload_suggests(self):
         from repro.cli import main
@@ -109,10 +121,8 @@ class TestSharedValidationSurface:
             main(["run", "jacboi", "finepack"])
 
     def test_make_paradigm_keeps_keyerror_contract(self):
-        from repro.sim.paradigms import make_paradigm
-
         with pytest.raises(KeyError, match="did you mean"):
-            make_paradigm("finepak")
+            registry.paradigms.resolve("finepak")
 
     def test_unknown_topology_keeps_valueerror_contract(self):
         from repro.sim.system import MultiGPUSystem

@@ -126,6 +126,25 @@ class TestValidation:
         with pytest.raises(ValueError, match="error injection"):
             spec.with_options(fidelity="analytical")
 
+    def test_rejects_unknown_paradigm_with_suggestion(self):
+        from repro.registry import RegistryError
+
+        with pytest.raises(RegistryError, match="did you mean 'finepack'"):
+            RunSpec(workload="jacobi", paradigm="finepak")
+        with pytest.raises(RegistryError, match="unknown paradigm"):
+            RunSpec(workload="jacobi").with_options(paradigm="warp-drive")
+
+    def test_rejects_unknown_topology_with_valueerror(self):
+        with pytest.raises(ValueError, match="did you mean 'fat_tree'"):
+            RunSpec(workload="jacobi", topology="fat_tre")
+        with pytest.raises(ValueError, match="unknown topology"):
+            RunSpec(workload="jacobi").with_options(topology="ring_of_fire")
+
+    def test_workload_name_is_not_resolved(self):
+        # A replayed trace may name a workload this process never
+        # registered; only the trace's consumer needs the class.
+        assert RunSpec(workload="not_registered_here").workload == "not_registered_here"
+
 
 class TestForWorkload:
     def test_from_name_validates_early(self):

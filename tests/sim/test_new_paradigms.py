@@ -4,11 +4,12 @@ link error injection."""
 import numpy as np
 import pytest
 
+from repro import registry
 from repro.interconnect.link import Link
 from repro.interconnect.message import WireMessage
 from repro.run import RunContext, RunSpec
 from repro.sim.gps import SubscriptionTable
-from repro.sim.paradigms import GPSParadigm, SlicedDMAParadigm, make_paradigm
+from repro.sim.paradigms import GPSParadigm, SlicedDMAParadigm
 from repro.trace.intervals import IntervalSet
 from repro.workloads import ALSWorkload, DiffusionWorkload
 
@@ -84,7 +85,7 @@ class TestLearnedGPS:
 
 class TestSlicedDMA:
     def test_registry(self):
-        assert isinstance(make_paradigm("dma_sliced"), SlicedDMAParadigm)
+        assert isinstance(registry.paradigms.resolve("dma_sliced")(), SlicedDMAParadigm)
 
     def test_overlap_beats_plain_dma_when_transfer_bound(self):
         """Slicing overlaps most of the transfer with compute.  (The

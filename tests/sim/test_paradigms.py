@@ -3,17 +3,16 @@
 import numpy as np
 import pytest
 
+from repro import registry
 from repro.gpu.compute import KernelWork
 from repro.interconnect.message import MessageKind
 from repro.interconnect.pcie import PCIE_GEN4, PCIeProtocol
 from repro.sim.paradigms import (
-    PARADIGMS,
     BulkDMAParadigm,
     FinePackParadigm,
     GPSParadigm,
     InfiniteBandwidthParadigm,
     P2PStoreParadigm,
-    make_paradigm,
 )
 from repro.trace.intervals import IntervalSet
 from repro.trace.stream import DMATransfer, KernelPhase, RemoteStoreBatch
@@ -40,16 +39,16 @@ def proto():
 
 class TestRegistry:
     def test_all_names(self):
-        assert set(PARADIGMS) == {
+        assert set(registry.paradigms) == {
             "p2p", "wc", "gps", "finepack", "dma", "dma_sliced", "infinite",
         }
 
     def test_make_by_name(self):
-        assert isinstance(make_paradigm("finepack"), FinePackParadigm)
+        assert isinstance(registry.paradigms.resolve("finepack")(), FinePackParadigm)
 
     def test_unknown_name(self):
         with pytest.raises(KeyError):
-            make_paradigm("carrier-pigeon")
+            registry.paradigms.resolve("carrier-pigeon")
 
 
 class TestStoreParadigms:

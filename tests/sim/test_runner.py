@@ -61,14 +61,6 @@ class TestRunWorkload:
         assert a.total_time_ns == b.total_time_ns
         assert a.wire_bytes == b.wire_bytes
 
-    def test_paradigm_instance_accepted(self):
-        """A hand-built paradigm instance overrides the spec's paradigm."""
-        from repro.sim.paradigms import FinePackParadigm
-
-        spec = BASE.with_options(paradigm="p2p", iterations=1)
-        m = RunContext(spec, paradigm=FinePackParadigm()).run()
-        assert m.paradigm == "finepack"
-
 
 class TestGeomean:
     def test_value(self):

@@ -3,9 +3,9 @@
 import numpy as np
 import pytest
 
+from repro import registry
 from repro.gpu.compute import ComputeModel, KernelWork
 from repro.interconnect.pcie import PCIE_GEN4, PCIE_GEN6
-from repro.sim.paradigms import make_paradigm
 from repro.sim.system import MultiGPUSystem
 from repro.trace.intervals import IntervalSet
 from repro.trace.stream import (
@@ -47,7 +47,7 @@ def toy_trace(n_gpus=2, n_stores=64, iterations=2, dram=9_000_000) -> WorkloadTr
 def run(paradigm_name, trace=None, **build_kw):
     trace = trace or toy_trace()
     system = MultiGPUSystem.build(n_gpus=trace.n_gpus, **build_kw)
-    return system.run(trace, make_paradigm(paradigm_name))
+    return system.run(trace, registry.paradigms.resolve(paradigm_name)())
 
 
 class TestTiming:
@@ -110,7 +110,7 @@ class TestValidation:
     def test_gpu_count_mismatch(self):
         system = MultiGPUSystem.build(n_gpus=4)
         with pytest.raises(ValueError, match="GPUs"):
-            system.run(toy_trace(n_gpus=2), make_paradigm("p2p"))
+            system.run(toy_trace(n_gpus=2), registry.paradigms.resolve("p2p")())
 
     def test_single_gpu_system_runs_compute_only(self):
         trace = WorkloadTrace(
@@ -123,7 +123,7 @@ class TestValidation:
             ],
         )
         system = MultiGPUSystem.build(n_gpus=1)
-        m = system.run(trace, make_paradigm("infinite"))
+        m = system.run(trace, registry.paradigms.resolve("infinite")())
         assert m.total_time_ns > 0
         assert m.wire_bytes == 0
 
@@ -135,15 +135,16 @@ class TestValidation:
     def test_fully_connected_build_and_run(self):
         system = MultiGPUSystem.build(n_gpus=4, topology_kind="fully_connected")
         trace4 = toy_trace(n_gpus=4)
-        m = system.run(trace4, make_paradigm("p2p"))
+        m = system.run(trace4, registry.paradigms.resolve("p2p")())
         assert m.wire_bytes > 0
 
     def test_fully_connected_beats_switch_for_contended_traffic(self):
         trace = toy_trace(n_gpus=2, n_stores=4096, dram=500_000)
-        switched = MultiGPUSystem.build(n_gpus=2).run(trace, make_paradigm("p2p"))
+        p2p = registry.paradigms.resolve("p2p")
+        switched = MultiGPUSystem.build(n_gpus=2).run(trace, p2p())
         flat = MultiGPUSystem.build(
             n_gpus=2, topology_kind="fully_connected"
-        ).run(trace, make_paradigm("p2p"))
+        ).run(trace, p2p())
         assert flat.total_time_ns <= switched.total_time_ns
 
     def test_unknown_topology_rejected(self):
@@ -159,6 +160,6 @@ class TestValidation:
         )
         t = toy_trace()
         assert (
-            fast.run(t, make_paradigm("infinite")).total_time_ns
-            < slow.run(t, make_paradigm("infinite")).total_time_ns
+            fast.run(t, registry.paradigms.resolve("infinite")()).total_time_ns
+            < slow.run(t, registry.paradigms.resolve("infinite")()).total_time_ns
         )

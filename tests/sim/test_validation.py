@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.sim.paradigms import FinePackParadigm, GPSParadigm, make_paradigm
+from repro import registry
+from repro.sim.paradigms import FinePackParadigm, GPSParadigm
 from repro.sim.validation import ValidationError, validate
 from repro.workloads import DiffusionWorkload, PagerankWorkload
 
@@ -15,7 +16,7 @@ def trace():
 class TestValidate:
     @pytest.mark.parametrize("paradigm", ["p2p", "finepack", "wc", "dma"])
     def test_stock_paradigms_pass(self, trace, paradigm):
-        report = validate(trace, paradigm)
+        report = validate(trace, registry.paradigms.resolve(paradigm)())
         assert report.passed, report.failures()
 
     def test_gps_passes_with_subscription_semantics(self, trace):
@@ -28,7 +29,7 @@ class TestValidate:
         assert report.passed, report.failures()
 
     def test_summary_readable(self, trace):
-        report = validate(trace, "finepack")
+        report = validate(trace, FinePackParadigm())
         text = report.summary()
         assert "[PASS]" in text
         assert "ledger-partition" in text
@@ -59,5 +60,5 @@ class TestValidate:
             validate(trace, LossyParadigm(), raise_on_failure=True)
 
     def test_infinite_is_trivially_consistent(self, trace):
-        report = validate(trace, make_paradigm("infinite"))
+        report = validate(trace, registry.paradigms.resolve("infinite")())
         assert report.passed, report.failures()

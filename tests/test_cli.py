@@ -22,6 +22,44 @@ class TestList:
             assert paradigm in text
 
 
+class TestLateRegistration:
+    """Components registered after import are visible to every command."""
+
+    @pytest.fixture
+    def late_components(self):
+        from repro import registry
+        from repro.sim.paradigms import P2PStoreParadigm
+        from repro.workloads import JacobiWorkload
+
+        class LateJacobi(JacobiWorkload):
+            name = "late_jacobi"
+
+        class LateP2P(P2PStoreParadigm):
+            name = "late_p2p"
+
+        registry.workloads.add("late_jacobi", LateJacobi)
+        registry.paradigms.add("late_p2p", LateP2P)
+        try:
+            yield
+        finally:
+            # Registries have no public removal; undo the additions so
+            # other tests see the stock components only.
+            del registry.workloads._entries["late_jacobi"]
+            del registry.paradigms._entries["late_p2p"]
+
+    def test_list_shows_late_components(self, late_components):
+        text = run_cli("list")
+        assert "late_jacobi" in text
+        assert "late_p2p" in text
+
+    def test_run_accepts_late_components(self, late_components):
+        text = run_cli(
+            "run", "late_jacobi", "late_p2p", "--gpus", "2", "--iterations", "1"
+        )
+        assert "late_jacobi / late_p2p" in text
+        assert "total_time_ms" in text
+
+
 class TestRun:
     def test_run_small(self):
         text = run_cli(

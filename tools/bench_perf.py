@@ -6,10 +6,8 @@ Two suites, each run twice -- once with every fast path enabled (the
 default configuration) and once with the scalar reference paths -- on
 shared pre-warmed trace caches:
 
-* the **core** suite: the full 8-workload set under three paradigms on
-  the default single-switch topology (``--gpus``/``--iterations`` and
-  the ``--topology``/``--fanout``/``--oversubscription``/``--planes``
-  flags reshape it);
+* the **core** suite: the full 8-workload set under three paradigms at
+  4 GPUs and 3 iterations on the default single-switch topology;
 * the **collectives** suite: the five collective workloads under three
   paradigms on a 16-GPU fat tree (fanout 4) -- the hop-overlapping
   shape the event-ordered batch transport keeps on the fast path.
@@ -70,6 +68,14 @@ WORKLOADS = ("als", "ct", "diffusion", "eqwp", "hit", "jacobi", "pagerank", "sss
 COLLECTIVES = ("allreduce_ring", "allreduce_tree", "allgather", "alltoall", "pipeline")
 PARADIGMS = ("p2p", "dma", "finepack")
 
+#: The core shape: the paper's 4-GPU single-switch testbed.
+CORE_SUITE = {
+    "n_gpus": 4,
+    "iterations": 3,
+    "topology": None,
+    "topology_params": {},
+}
+
 #: The collectives-at-scale shape: hop-overlapping fat tree.
 COLLECTIVE_SUITE = {
     "n_gpus": 16,
@@ -79,28 +85,9 @@ COLLECTIVE_SUITE = {
 }
 
 
-def _topology_params(args) -> dict:
-    params = {}
-    if args.fanout is not None:
-        params["fanout"] = args.fanout
-    if args.oversubscription is not None:
-        params["oversubscription"] = args.oversubscription
-    if args.planes is not None:
-        params["planes"] = args.planes
-    return params
-
-
-def build_core_suite(args) -> list[RunSpec]:
-    params = _topology_params(args)
+def build_core_suite() -> list[RunSpec]:
     return [
-        RunSpec(
-            workload=w,
-            paradigm=p,
-            n_gpus=args.gpus,
-            iterations=args.iterations,
-            topology=args.topology,
-            topology_params=params,
-        )
+        RunSpec(workload=w, paradigm=p, **CORE_SUITE)
         for w in WORKLOADS
         for p in PARADIGMS
     ]
@@ -347,20 +334,7 @@ def main(argv=None) -> int:
         "most this fraction of whole-trace generation's (default 0.5, "
         "i.e. a >=2x reduction)",
     )
-    ap.add_argument("--gpus", type=int, default=4, help="core-suite GPU count")
-    ap.add_argument("--iterations", type=int, default=3)
-    ap.add_argument(
-        "--topology",
-        default=None,
-        help="core-suite topology registry kind (default: single_switch)",
-    )
-    ap.add_argument("--fanout", type=int, default=None)
-    ap.add_argument("--oversubscription", type=float, default=None)
-    ap.add_argument("--planes", type=int, default=None)
     args = ap.parse_args(argv)
-
-    if args.topology is None and _topology_params(args):
-        ap.error("--fanout/--oversubscription/--planes require --topology")
 
     # Read the baseline up front: --check and --out may name the same
     # committed file (the refresh-in-place workflow).
@@ -368,15 +342,12 @@ def main(argv=None) -> int:
     if args.check:
         baseline = json.loads(Path(args.check).read_text())
 
-    core = bench("core", build_core_suite(args))
+    core = bench("core", build_core_suite())
     report = {
         "suite": {
             "workloads": list(WORKLOADS),
             "paradigms": list(PARADIGMS),
-            "n_gpus": args.gpus,
-            "iterations": args.iterations,
-            "topology": args.topology,
-            "topology_params": _topology_params(args),
+            **CORE_SUITE,
         },
         **{k: v for k, v in core.items() if k != "mismatches"},
     }
