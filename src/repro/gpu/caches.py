@@ -11,15 +11,17 @@ Two pieces matter for FinePack (paper Sec. III):
   inter-GPU coherence traffic exists and FinePack may freely buffer and
   reorder remote stores.
 
-:class:`SetAssociativeCache` is a conventional LRU cache model used by
-the compute-timing layer to estimate local L2 hit rates, plus directly
-by tests.  :class:`L2Cache` wraps it with the memory-side semantics.
+:class:`SetAssociativeCache` is a conventional LRU cache model.
+:class:`L2Cache` wraps it with the memory-side semantics; every
+:class:`~repro.gpu.gpu.GPU` carries one, but no timing model reads it.
+A set is allocated the first time it is touched, so building a GPU
+costs nothing per set.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .memory import owner_of
 
@@ -53,19 +55,17 @@ class SetAssociativeCache:
         self.line_bytes = line_bytes
         self.ways = ways
         self.n_sets = capacity_bytes // (ways * line_bytes)
-        self._sets: list[OrderedDict[int, None]] = [
-            OrderedDict() for _ in range(self.n_sets)
-        ]
+        #: Set index -> its lines in LRU order; created on first access.
+        self._sets: dict[int, OrderedDict[int, None]] = {}
         self.stats = CacheStats()
-
-    def _set_of(self, line: int) -> OrderedDict[int, None]:
-        return self._sets[line % self.n_sets]
 
     def access(self, addr: int) -> bool:
         """Touch the line containing ``addr``; returns True on hit."""
         line = addr // self.line_bytes
-        s = self._set_of(line)
-        if line in s:
+        s = self._sets.get(line % self.n_sets)
+        if s is None:
+            s = self._sets[line % self.n_sets] = OrderedDict()
+        elif line in s:
             s.move_to_end(line)
             self.stats.hits += 1
             return True
@@ -76,11 +76,11 @@ class SetAssociativeCache:
         return False
 
     def contains(self, addr: int) -> bool:
-        return (addr // self.line_bytes) in self._set_of(addr // self.line_bytes)
+        line = addr // self.line_bytes
+        return line in self._sets.get(line % self.n_sets, ())
 
     def flush(self) -> None:
-        for s in self._sets:
-            s.clear()
+        self._sets.clear()
 
 
 class L2Cache:

@@ -29,6 +29,18 @@ from .message import WireMessage
 #: the cap is counted in ``LinkStats.replay_saturations``.
 MAX_REPLAYS = 8
 
+#: :meth:`Link.transmit_batch` times calls with fewer messages than
+#: this with the per-message loop; below it numpy's per-call overhead
+#: costs more than the array chain saves.
+CHAIN_ARRAY_MIN = 256
+#: Guess-and-verify rounds of the array chain before the rest of a
+#: call falls back to the loop.
+CHAIN_MAX_ROUNDS = 8
+#: Busy periods at least this long accumulate as one slice each;
+#: shorter ones as rows of zero-padded 2-D arrays, one per power-of-two
+#: width.
+_SLICE_PERIOD = 32
+
 
 @dataclass
 class LinkStats:
@@ -254,12 +266,13 @@ class Link:
 
         ``ready`` must be in the order the event engine would call
         :meth:`transmit` (global issue order).  Returns the delivery
-        times.  The busy-time chain is a sequential Python loop over
-        unboxed floats -- the identical additions in the identical
-        order as the scalar path -- so timings are byte-identical, not
-        merely close; only the stats summation and the final
-        propagation add are vectorized (both order-insensitive or
-        elementwise).
+        times, byte-identical to the scalar path, not merely close.
+        The busy chain ``end_i = max(ready_i, end_{i-1}) + d_i`` is
+        timed busy period by busy period (:func:`_chain_by_period`),
+        whose additions are the scalar path's in the scalar order;
+        calls shorter than :data:`CHAIN_ARRAY_MIN` keep the
+        per-message loop.  ``busy_time_ns`` is accumulated left to
+        right, as the scalar path sums it.
         """
         if (
             self.credits is not None
@@ -272,19 +285,20 @@ class Link:
                 "batch transmission would not be byte-identical"
             )
         durations = wire_bytes / self.bytes_per_ns
-        ends = np.empty_like(durations)
-        busy = self.busy_until
-        busy_time = self.stats.busy_time_ns
-        i = 0
-        for r, d in zip(ready.tolist(), durations.tolist()):
-            start = r if r > busy else busy
-            busy = start + d
-            ends[i] = busy
-            busy_time += d
-            i += 1
-        self.busy_until = busy
         st = self.stats
-        st.busy_time_ns = busy_time
+        if ready.size < CHAIN_ARRAY_MIN:
+            ends = np.empty_like(durations)
+            self.busy_until = _chain_loop(ready, durations, self.busy_until, ends)
+            busy_time = st.busy_time_ns
+            for d in durations.tolist():
+                busy_time += d
+            st.busy_time_ns = busy_time
+        else:
+            ends = _chain_by_period(ready, durations, self.busy_until)
+            self.busy_until = float(ends[-1])
+            st.busy_time_ns = float(
+                np.add.accumulate(np.concatenate(([st.busy_time_ns], durations)))[-1]
+            )
         st.messages += int(ready.size)
         st.payload_bytes += int(payload.sum())
         st.overhead_bytes += int(overhead.sum())
@@ -305,3 +319,109 @@ class Link:
         if self.fault_state is not None:
             self.fault_state.reset()
         self._seed_rng()
+
+
+def _chain_loop(
+    ready: np.ndarray, durations: np.ndarray, busy: float, out: np.ndarray
+) -> float:
+    """The busy chain one message at a time, as :meth:`Link.transmit`
+    computes it: writes each end into ``out`` and returns the last."""
+    i = 0
+    for r, d in zip(ready.tolist(), durations.tolist()):
+        start = r if r > busy else busy
+        busy = start + d
+        out[i] = busy
+        i += 1
+    return busy
+
+
+def _chain_by_period(
+    ready: np.ndarray, durations: np.ndarray, busy: float
+) -> np.ndarray:
+    """The busy chain's ends, bit for bit with :func:`_chain_loop`.
+
+    Inside a busy period every end is the previous end plus the next
+    duration, so ``np.add.accumulate`` from the period's start performs
+    the loop's additions in the loop's order.  Where the periods start
+    is guessed from the recurrence's max-plus closed form: with prefix
+    sums ``P``, ``end_i = P_i + max(busy, max_{j<=i} ready_j - P_{j-1})``.
+    Float rounding can misplace a start near a tie, so a result is
+    accepted only as far as one elementwise pass of the recurrence
+    reproduces it; that verified prefix is exact by induction.  The
+    rest is retried with the starts its computed ends imply, and after
+    :data:`CHAIN_MAX_ROUNDS` rounds handed to the loop.
+    """
+    n = ready.size
+    prefix = np.cumsum(durations)
+    guess = ready - prefix
+    guess += durations
+    guess[0] = max(guess[0], busy)
+    np.maximum.accumulate(guess, out=guess)
+    guess += prefix
+    new = np.empty(n, dtype=bool)
+    np.greater(ready[1:], guess[:-1], out=new[1:])
+    ends = np.empty_like(durations)
+    lo = 0
+    for _ in range(CHAIN_MAX_ROUNDS):
+        new[lo] = True
+        _accumulate_periods(ready[lo:], durations[lo:], busy, new[lo:], ends[lo:])
+        lo += _verified(ready[lo:], durations[lo:], busy, ends[lo:])
+        if lo == n:
+            return ends
+        busy = float(ends[lo - 1])
+        np.greater(ready[lo + 1 :], ends[lo:-1], out=new[lo + 1 :])
+    _chain_loop(ready[lo:], durations[lo:], busy, ends[lo:])
+    return ends
+
+
+def _accumulate_periods(
+    ready: np.ndarray,
+    durations: np.ndarray,
+    busy: float,
+    new: np.ndarray,
+    out: np.ndarray,
+) -> None:
+    """Ends of the chain if each ``new`` message opens a busy period at
+    its ready time, written into ``out``.  ``new[0]`` must be set; the
+    first message starts when both it and the link are ready."""
+    n = ready.size
+    heads = np.flatnonzero(new)
+    # Each period's first end, then its durations: the loop's operands.
+    out[:] = durations
+    out[0] += ready[0] if ready[0] > busy else busy
+    out[heads[1:]] += ready[heads[1:]]
+    if heads.size == n:
+        return
+    lengths = np.diff(heads, append=n)
+    multi = lengths > 1
+    heads, lengths = heads[multi], lengths[multi]
+    long = lengths >= _SLICE_PERIOD
+    for a, m in zip(heads[long].tolist(), lengths[long].tolist()):
+        np.add.accumulate(out[a : a + m], out=out[a : a + m])
+    heads, lengths = heads[~long], lengths[~long]
+    while heads.size:
+        width = 1 << (int(lengths.min()) - 1).bit_length()
+        fits = lengths <= width
+        cols = np.arange(width)
+        idx = heads[fits, None] + cols
+        valid = cols < lengths[fits, None]
+        pos = idx[valid]
+        padded = np.zeros(idx.shape)
+        padded[valid] = out[pos]
+        out[pos] = np.add.accumulate(padded, axis=1)[valid]
+        heads, lengths = heads[~fits], lengths[~fits]
+
+
+def _verified(
+    ready: np.ndarray, durations: np.ndarray, busy: float, ends: np.ndarray
+) -> int:
+    """Length of the prefix of ``ends`` that one elementwise pass of the
+    loop's recurrence reproduces bit for bit."""
+    prev = np.empty_like(ends)
+    prev[0] = busy
+    prev[1:] = ends[:-1]
+    step = np.where(ready > prev, ready, prev)
+    step += durations
+    wrong = step.view(np.int64) != ends.view(np.int64)
+    k = int(wrong.argmax())
+    return k if wrong[k] else ends.size

@@ -40,9 +40,10 @@ Equally, anything that makes per-message transmission stateful beyond
 the busy-time chain -- flow-control credits, armed fault schedules,
 error-rate replay RNGs, tracers -- disqualifies the batch path; see
 :func:`links_eligible`.  The float arithmetic inside the batch is
-element-for-element the scalar arithmetic (the per-link busy chain
-stays a sequential loop), so results are byte-identical, not just
-close.
+element-for-element the scalar arithmetic: each link's busy chain is
+accumulated busy period by busy period in the scalar order, and
+checked against the scalar recurrence, so results are byte-identical,
+not just close.
 """
 
 from __future__ import annotations

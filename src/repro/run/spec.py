@@ -85,8 +85,9 @@ class RunSpec:
         ``seed`` they address the workload trace.
     paradigm, paradigm_params:
         Registry name (:data:`repro.registry.paradigms`) plus
-        constructor kwargs.  The ``finepack`` paradigm implicitly
-        receives :attr:`finepack` unless ``config`` is overridden.
+        constructor kwargs.  The ``finepack`` paradigm receives
+        :attr:`finepack` as its ``config``, which ``paradigm_params``
+        may not set.
     generation:
         PCIe link parameters (a frozen :class:`PCIeGeneration`).
     topology, topology_params:
@@ -159,6 +160,11 @@ class RunSpec:
         object.__setattr__(self, "workload_params", freeze_params(self.workload_params))
         object.__setattr__(self, "paradigm_params", freeze_params(self.paradigm_params))
         object.__setattr__(self, "topology_params", freeze_params(self.topology_params))
+        if any(k == "config" for k, _ in self.paradigm_params):
+            raise ValueError(
+                "paradigm_params may not set 'config': the FinePack "
+                "config is the spec's finepack= field alone"
+            )
         _require(self.generation, PCIeGeneration, "generation")
         _require(self.finepack, FinePackConfig, "finepack")
         _require(self.fabric, FabricConfig, "fabric")
@@ -266,14 +272,13 @@ class RunSpec:
     def build_paradigm(self):
         """Instantiate the paradigm via the registry.
 
-        ``finepack`` receives the spec's :attr:`finepack` config unless
-        ``paradigm_params`` overrides ``config``.
+        ``finepack`` receives the spec's :attr:`finepack` config.
         """
         from ..sim.paradigms import FinePackParadigm
 
         cls = registry.paradigms.resolve(self.paradigm)
         kwargs = dict(self.paradigm_params)
-        if issubclass(cls, FinePackParadigm) and "config" not in kwargs:
+        if issubclass(cls, FinePackParadigm):
             kwargs["config"] = self.finepack
         return cls(**kwargs)
 

@@ -16,7 +16,7 @@ from repro.core.remote_write_queue import (
     RemoteWriteQueue,
 )
 from repro.interconnect.flowcontrol import CreditPool
-from repro.interconnect.link import Link
+from repro.interconnect.link import CHAIN_ARRAY_MIN, Link
 from repro.interconnect.message import KIND_CODES, MessageKind, WireMessage
 from repro.interconnect.pcie import PCIE_GEN3, PCIE_GEN4, PCIeProtocol
 from repro.perf import scalar_mode, scalar_reference
@@ -134,19 +134,24 @@ def wire(size: int, issue: float, kind=MessageKind.STORE) -> WireMessage:
 
 class TestTransmitBatch:
     def test_matches_sequential_transmit(self, rng):
-        msgs = [
-            wire(int(rng.integers(1, 256)), float(t))
-            for t in np.sort(rng.uniform(0, 500, size=100))
-        ]
-        a = Link("a", bytes_per_ns=2.0)
-        seq = [a.transmit(m, m.issue_time)[1] for m in msgs]
+        # Both sides of the cutoff: the per-message loop and the
+        # busy-period array chain.
+        for count in (100, 3 * CHAIN_ARRAY_MIN):
+            msgs = [
+                wire(int(rng.integers(1, 256)), float(t))
+                for t in np.sort(rng.uniform(0, 5 * count, size=count))
+            ]
+            a = Link("a", bytes_per_ns=2.0)
+            seq = [a.transmit(m, m.issue_time)[1] for m in msgs]
 
-        b = Link("b", bytes_per_ns=2.0)
-        _, _, payload, overhead, _, issue, _ = arrays_from_messages(msgs)
-        deliveries = b.transmit_batch(issue, payload + overhead, payload, overhead)
-        assert deliveries.tolist() == seq
-        assert b.busy_until == a.busy_until
-        assert b.stats == a.stats
+            b = Link("b", bytes_per_ns=2.0)
+            _, _, payload, overhead, _, issue, _ = arrays_from_messages(msgs)
+            deliveries = b.transmit_batch(
+                issue, payload + overhead, payload, overhead
+            )
+            assert deliveries.tolist() == seq
+            assert b.busy_until == a.busy_until
+            assert b.stats == a.stats
 
     def test_rejects_stateful_links(self):
         link = Link("c", bytes_per_ns=2.0, credits=CreditPool())

@@ -18,6 +18,7 @@ from repro.core.egress import FinePackEgress
 from repro.core.packetizer import Packetizer
 from repro.core.remote_write_queue import QueuePartition
 from repro.faults import load_scenario
+from repro.interconnect.link import CHAIN_ARRAY_MIN, Link
 from repro.interconnect.pcie import PCIE_GEN4, PCIeProtocol
 from repro.perf import scalar_reference
 from repro.perf.harness import fingerprint_metrics, profile_run
@@ -56,11 +57,28 @@ def fingerprints(spec: RunSpec) -> tuple[str, str]:
     return fast.fingerprint, scalar.fingerprint
 
 
+#: Cells whose fast pass sends some link at least ``CHAIN_ARRAY_MIN``
+#: messages in one call, so the busy-period array chain of
+#: ``Link.transmit_batch`` is held to byte identity here, not only the
+#: per-message loop.
+ARRAY_CHAIN_CELLS = {("als", "p2p"), ("hit", "p2p"), ("sssp", "p2p")}
+
+
 @pytest.mark.parametrize("workload", sorted(WORKLOAD_PARAMS))
 @pytest.mark.parametrize("paradigm", PARADIGMS)
-def test_fast_matches_scalar(workload, paradigm):
+def test_fast_matches_scalar(workload, paradigm, monkeypatch):
+    sizes = [0]
+    transmit_batch = Link.transmit_batch
+
+    def spy(self, ready, *columns):
+        sizes.append(ready.size)
+        return transmit_batch(self, ready, *columns)
+
+    monkeypatch.setattr(Link, "transmit_batch", spy)
     fast, scalar = fingerprints(spec_for(workload, paradigm))
     assert fast == scalar
+    if (workload, paradigm) in ARRAY_CHAIN_CELLS:
+        assert max(sizes) >= CHAIN_ARRAY_MIN
 
 
 @pytest.mark.parametrize("paradigm", ["p2p", "finepack"])

@@ -140,6 +140,21 @@ class TestValidation:
         with pytest.raises(ValueError, match="unknown topology"):
             RunSpec(workload="jacobi").with_options(topology="ring_of_fire")
 
+    def test_rejects_finepack_config_in_paradigm_params(self):
+        # finepack= owns the FinePack config.  A JSON-scalar override
+        # could only be None, which ran the default 5-byte sub-headers
+        # under a spec that names 2-byte ones.
+        with pytest.raises(ValueError, match="finepack="):
+            RunSpec(
+                workload="jacobi",
+                n_gpus=2,
+                iterations=1,
+                finepack=FinePackConfig(subheader_bytes=2),
+                paradigm_params={"config": None},
+            )
+        with pytest.raises(ValueError, match="finepack="):
+            RunSpec(workload="jacobi").with_options(paradigm_params={"config": None})
+
     def test_workload_name_is_not_resolved(self):
         # A replayed trace may name a workload this process never
         # registered; only the trace's consumer needs the class.
