@@ -1,6 +1,6 @@
 # Convenience targets for the FinePack reproduction.
 
-.PHONY: install test bench bench-smoke bench-perf calibrate quick verify trace-smoke docs report clean
+.PHONY: install test bench bench-perf calibrate quick verify trace-smoke docs report clean
 
 install:
 	pip install -e .
@@ -34,12 +34,6 @@ trace-smoke:
 
 bench:
 	pytest benchmarks/ --benchmark-only
-
-# Tiny sweep through the parallel executor + trace cache; asserts
-# serial == parallel metrics and that a warm cache skips generation.
-# Emits BENCH_sweep.json with the wall-clock comparison.
-bench-smoke:
-	python tools/bench_smoke.py --jobs 2 --out BENCH_sweep.json
 
 # Fast-path perf benchmark: full workload suite under vectorized and
 # scalar configurations, asserting byte-identical metrics.  Emits

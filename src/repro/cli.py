@@ -161,7 +161,8 @@ def _add_topology_args(p: argparse.ArgumentParser) -> None:
 
 
 def _topology_fields(args: argparse.Namespace) -> tuple[str | None, tuple]:
-    """``(kind, frozen params)`` from the topology flags, registry-checked."""
+    """``(kind, frozen params)`` from the topology flags; the
+    :class:`RunSpec` checks both."""
     kind = getattr(args, "topology", None)
     params = {
         name: value
@@ -172,11 +173,6 @@ def _topology_fields(args: argparse.Namespace) -> tuple[str | None, tuple]:
         raise SystemExit(
             "--fanout/--oversubscription/--planes require --topology"
         )
-    if kind is not None:
-        try:
-            registry.topologies.resolve(kind)
-        except registry.RegistryError as exc:
-            raise SystemExit(str(exc)) from None
     return kind, tuple(sorted(params.items()))
 
 
@@ -355,11 +351,21 @@ def _fabric_fields(args: argparse.Namespace) -> dict:
     }
 
 
+def _checked_spec(build, *args, **fields) -> RunSpec:
+    """``build(*args, **fields)``, with the spec's own checks reported
+    as command-line errors."""
+    try:
+        return build(*args, **fields)
+    except ValueError as exc:
+        raise SystemExit(str(exc)) from None
+
+
 def _spec(
     args: argparse.Namespace, workload: str, paradigm: str = "finepack"
 ) -> RunSpec:
     """The :class:`RunSpec` the flags describe for one workload name."""
-    return RunSpec.for_workload(
+    return _checked_spec(
+        RunSpec.for_workload,
         _workload(workload),
         paradigm,
         n_gpus=args.gpus,
@@ -370,19 +376,14 @@ def _spec(
 
 
 def _check_fidelity(args: argparse.Namespace) -> str:
-    """Reject flag combinations the analytical tier cannot serve."""
+    """Reject flags the analytical tier cannot serve that no
+    :class:`RunSpec` field carries."""
     fidelity = args.fidelity
-    if fidelity == "analytical":
-        if getattr(args, "trace_out", None):
-            raise SystemExit(
-                "--trace-out records discrete events and requires "
-                "--fidelity des"
-            )
-        if args.error_rate:
-            raise SystemExit(
-                "--error-rate injects event-ordered faults and requires "
-                "--fidelity des"
-            )
+    if fidelity == "analytical" and getattr(args, "trace_out", None):
+        raise SystemExit(
+            "--trace-out records discrete events and requires "
+            "--fidelity des"
+        )
     return fidelity
 
 
@@ -654,7 +655,8 @@ def cmd_trace(args, out) -> int:
 def cmd_replay(args, out) -> int:
     _check_fidelity(args)
     trace = load_trace(args.trace)
-    spec = RunSpec(
+    spec = _checked_spec(
+        RunSpec,
         workload=trace.name,
         paradigm=args.paradigm,
         n_gpus=trace.n_gpus,

@@ -6,7 +6,8 @@ Public surface:
 * :class:`FinePackPacket` / :class:`SubTransaction` (Table I, Fig. 6).
 * :class:`RemoteWriteQueue` / :class:`QueuePartition` (Fig. 8).
 * :class:`Packetizer`, :class:`Depacketizer` (Fig. 7).
-* Egress engines: :class:`FinePackEgress`, :class:`PassthroughEgress`,
+* The :class:`EgressEngine` protocol and its engines:
+  :class:`FinePackEgress`, :class:`PassthroughEgress`,
   :class:`WriteCombiningEgress`.
 * :class:`ConfigPacketDesign` -- the Sec. VI-B alternate design.
 """
@@ -21,7 +22,12 @@ from .config import (
 )
 from .depacketizer import Depacketizer, DisaggregatedStore
 from .nvlink_embedding import NVLinkFinePackEmbedding
-from .egress import FinePackEgress, PassthroughEgress, WriteCombiningEgress
+from .egress import (
+    EgressEngine,
+    FinePackEgress,
+    PassthroughEgress,
+    WriteCombiningEgress,
+)
 from .packet import FinePackPacket, SubTransaction
 from .packetizer import Packetizer
 from .remote_write_queue import (
@@ -42,6 +48,7 @@ __all__ = [
     "offset_bits_for",
     "Depacketizer",
     "DisaggregatedStore",
+    "EgressEngine",
     "FinePackEgress",
     "PassthroughEgress",
     "WriteCombiningEgress",

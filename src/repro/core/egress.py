@@ -1,6 +1,7 @@
 """Egress engines: the GPU-to-interconnect interface for each paradigm.
 
-Three engines implement :class:`repro.gpu.gpu.EgressEngine`:
+Three engines implement :class:`EgressEngine`, the interface between a
+GPU and its network egress port:
 
 * :class:`PassthroughEgress` -- today's hardware: every remote store
   leaves immediately as its own memory-write TLP (the paper's "P2P
@@ -21,9 +22,11 @@ payload bytes as useful or wasted.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from typing import Protocol
 
 import numpy as np
 
+from ..gpu.coalescer import LINE_BYTES
 from ..interconnect.message import MessageKind, WireMessage
 from ..interconnect.pcie import PCIeProtocol
 from ..perf import profiler as _prof
@@ -31,7 +34,39 @@ from ..perf.batch import ATOMIC_CODE, STORE_CODE, MessageBatch
 from .config import FinePackConfig
 from .packetizer import Packetizer
 from .phase_kernel import pack_phase
-from .remote_write_queue import FlushedWindow, FlushReason, RemoteWriteQueue
+from .remote_write_queue import (
+    FlushedWindow,
+    FlushReason,
+    RemoteWriteQueue,
+    mask_runs,
+)
+
+
+class EgressEngine(Protocol):
+    """Interface between a GPU and its network egress port.
+
+    Implementations translate a stream of remote-store/sync events into
+    :class:`WireMessage` objects.  All methods return the messages made
+    ready by the event (possibly none).
+    """
+
+    def on_store(
+        self, addr: int, size: int, dst: int, time: float, data: bytes | None = None
+    ) -> list[WireMessage]:
+        """A remote store reached the egress port."""
+        ...
+
+    def on_atomic(self, addr: int, size: int, dst: int, time: float) -> list[WireMessage]:
+        """A remote atomic reached the egress port (never coalesced)."""
+        ...
+
+    def on_remote_load(self, addr: int, size: int, dst: int, time: float) -> list[WireMessage]:
+        """A remote load passed the egress port (may force flushes)."""
+        ...
+
+    def on_release(self, time: float) -> list[WireMessage]:
+        """A system-scoped release (fence or kernel end) executed."""
+        ...
 
 
 def _single_range(addr: int, size: int) -> dict:
@@ -131,13 +166,11 @@ class WriteCombiningEgress:
     Per destination, a FIFO of up to ``entries`` open 128 B lines; a
     store to an open line merges, a store to a new line evicts the
     oldest when full.  An evicted/flushed line emits one TLP per
-    contiguous run of touched bytes.  Two transfer-granularity options
-    model GPS-style replication (paper Sec. VI-B):
-
-    * ``sector_bytes`` rounds every run out to sector boundaries before
-      transmission, over-transferring the untouched bytes within each
-      touched sector ("unneeded transfers within a cacheline");
-    * ``full_line=True`` ships the whole 128 B line as one TLP.
+    contiguous run of touched bytes.  ``sector_bytes`` models GPS-style
+    replication (paper Sec. VI-B): every run is rounded out to sector
+    boundaries before transmission, over-transferring the untouched
+    bytes within each touched sector ("unneeded transfers within a
+    cacheline").
     """
 
     def __init__(
@@ -146,19 +179,16 @@ class WriteCombiningEgress:
         src: int,
         n_gpus: int,
         entries: int = 64,
-        line_bytes: int = 128,
-        full_line: bool = False,
         sector_bytes: int = 1,
     ) -> None:
-        if line_bytes % sector_bytes:
+        if LINE_BYTES % sector_bytes:
             raise ValueError(
-                f"sector_bytes {sector_bytes} must divide line_bytes {line_bytes}"
+                f"sector_bytes {sector_bytes} must divide the "
+                f"{LINE_BYTES} B line"
             )
         self.protocol = protocol
         self.src = src
         self.entries = entries
-        self.line_bytes = line_bytes
-        self.full_line = full_line
         self.sector_bytes = sector_bytes
         # dst -> {line_addr: (mask, stores_absorbed)}
         self._open: dict[int, dict[int, tuple[int, int]]] = {
@@ -171,42 +201,16 @@ class WriteCombiningEgress:
             return mask
         sector_mask = (1 << self.sector_bytes) - 1
         out = 0
-        for s in range(self.line_bytes // self.sector_bytes):
+        for s in range(LINE_BYTES // self.sector_bytes):
             if mask & (sector_mask << (s * self.sector_bytes)):
                 out |= sector_mask << (s * self.sector_bytes)
-        return out
-
-    def _runs(self, mask: int) -> list[tuple[int, int]]:
-        out = []
-        starts = mask & ~(mask << 1)
-        while starts:
-            s = (starts & -starts).bit_length() - 1
-            n = 0
-            while s + n < self.line_bytes and (mask >> (s + n)) & 1:
-                n += 1
-            out.append((s, n))
-            starts &= starts - 1
         return out
 
     def _emit_line(
         self, dst: int, line_addr: int, mask: int, absorbed: int, time: float
     ) -> list[WireMessage]:
         msgs = []
-        if self.full_line:
-            payload, overhead = self.protocol.store_wire_cost(self.line_bytes)
-            return [
-                WireMessage(
-                    src=self.src,
-                    dst=dst,
-                    payload_bytes=payload,
-                    overhead_bytes=overhead,
-                    kind=MessageKind.COMBINED_STORE,
-                    issue_time=time,
-                    stores_packed=absorbed,
-                    meta=_single_range(line_addr, self.line_bytes),
-                )
-            ]
-        runs = self._runs(self._expand_to_sectors(mask))
+        runs = mask_runs(self._expand_to_sectors(mask), LINE_BYTES)
         for i, (off, length) in enumerate(runs):
             payload, overhead = self.protocol.store_wire_cost(length)
             msgs.append(
@@ -230,8 +234,8 @@ class WriteCombiningEgress:
         msgs: list[WireMessage] = []
         pos = 0
         while pos < size:
-            line_off = (addr + pos) % self.line_bytes
-            chunk = min(size - pos, self.line_bytes - line_off)
+            line_off = (addr + pos) % LINE_BYTES
+            chunk = min(size - pos, LINE_BYTES - line_off)
             msgs.extend(self._store_within_line(addr + pos, chunk, dst, time))
             pos += chunk
         return msgs
@@ -240,7 +244,7 @@ class WriteCombiningEgress:
         self, addr: int, size: int, dst: int, time: float
     ) -> list[WireMessage]:
         open_lines = self._open[dst]
-        line = addr & ~(self.line_bytes - 1)
+        line = addr & ~(LINE_BYTES - 1)
         off = addr - line
         msgs: list[WireMessage] = []
         if line not in open_lines and len(open_lines) >= self.entries:
@@ -254,7 +258,7 @@ class WriteCombiningEgress:
 
     def on_atomic(self, addr: int, size: int, dst: int, time: float) -> list[WireMessage]:
         msgs: list[WireMessage] = []
-        line = addr & ~(self.line_bytes - 1)
+        line = addr & ~(LINE_BYTES - 1)
         entry = self._open[dst].pop(line, None)
         if entry is not None:
             msgs.extend(self._emit_line(dst, line, entry[0], entry[1], time))
@@ -275,9 +279,9 @@ class WriteCombiningEgress:
 
     def on_remote_load(self, addr: int, size: int, dst: int, time: float) -> list[WireMessage]:
         msgs: list[WireMessage] = []
-        first = addr & ~(self.line_bytes - 1)
-        last = (addr + size - 1) & ~(self.line_bytes - 1)
-        for line in range(first, last + self.line_bytes, self.line_bytes):
+        first = addr & ~(LINE_BYTES - 1)
+        last = (addr + size - 1) & ~(LINE_BYTES - 1)
+        for line in range(first, last + LINE_BYTES, LINE_BYTES):
             entry = self._open[dst].pop(line, None)
             if entry is not None:
                 msgs.extend(self._emit_line(dst, line, entry[0], entry[1], time))

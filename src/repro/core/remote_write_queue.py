@@ -52,6 +52,23 @@ class FlushReason(enum.Enum):
     WINDOW_EVICTION = "window_eviction"
 
 
+def mask_runs(mask: int, width: int) -> list[tuple[int, int]]:
+    """Maximal runs of set bits of a byte-enable mask, as (start, length).
+
+    Only the low ``width`` bits count; runs come in ascending order.
+    """
+    out: list[tuple[int, int]] = []
+    run_starts = mask & ~(mask << 1)
+    while run_starts:
+        start = (run_starts & -run_starts).bit_length() - 1
+        length = 0
+        while start + length < width and (mask >> (start + length)) & 1:
+            length += 1
+        out.append((start, length))
+        run_starts &= run_starts - 1
+    return out
+
+
 @dataclass
 class QueueEntry:
     """One 128-byte-granularity entry: tag, byte enables, data."""
@@ -67,17 +84,7 @@ class QueueEntry:
 
     def runs(self, entry_bytes: int) -> list[tuple[int, int]]:
         """Maximal contiguous enabled runs as (start_offset, length)."""
-        out: list[tuple[int, int]] = []
-        mask = self.mask
-        run_starts = mask & ~(mask << 1)
-        while run_starts:
-            start = (run_starts & -run_starts).bit_length() - 1
-            length = 0
-            while start + length < entry_bytes and (mask >> (start + length)) & 1:
-                length += 1
-            out.append((start, length))
-            run_starts &= run_starts - 1
-        return out
+        return mask_runs(self.mask, entry_bytes)
 
 
 @dataclass

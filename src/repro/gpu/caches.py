@@ -12,10 +12,10 @@ Two pieces matter for FinePack (paper Sec. III):
   reorder remote stores.
 
 :class:`SetAssociativeCache` is a conventional LRU cache model.
-:class:`L2Cache` wraps it with the memory-side semantics; every
-:class:`~repro.gpu.gpu.GPU` carries one, but no timing model reads it.
-A set is allocated the first time it is touched, so building a GPU
-costs nothing per set.
+:class:`L2Cache` wraps it with the memory-side semantics.  It is a
+standalone model of that argument: no timing path reads it.  A set is
+allocated the first time it is touched, so an untouched set costs
+nothing.
 """
 
 from __future__ import annotations

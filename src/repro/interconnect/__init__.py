@@ -1,5 +1,5 @@
 """Interconnect substrate: byte-accurate PCIe/NVLink models, links,
-flow control, switches and topologies.
+flow control and switched topologies.
 
 The public surface other packages use:
 
@@ -30,7 +30,6 @@ from .pcie import (
     PCIeGeneration,
     PCIeProtocol,
 )
-from .switch import Switch
 from .topology import (
     Topology,
     fat_tree,
@@ -55,7 +54,6 @@ __all__ = [
     "PCIE_GEN6",
     "PCIeGeneration",
     "PCIeProtocol",
-    "Switch",
     "Topology",
     "fat_tree",
     "fully_connected",

@@ -37,13 +37,6 @@ kind                      emitted when
 ``BARRIER``               the inter-GPU barrier span closing an iteration
 ``ITERATION``             the whole-iteration span (compute + drain + barrier)
 ``COUNTER_SAMPLE``        a cadence sample of the counter registry
-``CELL_RETRIED``          the supervised grid executor re-queues a crashed,
-                          hung or raising cell for another attempt (executor
-                          wall-clock time, not simulated time)
-``CELL_QUARANTINED``      a grid cell exhausted its retry budget and is
-                          reported as a :class:`CellFailure`
-``OUTCOME_CACHE``         an :class:`~repro.run.outcomes.OutcomeStore` lookup
-                          (``attrs["result"]`` is ``"hit"`` or ``"miss"``)
 ========================  =====================================================
 """
 
@@ -74,9 +67,6 @@ class EventKind(enum.Enum):
     BARRIER = "barrier"
     ITERATION = "iteration"
     COUNTER_SAMPLE = "counter_sample"
-    CELL_RETRIED = "cell_retried"
-    CELL_QUARANTINED = "cell_quarantined"
-    OUTCOME_CACHE = "outcome_cache"
 
 
 #: Kinds rendered as duration spans ("X" complete events in the Chrome

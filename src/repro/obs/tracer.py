@@ -367,73 +367,6 @@ class Tracer:
             attrs={"index": index},
         )
 
-    # -- grid executor ------------------------------------------------
-    #
-    # Grid-level events live on the "grid" track and carry *executor
-    # wall-clock* nanoseconds since grid start, not simulated time --
-    # they describe the orchestration layer, not the fabric.
-
-    def cell_retried(
-        self,
-        index: int,
-        key: str,
-        attempt: int,
-        kind: str,
-        error_type: str,
-        time_ns: float,
-    ) -> None:
-        """A grid cell is re-queued after a failed attempt."""
-        self.counters.counter("cells_retried").inc()
-        self._emit(
-            EventKind.CELL_RETRIED,
-            time_ns,
-            "grid",
-            f"retry cell {index}",
-            attrs={
-                "index": index,
-                "key": key,
-                "attempt": attempt,
-                "failure": kind,
-                "error": error_type,
-            },
-        )
-
-    def cell_quarantined(
-        self,
-        index: int,
-        key: str,
-        attempts: int,
-        kind: str,
-        error_type: str,
-        time_ns: float,
-    ) -> None:
-        """A grid cell exhausted its retry budget."""
-        self.counters.counter("cells_quarantined").inc()
-        self._emit(
-            EventKind.CELL_QUARANTINED,
-            time_ns,
-            "grid",
-            f"quarantine cell {index}",
-            attrs={
-                "index": index,
-                "key": key,
-                "attempts": attempts,
-                "failure": kind,
-                "error": error_type,
-            },
-        )
-
-    def outcome_cache(self, result: str, key: str, time_ns: float) -> None:
-        """One :class:`OutcomeStore` lookup (``result``: hit/miss)."""
-        self.counters.counter(f"outcome_cache:{result}").inc()
-        self._emit(
-            EventKind.OUTCOME_CACHE,
-            time_ns,
-            "grid",
-            f"outcome {result}",
-            attrs={"result": result, "key": key},
-        )
-
     # -- engine hook -------------------------------------------------
 
     def engine_step(self, now_ns: float) -> None:

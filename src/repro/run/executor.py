@@ -185,14 +185,12 @@ class _Supervisor:
         store: OutcomeStore | None,
         journal: GridJournal | None,
         resume: bool,
-        grid_tracer=None,
     ) -> None:
         self.specs = specs
         self.policy = policy
         self.store = store
         self.journal = journal
         self.resume = resume
-        self.tracer = grid_tracer
         self.results: list = [None] * len(specs)
         self.stats = {
             "attempts": 0,
@@ -204,10 +202,6 @@ class _Supervisor:
             "pool_breaks": 0,
         }
         self._store_before = store.stats() if store is not None else None
-        self._t0 = time.monotonic()
-
-    def _now_ns(self) -> float:
-        return (time.monotonic() - self._t0) * 1e9
 
     # -- store / resume pre-pass ------------------------------------
 
@@ -224,13 +218,9 @@ class _Supervisor:
                 outcome = self.store.get(spec)
                 if outcome is not None:
                     self.results[i] = outcome
-                    if self.tracer is not None:
-                        self.tracer.outcome_cache("hit", spec.key(), self._now_ns())
                     if self.journal is not None and not resumed:
                         self.journal.record_cached(i, spec)
                     continue
-                if self.tracer is not None:
-                    self.tracer.outcome_cache("miss", spec.key(), self._now_ns())
             pending.append(_Cell(index=i, spec=spec))
         return pending
 
@@ -266,20 +256,10 @@ class _Supervisor:
             )
         if cell.attempts < self.policy.max_attempts:
             self.stats["retried"] += 1
-            if self.tracer is not None:
-                self.tracer.cell_retried(
-                    cell.index, cell.key, cell.attempts, kind, error_type,
-                    self._now_ns(),
-                )
             return True
         self.stats["quarantined"] += 1
         if self.journal is not None:
             self.journal.record_quarantine(cell.index, cell.spec, cell.attempts)
-        if self.tracer is not None:
-            self.tracer.cell_quarantined(
-                cell.index, cell.key, cell.attempts, kind, error_type,
-                self._now_ns(),
-            )
         self.results[cell.index] = CellFailure(
             spec=cell.spec,
             index=cell.index,
@@ -563,7 +543,6 @@ def execute_grid(
     outcome_store: OutcomeStore | str | Path | None = None,
     journal: str | Path | None = None,
     resume: bool = False,
-    grid_tracer=None,
 ) -> list[RunOutcome] | GridOutcome:
     """Execute every spec; results are ordered exactly like ``specs``.
 
@@ -643,7 +622,7 @@ def execute_grid(
         if journal_path is not None
         else None
     )
-    sup = _Supervisor(specs, retry, store, grid_journal, resume, grid_tracer)
+    sup = _Supervisor(specs, retry, store, grid_journal, resume)
     try:
         pending = sup.prefill()
         if pending:

@@ -25,6 +25,7 @@ across sweep cells.
 from __future__ import annotations
 
 import hashlib
+import inspect
 import json
 from dataclasses import asdict, dataclass, field, fields, replace
 from typing import Any, Mapping
@@ -94,7 +95,8 @@ class RunSpec:
         Topology registry kind, or ``None`` for the system default
         (``single_switch``; single-GPU runs build no fabric at all),
         plus factory-specific keywords (``fanout``, ``planes``,
-        ``oversubscription``, ...) as a normalized parameter tuple.
+        ``oversubscription``, ...) as a normalized parameter tuple.  A
+        keyword the factory does not take is rejected.
     scenario, intensity:
         Optional fault scenario as canonical JSON (the
         :class:`~repro.faults.schedule.FaultSchedule` schema) and the
@@ -135,11 +137,11 @@ class RunSpec:
         # a replayed trace may name a workload this process never
         # registered.
         registry.paradigms.resolve(self.paradigm)
-        if self.topology is not None:
-            try:
-                registry.topologies.resolve(self.topology)
-            except registry.RegistryError as exc:
-                raise ValueError(str(exc)) from None
+        topology = self.topology or "single_switch"
+        try:
+            factory = registry.topologies.resolve(topology)
+        except registry.RegistryError as exc:
+            raise ValueError(str(exc)) from None
         if self.fidelity not in ("des", "analytical"):
             raise ValueError(
                 f"fidelity must be 'des' or 'analytical': {self.fidelity!r}"
@@ -160,6 +162,7 @@ class RunSpec:
         object.__setattr__(self, "workload_params", freeze_params(self.workload_params))
         object.__setattr__(self, "paradigm_params", freeze_params(self.paradigm_params))
         object.__setattr__(self, "topology_params", freeze_params(self.topology_params))
+        _check_topology_params(topology, factory, self.topology_params)
         if any(k == "config" for k, _ in self.paradigm_params):
             raise ValueError(
                 "paradigm_params may not set 'config': the FinePack "
@@ -289,6 +292,28 @@ class RunSpec:
         from ..faults.schedule import FaultSchedule
 
         return FaultSchedule.from_json(self.scenario).scaled(self.intensity)
+
+
+#: Factory keywords ``make_topology`` fills from the spec's own fields.
+_TOPOLOGY_FIELDS = frozenset({"n_gpus", "generation", "with_credits", "error_rate"})
+
+
+def _check_topology_params(kind: str, factory, params: Params) -> None:
+    """Reject ``topology_params`` the topology factory does not take, so
+    a misspelled keyword fails here and not in every run of the spec."""
+    if not params:
+        return
+    parameters = inspect.signature(factory).parameters
+    if any(p.kind is p.VAR_KEYWORD for p in parameters.values()):
+        return
+    accepted = [name for name in parameters if name not in _TOPOLOGY_FIELDS]
+    unknown = [name for name, _ in params if name not in accepted]
+    if unknown:
+        raise ValueError(
+            f"topology {kind!r} takes no parameter "
+            f"{', '.join(map(repr, unknown))}; it accepts "
+            f"{', '.join(accepted) or 'none'}"
+        )
 
 
 def _workload_identity(workload) -> tuple[str, Params]:

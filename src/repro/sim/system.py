@@ -1,6 +1,6 @@
 """The multi-GPU system simulator.
 
-Ties the substrates together: per-GPU compute timing, paradigm egress
+Ties the substrates together: kernel compute timing, paradigm egress
 engines, the switched interconnect, receiver-side ingress draining, and
 the per-iteration bulk-synchronous barrier.  One call to
 :meth:`MultiGPUSystem.run` replays a workload trace under one paradigm
@@ -39,7 +39,7 @@ from ..core.depacketizer import Depacketizer
 from ..faults.errors import DegradedRunError
 from ..faults.state import RouteBlockedError
 from ..gpu.compute import ComputeModel
-from ..gpu.gpu import GPU
+from ..gpu.hbm import HBMModel
 from ..interconnect.message import MessageKind, WireMessage
 from ..interconnect.pcie import PCIE_GEN4, PCIeGeneration, PCIeProtocol
 from ..interconnect.topology import Topology, make_topology
@@ -58,6 +58,10 @@ from .engine import Engine
 from .metrics import RunMetrics, classify_egress
 from .paradigms import FinePackParadigm, Paradigm
 
+#: Every GPU drains ingress into local memory at the default HBM rate,
+#: as the analytical tier assumes too.
+_DRAIN_RATE = HBMModel().drain_rate()
+
 
 @dataclass
 class MultiGPUSystem:
@@ -65,7 +69,8 @@ class MultiGPUSystem:
 
     n_gpus: int
     protocol: PCIeProtocol
-    gpus: list[GPU]
+    #: Kernel timing, shared by every GPU of the node.
+    compute: ComputeModel
     topology: Topology | None
     #: Cost of the inter-GPU synchronization barrier per iteration.
     barrier_ns: float = 2_000.0
@@ -100,8 +105,6 @@ class MultiGPUSystem:
         of every link (see :class:`~repro.core.config.FabricConfig`);
         ``fault_injector`` arms a scenario's scheduled faults.
         """
-        compute = compute or ComputeModel()
-        gpus = [GPU(index=i, compute=compute) for i in range(n_gpus)]
         topology = make_topology(
             topology_kind,
             n_gpus,
@@ -113,7 +116,7 @@ class MultiGPUSystem:
         return cls(
             n_gpus=n_gpus,
             protocol=PCIeProtocol(generation),
-            gpus=gpus,
+            compute=compute or ComputeModel(),
             topology=topology,
             barrier_ns=barrier_ns,
             fault_injector=fault_injector,
@@ -149,8 +152,8 @@ class MultiGPUSystem:
         # de-packetizers decode them with.
         depacketizers = (
             [
-                Depacketizer(paradigm.config, drain_bytes_per_ns=g.hbm.drain_rate())
-                for g in self.gpus
+                Depacketizer(paradigm.config, drain_bytes_per_ns=_DRAIN_RATE)
+                for _ in range(self.n_gpus)
             ]
             if isinstance(paradigm, FinePackParadigm)
             else []
@@ -181,9 +184,7 @@ class MultiGPUSystem:
         phase_batch = (
             getattr(paradigm, "phase_batch", None) if plan is not None else None
         )
-        drain_rates = np.asarray(
-            [g.hbm.drain_rate() for g in self.gpus], dtype=np.float64
-        )
+        drain_rates = np.full(self.n_gpus, _DRAIN_RATE, dtype=np.float64)
 
         t = 0.0
         #: id(msg) of messages dropped because no live route remained,
@@ -193,7 +194,7 @@ class MultiGPUSystem:
         n_iters = trace.n_iterations
         for k, iteration in enumerate(trace.iterations):
             compute_end = {
-                p.gpu: t + self.gpus[p.gpu].kernel_time_ns(p.work)
+                p.gpu: t + self.compute.duration_ns(p.work)
                 for p in iteration.phases
             }
             if tracer is not None:
@@ -333,9 +334,7 @@ class MultiGPUSystem:
             if msg.kind is MessageKind.FINEPACK:
                 drained = depacketizers[msg.dst].admit(msg.meta["packet"], delivered)
             else:
-                drained = delivered + msg.payload_bytes / self.gpus[
-                    msg.dst
-                ].hbm.drain_rate()
+                drained = delivered + msg.payload_bytes / _DRAIN_RATE
             if prof is not None:
                 prof.end()
             if drained > latest:

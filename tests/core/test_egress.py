@@ -66,13 +66,6 @@ class TestWriteCombining:
         assert len(msgs) == 1  # oldest line evicted
         assert msgs[0].meta["range1"] == (BASE, 8)
 
-    def test_full_line_mode_sends_whole_line(self, protocol):
-        eg = WriteCombiningEgress(protocol, src=0, n_gpus=2, full_line=True)
-        eg.on_store(BASE + 4, 4, 1, 0.0)
-        msgs = eg.on_release(0.0)
-        assert msgs[0].payload_bytes == 128
-        assert msgs[0].meta["range1"] == (BASE, 128)
-
     def test_atomic_flushes_matching_line_first(self, protocol):
         eg = WriteCombiningEgress(protocol, src=0, n_gpus=2)
         eg.on_store(BASE, 8, 1, 0.0)

@@ -1,9 +1,7 @@
-"""GPU composition and HBM model tests."""
+"""HBM model tests."""
 
 import pytest
 
-from repro.gpu.compute import ComputeModel, KernelWork
-from repro.gpu.gpu import GPU
 from repro.gpu.hbm import HBMModel
 
 
@@ -21,17 +19,3 @@ class TestHBM:
         """Sec. IV-C: local memory can always absorb link-rate ingress."""
         assert HBMModel().drain_rate() > 128.0
 
-
-class TestGPU:
-    def test_kernel_time_delegates_to_compute_model(self):
-        gpu = GPU(index=0, compute=ComputeModel(efficiency=1.0, launch_overhead_ns=0))
-        w = KernelWork(flops=0, dram_bytes=9_000.0)
-        assert gpu.kernel_time_ns(w) == pytest.approx(10.0)
-
-    def test_l2_bound_to_gpu_index(self):
-        gpu = GPU(index=2)
-        assert gpu.l2.gpu == 2
-
-    def test_negative_index_rejected(self):
-        with pytest.raises(ValueError):
-            GPU(index=-1)

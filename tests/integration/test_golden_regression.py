@@ -12,7 +12,10 @@ import io
 import pytest
 
 from repro import registry
-from repro.run import RunContext, RunSpec, labeled_sweep
+from repro.perf.harness import fingerprint_metrics
+from repro.run import RunContext, RunSpec, TraceCache, labeled_sweep
+from tests.perf.test_collective_equivalence import spec_for as collective_spec_for
+from tests.perf.test_equivalence import spec_for
 
 #: Captured at 4 GPUs, iterations=2, seed 7 (the ``RunSpec`` defaults
 #: otherwise).
@@ -85,6 +88,26 @@ def test_golden_metrics(name):
     )
 
 
+#: Traced-vs-untraced cells: the fast-vs-scalar suites' small
+#: workloads, PageRank's atomics, and an 8-GPU fat-tree collective.
+TRACED_CELLS = {
+    "jacobi": lambda p: spec_for("jacobi", p),
+    "sssp": lambda p: spec_for("sssp", p),
+    "als": lambda p: spec_for("als", p),
+    "pagerank_atomics": lambda p: spec_for("pagerank", p).with_options(
+        workload_params={"n": 4000, "use_atomics": True}
+    ),
+    "allreduce_ring_fat_tree": lambda p: collective_spec_for(
+        "allreduce_ring", p, "fat_tree", n_gpus=8
+    ),
+}
+
+
+@pytest.fixture(scope="module")
+def trace_cache():
+    return TraceCache()
+
+
 class TestDeterminism:
     """Beyond matching golden numbers within tolerance, two runs of the
     same (workload, seed, config) must agree exactly -- including the
@@ -110,14 +133,16 @@ class TestDeterminism:
         assert m1.total_time_ns == m2.total_time_ns
         assert m1.wire_bytes == m2.wire_bytes
 
-    def test_tracing_does_not_perturb_metrics(self):
+    @pytest.mark.parametrize("paradigm", ["p2p", "wc", "gps", "dma", "finepack"])
+    @pytest.mark.parametrize("cell", sorted(TRACED_CELLS))
+    def test_tracing_does_not_perturb_metrics(self, cell, paradigm, trace_cache):
         """A traced run and an untraced run report identical metrics --
-        observation must not change the physics."""
+        observation must not change the physics.  A tracer moves p2p
+        onto the event transport and FinePack onto the per-op egress
+        path, so this holds those paths to the fast ones."""
         from repro.obs import Tracer
 
-        jacobi = registry.workloads.resolve("jacobi")()
-        spec = RunSpec.for_workload(jacobi, n_gpus=2, iterations=2)
-        plain = RunContext(spec).run()
-        traced = RunContext(spec, tracer=Tracer()).run()
-        assert plain.summary() == traced.summary()
-        assert plain.total_time_ns == traced.total_time_ns
+        spec = TRACED_CELLS[cell](paradigm)
+        plain = RunContext(spec, trace_cache).run()
+        traced = RunContext(spec, trace_cache, tracer=Tracer()).run()
+        assert fingerprint_metrics(traced) == fingerprint_metrics(plain)

@@ -1,12 +1,10 @@
-"""Switch and topology routing tests."""
+"""Topology routing tests."""
 
 import networkx as nx
 import pytest
 
-from repro.interconnect.link import Link
 from repro.interconnect.message import WireMessage
 from repro.interconnect.pcie import PCIE_GEN4
-from repro.interconnect.switch import Switch
 from repro.interconnect.topology import (
     fully_connected,
     single_switch,
@@ -16,44 +14,6 @@ from repro.interconnect.topology import (
 
 def msg(src, dst, payload=3200, overhead=0):
     return WireMessage(src=src, dst=dst, payload_bytes=payload, overhead_bytes=overhead)
-
-
-class TestSwitch:
-    def _switch(self, n=4):
-        ups = [Link(f"u{i}", 32.0, propagation_ns=0.0) for i in range(n)]
-        downs = [Link(f"d{i}", 32.0, propagation_ns=0.0) for i in range(n)]
-        return Switch(up_links=ups, down_links=downs, forwarding_ns=10.0)
-
-    def test_route_time(self):
-        sw = self._switch()
-        delivered = sw.route(msg(0, 1), 0.0)
-        # 100 ns up + 10 ns forward + 100 ns down.
-        assert delivered == pytest.approx(210.0)
-
-    def test_destination_contention(self):
-        sw = self._switch()
-        d1 = sw.route(msg(0, 3), 0.0)
-        d2 = sw.route(msg(1, 3), 0.0)
-        # Both serialize on GPU 3's down link.
-        assert d2 >= d1 + 100 - 1e-9
-
-    def test_distinct_destinations_parallel(self):
-        sw = self._switch()
-        d1 = sw.route(msg(0, 2), 0.0)
-        d2 = sw.route(msg(1, 3), 0.0)
-        assert d2 == pytest.approx(d1)
-
-    def test_local_traffic_rejected(self):
-        with pytest.raises(ValueError):
-            self._switch().route(msg(1, 1), 0.0)
-
-    def test_out_of_range_rejected(self):
-        with pytest.raises(ValueError):
-            self._switch().route(msg(0, 9), 0.0)
-
-    def test_mismatched_ports_rejected(self):
-        with pytest.raises(ValueError):
-            Switch(up_links=[Link("u", 1.0)], down_links=[])
 
 
 class TestSingleSwitch:
@@ -87,6 +47,31 @@ class TestSingleSwitch:
     def test_rejects_local_route(self):
         with pytest.raises(ValueError):
             single_switch(4).route(msg(2, 2), 0.0)
+
+    def test_rejects_out_of_range_route(self):
+        with pytest.raises(nx.NodeNotFound):
+            single_switch(4).route(msg(0, 9), 0.0)
+
+    # 3200 B at Gen4's 32 B/ns is 100 ns per link; with no propagation
+    # delay a route is up link + switch forwarding + down link.
+
+    def test_route_time(self):
+        topo = single_switch(4, propagation_ns=0.0)
+        assert topo.forwarding_ns == 100.0
+        assert topo.route(msg(0, 1), 0.0) == pytest.approx(300.0)
+
+    def test_destination_contention(self):
+        topo = single_switch(4, propagation_ns=0.0)
+        d1 = topo.route(msg(0, 3), 0.0)
+        d2 = topo.route(msg(1, 3), 0.0)
+        # Both serialize on GPU 3's down link.
+        assert d2 == pytest.approx(d1 + 100.0)
+
+    def test_distinct_destinations_parallel(self):
+        topo = single_switch(4, propagation_ns=0.0)
+        d1 = topo.route(msg(0, 2), 0.0)
+        d2 = topo.route(msg(1, 3), 0.0)
+        assert d2 == pytest.approx(d1)
 
 
 class TestFullyConnected:

@@ -41,6 +41,25 @@ class TestParallelEqualsSerial:
         assert serial.baseline.metrics == parallel.baseline.metrics
         assert serial.result.best() == parallel.result.best()
 
+    def test_collective_with_topology_params_identical(self):
+        """The process pool carries topology parameters to its workers:
+        a ring all-reduce on a 2-plane switched mesh beside the GRID."""
+        collective = RunSpec(
+            workload="allreduce_ring",
+            workload_params={"message_bytes": 8192, "chunk_bytes": 2048},
+            topology="switched_mesh",
+            topology_params={"planes": 2},
+            n_gpus=4,
+            iterations=1,
+        )
+        grid = GRID[:2] + [
+            collective.with_options(paradigm=p) for p in ("dma", "finepack")
+        ]
+        serial = execute_grid(grid, jobs=1)
+        parallel = execute_grid(grid, jobs=2)
+        assert [o.metrics for o in serial] == [o.metrics for o in parallel]
+        assert [o.spec for o in parallel] == grid
+
     def test_best_tie_break_stable_across_jobs(self):
         """Two labels, one spec -> equal speedups; best() must pick the
         lexicographically-smaller label in serial and parallel alike."""

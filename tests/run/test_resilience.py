@@ -247,6 +247,25 @@ class TestStrictContract:
             execute_grid([JACOBI], resume=True, journal=tmp_path / "j.jsonl")
 
 
+class TestHealthyGrid:
+    def test_no_retries_or_quarantines(self, tmp_path):
+        """Healthy cells charge no failed attempt on any path: serial,
+        the process pool on a warm trace cache, or the outcome store."""
+        store = OutcomeStore(tmp_path / "outcomes")
+        grids = [
+            execute_grid(GRID, jobs=1, trace_cache=tmp_path, strict=False),
+            execute_grid(GRID, jobs=2, trace_cache=tmp_path,
+                         outcome_store=store, strict=False),
+            execute_grid(GRID, jobs=1, trace_cache=tmp_path,
+                         outcome_store=store, strict=False),
+        ]
+        for grid in grids:
+            assert grid.ok
+            assert grid.retry_stats["retried"] == 0
+            assert grid.retry_stats["quarantined"] == 0
+        assert [g.retry_stats["attempts"] for g in grids] == [len(GRID)] * 2 + [0]
+
+
 class TestWorkerFailures:
     """Real subprocess crashes and hangs through the supervised pool."""
 

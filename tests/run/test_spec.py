@@ -140,6 +140,47 @@ class TestValidation:
         with pytest.raises(ValueError, match="unknown topology"):
             RunSpec(workload="jacobi").with_options(topology="ring_of_fire")
 
+    @pytest.mark.parametrize(
+        "topology, params, accepted",
+        [
+            ("single_switch", {"planes": 2}, "propagation_ns"),
+            # No topology means the single_switch default.
+            (None, {"fanout": 2}, "propagation_ns"),
+            ("fat_tree", {"fanuot": 2}, "fanout, oversubscription, propagation_ns"),
+        ],
+        ids=["single_switch", "default", "fat_tree"],
+    )
+    def test_rejects_topology_params_the_factory_does_not_take(
+        self, topology, params, accepted
+    ):
+        # Such a spec used to build and hash, then every run of it died
+        # with the factory's TypeError.
+        with pytest.raises(ValueError, match=f"it accepts {accepted}$"):
+            RunSpec(
+                workload="jacobi",
+                n_gpus=2,
+                topology=topology,
+                topology_params=params,
+            )
+
+    def test_spec_fields_are_not_topology_params(self):
+        # make_topology passes these from the spec's own fields.
+        with pytest.raises(ValueError, match="'with_credits'"):
+            RunSpec(
+                workload="jacobi",
+                topology="fat_tree",
+                topology_params={"with_credits": True},
+            )
+
+    def test_accepts_the_factory_keywords(self):
+        spec = RunSpec(
+            workload="jacobi",
+            n_gpus=8,
+            topology="fat_tree",
+            topology_params={"fanout": 2, "oversubscription": 2.0},
+        )
+        assert spec.topology_params == (("fanout", 2), ("oversubscription", 2.0))
+
     def test_rejects_finepack_config_in_paradigm_params(self):
         # finepack= owns the FinePack config.  A JSON-scalar override
         # could only be None, which ran the default 5-byte sub-headers

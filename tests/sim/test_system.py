@@ -75,6 +75,14 @@ class TestTiming:
         fast = run("p2p", trace=trace, generation=PCIE_GEN6)
         assert fast.total_time_ns <= slow.total_time_ns
 
+    def test_kernel_time_delegates_to_compute_model(self):
+        compute = ComputeModel(efficiency=1.0, launch_overhead_ns=0)
+        kernel = compute.duration_ns(KernelWork(flops=0, dram_bytes=9_000_000))
+        assert kernel == pytest.approx(10_000.0)
+        # Every GPU runs that kernel in both toy iterations.
+        m = run("infinite", compute=compute)
+        assert m.compute_time_ns == pytest.approx(2 * kernel)
+
     def test_dma_pays_call_overhead(self):
         m = run("dma")
         assert m.total_time_ns > m.compute_time_ns
