@@ -6,14 +6,23 @@ an empty single-window queue with no inactivity timeout, is a pure
 function of its op columns.  :func:`pack_phase` computes that function
 in two passes instead of one :class:`QueuePartition` insert per op:
 
-1. **Flush structure.**  Ops are grouped by destination with a stable
-   argsort (each partition sees only its own ops, in issue order).  Each
-   destination's line pieces are scanned with plain ints -- window base,
-   a ``{line: byte-enable mask}`` dict, committed payload cost and
-   absorbed count -- applying exactly the partition's admission checks
-   (window miss, then payload full, then entries full) and the atomic
-   same-address conflict check.  The scan records only the flush
-   points: (piece position, reason, stores absorbed, window base).
+1. **Flush structure.**  Ops are grouped by destination with a radix
+   sort (each partition sees only its own ops, in issue order).
+   :func:`_flush_search` then finds every partition's flush points --
+   (piece position, reason, stores absorbed, window base) -- over the
+   whole phase, one step per flush.  Array passes give each piece the
+   points that can end a partition it opens: the next window change or
+   the destination's end, the first overflow of the payload's upper
+   bound, the (E+1)-th piece and the first line that repeats since it.
+   A step is O(1) when these decide the flush exactly; with a repeat,
+   entries-full is one count over a slice.  Any other partition runs
+   :func:`_scan_destination` -- plain ints, a ``{line: byte-enable
+   mask}`` dict, the partition's admission checks (window miss, then
+   payload full, then entries full) and the atomic same-address
+   conflict check -- from its empty start to its first flush.  That
+   scan is the only scalar rule set and the search's test oracle; it
+   runs whole for phases shorter than :data:`SEARCH_ARRAY_MIN` and for
+   phases with atomics, which no workload mixes with stores.
 2. **Packets.**  Every piece then knows its flush window.  Sorting the
    pieces by (window, address) and taking the interval union per
    (window, line) -- a segment-wise ``np.maximum.accumulate`` over the
@@ -38,6 +47,7 @@ import numpy as np
 
 from ..interconnect.message import MessageKind, WireMessage
 from ..interconnect.pcie import DW_BYTES, PCIeProtocol
+from ..trace.ids import stable_argsort
 from .config import FinePackConfig
 from .packet import FinePackPacket
 from .remote_write_queue import FlushReason
@@ -53,14 +63,14 @@ def _phase_events(
     dsts: np.ndarray,
     is_atomic: np.ndarray,
     entry_bytes: int,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[tuple[int, int, int]]]:
+    n_dsts: int,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """The phase's queue events, grouped by destination.
 
     Stores split at line boundaries into pieces (the queue's unit);
     atomics stay whole with their size negated.  Returns ``(slot,
-    start, length)`` columns, stably sorted by destination so each
-    destination keeps issue order, and ``(dst, lo, hi)`` per
-    destination segment.
+    start, length, dst)`` columns, stably sorted by destination (ids
+    below ``n_dsts``) so each destination keeps issue order.
     """
     n = int(addrs.size)
     shift = entry_bytes.bit_length() - 1
@@ -84,15 +94,8 @@ def _phase_events(
             np.minimum(addrs[slot] + sizes[slot], line0 + entry_bytes) - start,
         )
     dst = dsts[slot]
-    order = np.argsort(dst, kind="stable")
-    dst = dst[order]
-    cuts = (np.flatnonzero(np.diff(dst)) + 1).tolist()
-    segments = [
-        (int(dst[lo]), lo, hi)
-        for lo, hi in zip([0, *cuts], [*cuts, int(dst.size)])
-        if lo < hi
-    ]
-    return slot[order], start[order], length[order], segments
+    order = stable_argsort(dst, n_dsts)
+    return slot[order], start[order], length[order], dst[order]
 
 
 def _scan_destination(
@@ -100,6 +103,7 @@ def _scan_destination(
     lengths: list[int],
     first_pos: int,
     config: FinePackConfig,
+    first_only: bool = False,
 ) -> list[tuple[int, FlushReason, int, int]]:
     """Replay one partition over its events with plain ints.
 
@@ -108,7 +112,8 @@ def _scan_destination(
     negated size.  Returns the flush points as ``(position, reason,
     stores absorbed, window base)`` -- positions count from
     ``first_pos``, and the end-of-phase release flush sits one past the
-    last event.
+    last event.  With ``first_only`` the scan stops at the first flush
+    (the step search's fallback for one partition).
     """
     entry_bytes = config.entry_bytes
     line_mask = ~(entry_bytes - 1)
@@ -146,6 +151,8 @@ def _scan_destination(
                             flushes.append(
                                 (pos, FlushReason.ATOMIC_CONFLICT, absorbed, base)
                             )
+                            if first_only:
+                                return flushes
                             entries = {}
                             cost = absorbed = n_entries = 0
                             break
@@ -164,6 +171,8 @@ def _scan_destination(
                 reason = None
             if reason is not None:
                 flushes.append((pos, reason, absorbed, base))
+                if first_only:
+                    return flushes
                 entries = {}
                 cost = absorbed = n_entries = 0
                 old = None
@@ -189,6 +198,235 @@ def _scan_destination(
             (first_pos + len(starts), FlushReason.RELEASE, absorbed, base)
         )
     return flushes
+
+
+#: Phases of at least this many events take the array search.  Timed on
+#: prefixes of the largest seed-7 des-hpc and des-collectives phase of
+#: ten workloads (2-core x86 host), the search's fixed numpy cost
+#: (70-140 us a phase) overtakes the loop's (0.3-0.8 us a piece)
+#: between 128 and 256 events, depending on the workload; from 256 on
+#: the search is never the slower.  Jacobi's 128-event phases pack in
+#: the same time either way.
+SEARCH_ARRAY_MIN = 256
+#: Flush reasons, indexed by the reason codes of :func:`_flush_search`.
+_REASONS = (
+    FlushReason.WINDOW_MISS,
+    FlushReason.PAYLOAD_FULL,
+    FlushReason.ENTRIES_FULL,
+    FlushReason.ATOMIC_CONFLICT,
+    FlushReason.RELEASE,
+)
+_WINDOW_MISS, _PAYLOAD_FULL, _ENTRIES_FULL = range(3)
+_RELEASE = _REASONS.index(FlushReason.RELEASE)
+
+
+def _flush_search(
+    ev_start: np.ndarray,
+    ev_len: np.ndarray,
+    ev_dst: np.ndarray,
+    config: FinePackConfig,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Every partition's flushes over a whole phase, one step per flush.
+
+    ``ev_*`` are the phase's events as :func:`_phase_events` returns
+    them.  Returns ``(position, reason code, stores absorbed, window
+    base, destination)`` columns, one row per flush in destination then
+    position order; reason codes index ``_REASONS``.  Row for row, this
+    is :func:`_scan_destination` over each destination's events, which
+    runs as it is for phases shorter than :data:`SEARCH_ARRAY_MIN`,
+    phases with atomics (no workload mixes them with stores in one
+    phase) and phases whose line span is too wide to key the repeat
+    search.
+
+    Array passes give every piece ``p`` the first point that can end a
+    partition opened at ``p``: the next window change or the
+    destination's end (exact), the first overflow of the payload's
+    upper bound (each piece adds at most its length plus one
+    sub-header), and the (E+1)-th piece since ``p``.  Before the first
+    line that repeats since ``p``, the cost is that bound and every
+    piece takes an entry, so payload-full is exact when no line repeats
+    before it and entries-full when none repeats up to and including
+    it.  A step then costs O(1).  With a repeat, entries-full counts
+    the pieces whose line is new since ``p``; a partition these do not
+    settle runs :func:`_scan_destination` from ``p`` to its first
+    flush.
+    """
+    n = int(ev_start.size)
+    cut = np.flatnonzero(ev_dst[1:] != ev_dst[:-1]) + 1
+    shift = config.entry_bytes.bit_length() - 1
+    # The scan takes phases below the cutoff, phases with atomics and
+    # phases whose line span is too wide for the repeat search's int64
+    # key, line * n + position.
+    if (
+        n < max(SEARCH_ARRAY_MIN, 1)
+        or not (ev_len > 0).all()
+        or ((int(ev_start.max()) >> shift) - (int(ev_start.min()) >> shift) + 1) * n
+        >= _ADDR_LIMIT
+    ):
+        return _scan_phase(ev_start, ev_len, ev_dst, cut, config)
+    max_entries = config.queue_entries_per_partition
+    # Each step frees what it no longer needs: the search keeps a few
+    # arrays of the phase's length alive at a time.
+
+    # Hard ends: the next window change (a window miss) or the
+    # destination's end (the release flush).
+    win = ev_start >> (config.window_bytes.bit_length() - 1)
+    dst_ends = np.append(cut, n)
+    point = np.zeros(n + 1, dtype=bool)
+    np.not_equal(win[1:], win[:-1], out=point[1:n])
+    del win
+    point[dst_ends] = True
+    ends = np.flatnonzero(point)
+    hard = np.repeat(ends, np.diff(ends, prepend=0))
+    released = np.zeros(n + 1, dtype=bool)
+    released[dst_ends] = True
+    code = np.where(released[hard], np.int8(_RELEASE), np.int8(_WINDOW_MISS))
+    del point, released
+
+    # Entries-full: the (E+1)-th piece since p, if before the hard end.
+    full = np.arange(max_entries, n + max_entries)
+    np.minimum(full, n, out=full)
+    entries = full < hard
+    stop = np.where(entries, full, hard)
+    code[entries] = _ENTRIES_FULL
+
+    # Payload-full: ``cost[q] - cost[p]`` bounds the committed cost
+    # when piece q arrives; ``reach`` is the running max of what each
+    # piece would bring it to.  Only pieces whose bound overflows
+    # before their entries or hard stop need the search.
+    sub = config.subheader_bytes
+    cost = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(ev_len + sub, out=cost[1:])
+    reach = ev_len + cost[:n]
+    np.maximum.accumulate(reach, out=reach)
+    limit = cost[:n]
+    limit += config.max_payload_bytes - sub
+    del cost
+    np.minimum(full, hard - 1, out=full)
+    over = np.flatnonzero(reach[full] > limit)
+    del full
+    stop[over] = np.searchsorted(reach, limit[over], side="right")
+    code[over] = _PAYLOAD_FULL
+
+    # The first piece whose line has already appeared since p: a suffix
+    # minimum of each piece's next same-line index.  Sorting line * n +
+    # position keeps issue order within a line.  A link into a later
+    # destination lands past p's destination end, beyond every stop,
+    # so the line alone keys the search.
+    at = ev_start >> shift
+    at -= int(at.min())
+    at *= n
+    at += np.arange(n)
+    at.sort()
+    line = at // n
+    at -= line * n
+    same = line[1:] == line[:-1]
+    del line
+    repeat = np.full(n, n, dtype=np.int64)
+    repeat[at[:-1][same]] = at[1:][same]
+    np.minimum.accumulate(repeat[::-1], out=repeat[::-1])
+    unsure = entries & (repeat <= stop)
+    unsure[over] = repeat[over] < stop[over]
+    del repeat, entries
+    stop[unsure] = -1
+    del unsure
+
+    prev = None
+
+    def settle(p: int) -> tuple[int, int]:
+        """Flush of the unsettled partition opened at ``p``."""
+        nonlocal prev
+        end = int(dst_ends[np.searchsorted(dst_ends, p, side="right")])
+        last = int(hard[p])
+        bound = int(np.searchsorted(reach, limit[p], side="right"))
+        if code[p] == _ENTRIES_FULL:
+            # A line repeats before the (E+1)-th piece: entries-full is
+            # the (E+1)-th piece whose line is new since p, unless the
+            # upper bound overflows or the hard end comes first.
+            if prev is None:
+                prev = np.full(n, -1, dtype=np.int64)
+                prev[at[1:][same]] = at[:-1][same]
+            new = np.flatnonzero(prev[p : min(bound, last)] < p)
+            if new.size > max_entries:
+                return p + int(new[max_entries]), _ENTRIES_FULL
+            if last <= bound:
+                return last, _WINDOW_MISS if last < end else _RELEASE
+        # The flush lies at or past the bound and at or before the hard
+        # end.  The scan gets slices that double from twice the bound's
+        # distance, so a fallback costs what its partition does; a
+        # release at a slice's end short of the destination's is no
+        # flush.
+        top = min(last + 1, end)
+        size = 2 * (bound - p + 1)
+        while True:
+            hi = min(p + size, top)
+            stop_at, reason, _, _ = _scan_destination(
+                ev_start[p:hi].tolist(),
+                ev_len[p:hi].tolist(),
+                p,
+                config,
+                first_only=True,
+            )[0]
+            if hi == top or reason is not FlushReason.RELEASE:
+                return stop_at, _REASONS.index(reason)
+            size *= 2
+
+    openers: list[int] = []
+    flushes: list[int] = []
+    settled: list[tuple[int, int]] = []
+    p = 0
+    while p < n:
+        flush = stop.item(p)
+        if flush < 0:
+            flush, reason = settle(p)
+            settled.append((len(openers), reason))
+        openers.append(p)
+        flushes.append(flush)
+        p = flush
+    opener = np.array(openers, dtype=np.int64)
+    position = np.array(flushes, dtype=np.int64)
+    reasons = code[opener]
+    for i, reason in settled:
+        reasons[i] = reason
+    return (
+        position,
+        reasons,
+        position - opener,
+        ev_start[opener] & -config.window_bytes,
+        ev_dst[opener],
+    )
+
+
+def _scan_phase(
+    ev_start: np.ndarray,
+    ev_len: np.ndarray,
+    ev_dst: np.ndarray,
+    cut: np.ndarray,
+    config: FinePackConfig,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """:func:`_flush_search`'s columns from one :func:`_scan_destination`
+    per destination; ``cut`` holds each destination's first event."""
+    rows: list[tuple[int, FlushReason, int, int]] = []
+    dsts: list[int] = []
+    bounds = [0, *cut.tolist(), int(ev_start.size)]
+    for lo, hi in zip(bounds, bounds[1:]):
+        found = _scan_destination(
+            ev_start[lo:hi].tolist(), ev_len[lo:hi].tolist(), lo, config
+        )
+        if found:
+            rows.extend(found)
+            dsts.extend([int(ev_dst[lo])] * len(found))
+    if not rows:
+        empty = np.empty(0, dtype=np.int64)
+        return empty, empty, empty, empty, empty
+    position, reasons, absorbed, base = zip(*rows)
+    return (
+        np.array(position, dtype=np.int64),
+        np.array([_REASONS.index(r) for r in reasons], dtype=np.int8),
+        np.array(absorbed, dtype=np.int64),
+        np.array(base, dtype=np.int64),
+        np.array(dsts, dtype=np.int64),
+    )
 
 
 def _sub_runs(
@@ -294,30 +532,21 @@ def pack_phase(
     ):
         return None
 
-    ev_slot, ev_start, ev_len, segments = _phase_events(
-        addrs, sizes, dsts, is_atomic, config.entry_bytes
+    ev_slot, ev_start, ev_len, ev_dst = _phase_events(
+        addrs, sizes, dsts, is_atomic, config.entry_bytes, valid.size
     )
 
-    # Pass 1: flush structure, one plain-int scan per destination.
-    flushes: list[tuple[int, FlushReason, int, int]] = []
-    flush_dsts: list[int] = []
-    for dst, lo, hi in segments:
-        dst_flushes = _scan_destination(
-            ev_start[lo:hi].tolist(), ev_len[lo:hi].tolist(), lo, config
-        )
-        flushes.extend(dst_flushes)
-        flush_dsts.extend([dst] * len(dst_flushes))
+    # Pass 1: flush structure, one step per flush over the whole phase.
+    f_pos, f_reason, f_absorbed, f_base, f_dst = _flush_search(
+        ev_start, ev_len, ev_dst, config
+    )
 
     # Pass 2: the packets, one per flush.
-    n_flush = len(flushes)
+    n_flush = int(f_pos.size)
     flush_msgs: list[WireMessage] = []
     f_slot = np.empty(0, dtype=np.int64)
     if n_flush:
-        f_pos, f_reason, f_absorbed, f_base = zip(*flushes)
-        f_pos = np.asarray(f_pos, dtype=np.int64)
-        released = np.fromiter(
-            (r is FlushReason.RELEASE for r in f_reason), bool, n_flush
-        )
+        released = f_reason == _RELEASE
         # A release flush sits past its destination's last event.
         f_slot = np.where(
             released, -1, ev_slot[np.minimum(f_pos, ev_slot.size - 1)]
@@ -326,7 +555,7 @@ def pack_phase(
         run_start, run_len, run_wid = _sub_runs(
             ev_start, ev_len, f_pos, config.entry_bytes
         )
-        offsets = run_start - np.asarray(f_base, dtype=np.int64)[run_wid]
+        offsets = run_start - f_base[run_wid]
         # Every window holds at least one piece, so the runs group into
         # exactly n_flush consecutive windows.
         win_first = np.flatnonzero(np.diff(run_wid, prepend=-1))
@@ -339,9 +568,9 @@ def pack_phase(
         for lo, hi, base, absorbed, dst, payload, extra, stamp in zip(
             bounds,
             bounds[1:],
-            f_base,
-            f_absorbed,
-            flush_dsts,
+            f_base.tolist(),
+            f_absorbed.tolist(),
+            f_dst.tolist(),
             data.tolist(),
             overhead.tolist(),
             f_stamp,

@@ -32,6 +32,7 @@ accounts the message as dropped.
 
 from __future__ import annotations
 
+import inspect
 from dataclasses import dataclass, field
 
 import networkx as nx
@@ -242,8 +243,7 @@ def single_switch(
     error_rate: float = 0.0,
 ) -> Topology:
     """The paper's testbed: ``n_gpus`` GPUs under one PCIe switch."""
-    if n_gpus < 2:
-        raise ValueError("a multi-GPU topology needs at least 2 GPUs")
+    check_topology_args(single_switch, n_gpus)
     graph: nx.Graph = nx.Graph()
     links: dict[tuple[str, str], Link] = {}
     for i in range(n_gpus):
@@ -271,8 +271,7 @@ def fully_connected(
     pairwise links also give fault-injection experiments an alternate
     path: a dead link reroutes store-and-forward through a peer GPU.
     """
-    if n_gpus < 2:
-        raise ValueError("a multi-GPU topology needs at least 2 GPUs")
+    check_topology_args(fully_connected, n_gpus)
     graph: nx.Graph = nx.Graph()
     links: dict[tuple[str, str], Link] = {}
     for i in range(n_gpus):
@@ -303,8 +302,7 @@ def two_level_tree(
     error_rate: float = 0.0,
 ) -> Topology:
     """A 16-GPU-class system: leaf switches joined by a root switch."""
-    if n_gpus % fanout:
-        raise ValueError(f"n_gpus={n_gpus} must be a multiple of fanout={fanout}")
+    check_topology_args(two_level_tree, n_gpus, fanout=fanout)
     graph: nx.Graph = nx.Graph()
     links: dict[tuple[str, str], Link] = {}
     n_leaves = n_gpus // fanout
@@ -351,15 +349,9 @@ def fat_tree(
     descending level), so the event-ordered plan of ``repro.perf``
     keeps fat trees on the vectorized fast path at every scale.
     """
-    if n_gpus < 2:
-        raise ValueError("a multi-GPU topology needs at least 2 GPUs")
-    if fanout < 2:
-        raise ValueError(f"fanout must be >= 2, got {fanout}")
-    if oversubscription < 1.0:
-        raise ValueError(
-            f"oversubscription must be >= 1 (1 = full bisection), "
-            f"got {oversubscription}"
-        )
+    check_topology_args(
+        fat_tree, n_gpus, fanout=fanout, oversubscription=oversubscription
+    )
     graph: nx.Graph = nx.Graph()
     links: dict[tuple[str, str], Link] = {}
 
@@ -430,10 +422,7 @@ def switched_mesh(
     rerouting still detours through the surviving planes when a pinned
     link dies.
     """
-    if n_gpus < 2:
-        raise ValueError("a multi-GPU topology needs at least 2 GPUs")
-    if planes < 1:
-        raise ValueError(f"planes must be >= 1, got {planes}")
+    check_topology_args(switched_mesh, n_gpus, planes=planes)
     graph: nx.Graph = nx.Graph()
     links: dict[tuple[str, str], Link] = {}
     for p in range(planes):
@@ -461,6 +450,39 @@ def switched_mesh(
             "n_switches": planes,
         },
     )
+
+
+def check_topology_args(factory, n_gpus: int, **params) -> None:
+    """Raise the ``ValueError`` ``factory`` raises for these arguments.
+
+    Builds neither the graph nor its routes: each registered factory
+    calls this first, and :class:`~repro.run.RunSpec` calls it for
+    every multi-GPU spec, so a shape no run can build fails when the
+    spec is made.  ``params`` are factory keywords; the ones left out
+    take the factory's defaults.  Factories registered elsewhere are
+    checked for ``n_gpus`` alone.
+    """
+    if n_gpus < 2:
+        raise ValueError("a multi-GPU topology needs at least 2 GPUs")
+    bound = inspect.signature(factory).bind(n_gpus=n_gpus, **params)
+    bound.apply_defaults()
+    args = bound.arguments
+    if factory is two_level_tree:
+        fanout = args["fanout"]
+        if fanout < 1 or n_gpus % fanout:
+            raise ValueError(
+                f"n_gpus={n_gpus} must be a multiple of fanout={fanout}"
+            )
+    elif factory is fat_tree:
+        if args["fanout"] < 2:
+            raise ValueError(f"fanout must be >= 2, got {args['fanout']}")
+        if args["oversubscription"] < 1.0:
+            raise ValueError(
+                f"oversubscription must be >= 1 (1 = full bisection), "
+                f"got {args['oversubscription']}"
+            )
+    elif factory is switched_mesh and args["planes"] < 1:
+        raise ValueError(f"planes must be >= 1, got {args['planes']}")
 
 
 def make_topology(

@@ -34,6 +34,7 @@ from .. import registry
 from ..core.config import FabricConfig, FinePackConfig
 from ..gpu.compute import ComputeModel
 from ..interconnect.pcie import GENERATIONS, PCIE_GEN4, PCIeGeneration
+from ..interconnect.topology import check_topology_args
 
 #: Normalized parameter mapping: sorted ``(name, value)`` pairs.
 Params = tuple[tuple[str, Any], ...]
@@ -163,6 +164,8 @@ class RunSpec:
         object.__setattr__(self, "paradigm_params", freeze_params(self.paradigm_params))
         object.__setattr__(self, "topology_params", freeze_params(self.topology_params))
         _check_topology_params(topology, factory, self.topology_params)
+        if self.n_gpus > 1:
+            check_topology_args(factory, self.n_gpus, **dict(self.topology_params))
         if any(k == "config" for k, _ in self.paradigm_params):
             raise ValueError(
                 "paradigm_params may not set 'config': the FinePack "

@@ -181,6 +181,37 @@ class TestValidation:
         )
         assert spec.topology_params == (("fanout", 2), ("oversubscription", 2.0))
 
+    @pytest.mark.parametrize(
+        "n_gpus, topology, params, message",
+        [
+            (6, "two_level", {"fanout": 4}, "n_gpus=6 must be a multiple of fanout=4"),
+            (4, "switched_mesh", {"planes": 0}, "planes must be >= 1, got 0"),
+            (4, "fat_tree", {"fanout": 1}, "fanout must be >= 2, got 1"),
+        ],
+        ids=["two_level", "switched_mesh", "fat_tree"],
+    )
+    def test_rejects_shapes_the_factory_rejects(self, n_gpus, topology, params, message):
+        # Such a spec used to build and hash, then every run of it died
+        # in the factory (and a lenient grid retried each cell).
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            RunSpec(
+                workload="jacobi",
+                n_gpus=n_gpus,
+                topology=topology,
+                topology_params=params,
+            )
+
+    def test_shape_check_builds_no_topology(self, monkeypatch):
+        from repro.interconnect import topology
+
+        def no_links(*args, **kwargs):
+            raise AssertionError("the spec built a link")
+
+        monkeypatch.setattr(topology, "_add_duplex", no_links)
+        RunSpec(workload="jacobi", n_gpus=16, topology="fat_tree")
+        # One GPU builds no fabric, so no shape applies.
+        RunSpec(workload="jacobi", n_gpus=1, topology="two_level")
+
     def test_rejects_finepack_config_in_paradigm_params(self):
         # finepack= owns the FinePack config.  A JSON-scalar override
         # could only be None, which ran the default 5-byte sub-headers

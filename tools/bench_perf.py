@@ -172,18 +172,27 @@ def bench(name: str, specs) -> dict:
 
 #: Self-reporting child for the trace_stream suite: generates one
 #: sizeable CT trace through the cache in the requested mode and prints
-#: its own peak RSS (ru_maxrss is per-process and monotonic, so each
-#: mode needs a fresh process).  The interpreter+numpy import footprint
-#: is recorded as a baseline and subtracted by the parent: import-time
-#: residency varies with system page-cache state (a warm cache
-#: fault-arounds whole .so files in), and only the *generation delta*
-#: above it is the quantity under test.
+#: its own peak RSS (a high-water mark, so each mode needs a fresh
+#: process).  The peak is Linux's ``VmHWM`` from ``/proc/self/status``:
+#: ``ru_maxrss`` would carry over the forking parent's high-water mark
+#: (a child of a 300 MiB parent reads about 300 MiB before it
+#: allocates anything), which hides the generation delta.  The
+#: interpreter+numpy import footprint is recorded as a baseline and
+#: subtracted by the parent: import-time residency varies with system
+#: page-cache state (a warm cache fault-arounds whole .so files in),
+#: and only the *generation delta* above it is the quantity under test.
 _STREAM_PROBE = """
-import json, resource, sys, tempfile, time
+import json, sys, tempfile, time
 from repro.run import RunSpec, TraceCache
 
+def peak_kb():
+    with open("/proc/self/status") as status:
+        for line in status:
+            if line.startswith("VmHWM:"):
+                return int(line.split()[1])
+
 stream = sys.argv[1] == "stream"
-baseline_kb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+baseline_kb = peak_kb()
 spec = RunSpec(
     workload="ct", paradigm="finepack", n_gpus=2, iterations=16,
     workload_params={
@@ -200,7 +209,7 @@ with tempfile.TemporaryDirectory() as root:
 print(json.dumps({
     "ops": ops,
     "baseline_kb": baseline_kb,
-    "peak_kb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss,
+    "peak_kb": peak_kb(),
     "wall_s": round(time.perf_counter() - t0, 3),
 }))
 """
