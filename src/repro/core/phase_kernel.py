@@ -15,14 +15,14 @@ in two passes instead of one :class:`QueuePartition` insert per op:
    the destination's end, the first overflow of the payload's upper
    bound, the (E+1)-th piece and the first line that repeats since it.
    A step is O(1) when these decide the flush exactly; with a repeat,
-   entries-full is one count over a slice.  Any other partition runs
-   :func:`_scan_destination` -- plain ints, a ``{line: byte-enable
-   mask}`` dict, the partition's admission checks (window miss, then
-   payload full, then entries full) and the atomic same-address
-   conflict check -- from its empty start to its first flush.  That
-   scan is the only scalar rule set and the search's test oracle; it
-   runs whole for phases shorter than :data:`SEARCH_ARRAY_MIN` and for
-   phases with atomics, which no workload mixes with stores.
+   entries-full is one count over a slice.  Any other partition is
+   replayed from its empty start to its first flush by
+   :func:`_scan_destination`, which feeds the pieces to a
+   :class:`~repro.core.remote_write_queue.QueuePartition`: the queue's
+   admission checks (window miss, then payload full, then entries
+   full) and atomic conflict check are the only scalar rule set and
+   the search's test oracle.  Empty phases and phases with atomics,
+   which no workload mixes with stores, are replayed whole.
 2. **Packets.**  Every piece then knows its flush window.  Sorting the
    pieces by (window, address) and taking the interval union per
    (window, line) -- a segment-wise ``np.maximum.accumulate`` over the
@@ -42,6 +42,7 @@ implementation and the path for multi-window, timeout and traced runs.
 from __future__ import annotations
 
 from collections.abc import Collection
+from itertools import count
 
 import numpy as np
 
@@ -50,7 +51,7 @@ from ..interconnect.pcie import DW_BYTES, PCIeProtocol
 from ..trace.ids import stable_argsort
 from .config import FinePackConfig
 from .packet import FinePackPacket
-from .remote_write_queue import FlushReason
+from .remote_write_queue import FlushedWindow, FlushReason, QueuePartition
 
 #: Addresses and store ends must stay below this bound so that the
 #: int64 column arithmetic cannot overflow; phases beyond it decline.
@@ -105,109 +106,37 @@ def _scan_destination(
     config: FinePackConfig,
     first_only: bool = False,
 ) -> list[tuple[int, FlushReason, int, int]]:
-    """Replay one partition over its events with plain ints.
+    """Replay one partition over its events through a
+    :class:`~repro.core.remote_write_queue.QueuePartition`.
 
     ``starts``/``lengths`` are the destination's events in issue order:
     store line pieces with a positive length, atomics with their
-    negated size.  Returns the flush points as ``(position, reason,
-    stores absorbed, window base)`` -- positions count from
-    ``first_pos``, and the end-of-phase release flush sits one past the
-    last event.  With ``first_only`` the scan stops at the first flush
-    (the step search's fallback for one partition).
+    negated size (an atomic flushes the partition first when it
+    overlaps a buffered byte).  Returns the flush points as
+    ``(position, reason, stores absorbed, window base)`` -- positions
+    count from ``first_pos``, and the end-of-phase release flush sits
+    one past the last event.  With ``first_only`` the scan stops at the
+    first flush (the step search's fallback for one partition).
     """
-    entry_bytes = config.entry_bytes
-    line_mask = ~(entry_bytes - 1)
-    window_bytes = config.window_bytes
-    window_mask = ~(window_bytes - 1)
-    subheader = config.subheader_bytes
-    # A piece fits when its length plus one sub-header fits the payload
-    # budget left over by the committed cost.
-    cost_limit = config.max_payload_bytes - subheader
-    max_entries = config.queue_entries_per_partition
-    spans = [(1 << k) - 1 for k in range(entry_bytes + 1)]
-    window_miss = FlushReason.WINDOW_MISS
-    payload_full = FlushReason.PAYLOAD_FULL
-    entries_full = FlushReason.ENTRIES_FULL
-
-    flushes: list[tuple[int, FlushReason, int, int]] = []
-    entries: dict[int, int] = {}
-    # ``absorbed`` is nonzero exactly while the partition is non-empty.
-    base = base_end = cost = absorbed = n_entries = 0
-    pos = first_pos - 1
-    for start, length in zip(starts, lengths):
-        pos += 1
-        if length < 0:
-            # An atomic flushes the partition first when it overlaps a
-            # buffered byte (QueuePartition.matches_load).
-            if absorbed:
-                end = start - length
-                line = start & line_mask
-                while line < end:
-                    mask = entries.get(line)
-                    if mask is not None:
-                        lo = start - line if start > line else 0
-                        hi = end - line if end < line + entry_bytes else entry_bytes
-                        if (mask >> lo) & spans[hi - lo]:
-                            flushes.append(
-                                (pos, FlushReason.ATOMIC_CONFLICT, absorbed, base)
-                            )
-                            if first_only:
-                                return flushes
-                            entries = {}
-                            cost = absorbed = n_entries = 0
-                            break
-                    line += entry_bytes
-            continue
-        line = start & line_mask
-        old = entries.get(line)
-        if absorbed:
-            if start < base or start >= base_end:
-                reason = window_miss
-            elif length + cost > cost_limit:
-                reason = payload_full
-            elif old is None and n_entries >= max_entries:
-                reason = entries_full
-            else:
-                reason = None
-            if reason is not None:
-                flushes.append((pos, reason, absorbed, base))
-                if first_only:
-                    return flushes
-                entries = {}
-                cost = absorbed = n_entries = 0
-                old = None
-        if not absorbed:
-            base = start & window_mask
-            base_end = base + window_bytes
-        absorbed += 1
-        if old is None:
-            entries[line] = spans[length] << (start - line)
-            cost += length + subheader
-            n_entries += 1
-        else:
-            new = old | spans[length] << (start - line)
-            if new != old:
-                entries[line] = new
-                # Entry cost: enabled bytes plus one sub-header per
-                # maximal run (x & ~(x << 1) keeps each run's lowest bit).
-                cost += new.bit_count() - old.bit_count() + subheader * (
-                    (new & ~(new << 1)).bit_count() - (old & ~(old << 1)).bit_count()
-                )
-    if absorbed:
-        flushes.append(
-            (first_pos + len(starts), FlushReason.RELEASE, absorbed, base)
-        )
-    return flushes
+    partition = QueuePartition(config, dst=0)
+    flushed: list[tuple[int, FlushedWindow | None]] = []
+    for pos, start, length in zip(count(first_pos), starts, lengths):
+        if length > 0:
+            flushed.extend((pos, window) for window in partition.insert(start, length))
+        elif not partition.empty and partition.matches_load(start, -length):
+            flushed.append((pos, partition.flush(FlushReason.ATOMIC_CONFLICT)))
+        if first_only and flushed:
+            break
+    else:
+        end = first_pos + len(starts)
+        flushed.append((end, partition.flush(FlushReason.RELEASE)))
+    return [
+        (pos, window.reason, window.stores_absorbed, window.base_addr)
+        for pos, window in flushed
+        if window is not None
+    ]
 
 
-#: Phases of at least this many events take the array search.  Timed on
-#: prefixes of the largest seed-7 des-hpc and des-collectives phase of
-#: ten workloads (2-core x86 host), the search's fixed numpy cost
-#: (70-140 us a phase) overtakes the loop's (0.3-0.8 us a piece)
-#: between 128 and 256 events, depending on the workload; from 256 on
-#: the search is never the slower.  Jacobi's 128-event phases pack in
-#: the same time either way.
-SEARCH_ARRAY_MIN = 256
 #: Flush reasons, indexed by the reason codes of :func:`_flush_search`.
 _REASONS = (
     FlushReason.WINDOW_MISS,
@@ -232,11 +161,10 @@ def _flush_search(
     them.  Returns ``(position, reason code, stores absorbed, window
     base, destination)`` columns, one row per flush in destination then
     position order; reason codes index ``_REASONS``.  Row for row, this
-    is :func:`_scan_destination` over each destination's events, which
-    runs as it is for phases shorter than :data:`SEARCH_ARRAY_MIN`,
-    phases with atomics (no workload mixes them with stores in one
-    phase) and phases whose line span is too wide to key the repeat
-    search.
+    is :func:`_scan_destination` -- the queue itself -- over each
+    destination's events, which runs as it is for empty phases, phases
+    with atomics (no workload mixes them with stores in one phase) and
+    phases whose line span is too wide to key the repeat search.
 
     Array passes give every piece ``p`` the first point that can end a
     partition opened at ``p``: the next window change or the
@@ -254,11 +182,11 @@ def _flush_search(
     n = int(ev_start.size)
     cut = np.flatnonzero(ev_dst[1:] != ev_dst[:-1]) + 1
     shift = config.entry_bytes.bit_length() - 1
-    # The scan takes phases below the cutoff, phases with atomics and
-    # phases whose line span is too wide for the repeat search's int64
-    # key, line * n + position.
+    # The scan takes empty phases, phases with atomics and phases whose
+    # line span is too wide for the repeat search's int64 key, line * n
+    # + position.
     if (
-        n < max(SEARCH_ARRAY_MIN, 1)
+        not n
         or not (ev_len > 0).all()
         or ((int(ev_start.max()) >> shift) - (int(ev_start.min()) >> shift) + 1) * n
         >= _ADDR_LIMIT

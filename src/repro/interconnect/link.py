@@ -264,7 +264,7 @@ class Link:
     ) -> np.ndarray:
         """Batched :meth:`transmit` for the fault-free, uncredited case.
 
-        ``ready`` must be in the order the event engine would call
+        ``ready`` must be in the order the event path would call
         :meth:`transmit` (global issue order).  Returns the delivery
         times, byte-identical to the scalar path, not merely close.
         The busy chain ``end_i = max(ready_i, end_{i-1}) + d_i`` is

@@ -418,7 +418,7 @@ def switched_mesh(
     symmetric (both directions of a pair share a plane), and spreading
     pairs across rails the way NVSwitch port maps stripe traffic.  The
     pin is installed in the route cache, so routing, the vectorized
-    batch transport, and the scalar engine all agree on it; fault-aware
+    batch transport, and the event path all agree on it; fault-aware
     rerouting still detours through the surviving planes when a pinned
     link dies.
     """

@@ -14,8 +14,9 @@ event, the conservation laws the simulator must obey:
    time: transmissions on one link never overlap;
 4. **non-negative credits** -- flow-control occupancy reported by links
    never goes negative;
-5. **monotonic engine time** -- the discrete-event engine never steps
-   backwards (fed directly by the engine, not derived from events);
+5. **monotonic engine time** -- the DES event loop never steps
+   backwards (fed directly by the loop, once per message it routes,
+   not derived from events);
 6. **empty remote write queues at barriers** -- the kernel-end release
    must have flushed every partition before an iteration closes;
 7. **declared faults only** -- ``MSG_DROPPED`` is legal only in runs
@@ -104,7 +105,7 @@ class InvariantChecker:
     def _fail(self, message: str, event: TraceEvent | None = None) -> None:
         raise InvariantViolation(message, event=event, window=self._recent)
 
-    # -- engine hook (not an event: called once per engine step) -----
+    # -- event-loop hook (not an event: called once per message) -----
 
     def engine_time(self, now_ns: float) -> None:
         if now_ns < self._engine_last_ns - _EPS:

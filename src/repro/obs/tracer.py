@@ -367,10 +367,11 @@ class Tracer:
             attrs={"index": index},
         )
 
-    # -- engine hook -------------------------------------------------
+    # -- event-loop hook ---------------------------------------------
 
     def engine_step(self, now_ns: float) -> None:
-        """Per-event engine callback: invariant check only, no event."""
+        """Called by the DES event loop before each message it routes,
+        at the message's issue time: invariant check only, no event."""
         if self.checker is not None:
             self.checker.engine_time(now_ns)
 

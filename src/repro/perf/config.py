@@ -10,9 +10,9 @@ addresses *experiments*, and two runs of the same spec in either mode
 must produce the same bytes.
 
 Fast mode is the default.  Scalar mode selects the reference side of
-all five fast/scalar pairs at once: remote-write-queue entry costing,
-packetizer run extraction, batch link transport, the engine's inlined
-dispatch loop, and FinePack's columnar phase entry (kernel + memo).
+all four fast/scalar pairs at once: remote-write-queue entry costing,
+packetizer run extraction, batch link transport, and FinePack's
+columnar phase entry (kernel + memo).
 Components read the switch when they are built (FinePack's columnar
 entry reads it per phase), so build and run them inside
 :func:`scalar_reference` (``repro profile --scalar`` does).

@@ -118,7 +118,7 @@ def profile_run(
     profiler = StageProfiler(registry)
     with scalar_reference(scalar):
         # Build components inside the scope so construction-time
-        # switch reads (packetizer, queue partitions, engine) see it.
+        # switch reads (packetizer, queue partitions) see it.
         ctx = RunContext(spec, trace_cache=trace_cache)
         t0 = time.perf_counter_ns()
         with profiled(profiler):

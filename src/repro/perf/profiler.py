@@ -3,7 +3,7 @@
 The :class:`StageProfiler` attributes host wall-clock time to named
 simulator stages -- trace generation, the warp coalescer, egress
 engines, the packetizer/remote-write-queue, link serialization, ingress
-draining, engine dispatch, metrics classification.  Attribution is
+draining, event dispatch, metrics classification.  Attribution is
 *exclusive*: while a nested stage is open, time accrues to the
 innermost stage only, so the per-stage numbers sum to the instrumented
 total without double counting.

@@ -1,21 +1,20 @@
 """Batch transport: bulk link serialization without per-message events.
 
-The scalar system schedules one discrete event per message; each event
-routes its message hop by hop through :meth:`Link.transmit`.  That is
-byte-exact but pays Python dispatch per message.  This module computes
-the *same* timings with per-link batched arithmetic.
+The event path takes one message at a time in issue order and routes
+it hop by hop through :meth:`Link.transmit`.  That is byte-exact but
+pays Python dispatch per message.  This module computes the *same*
+timings with per-link batched arithmetic.
 
-The key observation is that the scalar engine walks a message's *whole*
-route inside its single issue event: ``Topology.route`` is called at
-the message's issue time and hands the message to every link on the
-path before the next event runs.  Per directed link, the scalar call
-order is therefore the **global issue order** of the messages crossing
-it -- not their arrival order at that link.  The batch path reproduces
+The key observation is that the event path walks a message's *whole*
+route at its issue time: ``Topology.route`` hands the message to every
+link on the path before the next message is taken.  Per directed link,
+the scalar call order is therefore the **global issue order** of the
+messages crossing it -- not their arrival order at that link.  The batch path reproduces
 exactly that:
 
 1. All of an iteration's messages are flattened into parallel arrays
-   and stable-sorted by issue time (preserving scheduling order for
-   ties -- exactly the engine's ``(time, seq)`` ordering).
+   and stable-sorted by issue time (preserving emission order for
+   ties -- exactly the event path's order).
 2. :func:`build_plan` records every pair route and orders the directed
    links *topologically* over the route-adjacency DAG (link ``P``
    precedes link ``L`` whenever ``P`` immediately precedes ``L`` on
@@ -29,7 +28,7 @@ exactly that:
 
 Because every predecessor link on a message's route has been fully
 processed before its next link runs, each ``transmit_batch`` sees the
-same ready times, in the same call order, as the scalar engine -- for
+same ready times, in the same call order, as the event path -- for
 *any* topology whose route adjacency is acyclic, including multi-level
 fat trees where a leaf link serves hop 1 for intra-leaf traffic and
 hop 3 for cross-leaf traffic.  ``build_plan`` returns ``None`` (and
@@ -166,11 +165,11 @@ def transmit_flat(
     delivery times aligned with the inputs.
 
     All arrays must already be in global issue order (stable-sorted by
-    issue time) -- the order the scalar engine would process them.
+    issue time) -- the order the event path processes them in.
     Each used link is visited once, in the plan's topological order,
     with its messages merged in ascending flat index (= issue order);
-    see the module docstring for why that reproduces the scalar
-    engine's per-link call sequence exactly.
+    see the module docstring for why that reproduces the event
+    path's per-link call sequence exactly.
     """
     ready = np.array(issue, dtype=np.float64, copy=True)
     if ready.size == 0:
@@ -211,7 +210,7 @@ def transmit_flat(
             idx = parts[0][0]
         else:
             # Merged ascending indices == global issue order, which is
-            # the order the scalar engine calls this link in.
+            # the order the event path calls this link in.
             idx = np.sort(np.concatenate([p[0] for p in parts]))
         ready[idx] = topology.links[edge].transmit_batch(
             ready[idx], wire[idx], payload[idx], overhead[idx]

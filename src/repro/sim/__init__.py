@@ -1,8 +1,7 @@
-"""Simulation layer: discrete-event engine, byte-accounting metrics,
-communication paradigms and the multi-GPU system.  Experiments are
-composed and run by :mod:`repro.run`."""
+"""Simulation layer: the multi-GPU system (the DES), byte-accounting
+metrics and communication paradigms.  Experiments are composed and run
+by :mod:`repro.run`."""
 
-from .engine import Engine
 from .metrics import (
     ByteBreakdown,
     LinkUtilization,
@@ -27,7 +26,6 @@ from .paradigms import (
 from .system import MultiGPUSystem
 
 __all__ = [
-    "Engine",
     "ByteBreakdown",
     "LinkUtilization",
     "EventReplaySession",

@@ -21,9 +21,10 @@ Timeline of one iteration (paper's execution model):
 4. The next iteration starts when all kernels are done *and* all
    traffic has drained, plus a barrier cost.
 
-Step 3 has two transports: the event engine (one route/drain call per
-message) and the batch plan of :mod:`repro.perf.transport`, which
-reproduces it byte for byte when nothing needs per-message hooks.
+Step 3 has two transports: the event path (one route/drain call per
+message, in stably sorted issue order) and the batch plan of
+:mod:`repro.perf.transport`, which reproduces it byte for byte when
+nothing needs per-message hooks.
 Everything else -- egress collection, byte classification
 (:func:`~repro.sim.metrics.classify_egress`) and the iteration
 epilogue -- is one loop body shared by both.
@@ -40,7 +41,7 @@ from ..faults.errors import DegradedRunError
 from ..faults.state import RouteBlockedError
 from ..gpu.compute import ComputeModel
 from ..gpu.hbm import HBMModel
-from ..interconnect.message import MessageKind, WireMessage
+from ..interconnect.message import MessageKind
 from ..interconnect.pcie import PCIE_GEN4, PCIeGeneration, PCIeProtocol
 from ..interconnect.topology import Topology, make_topology
 from ..perf import profiler as _prof
@@ -54,7 +55,6 @@ from ..perf.transport import (
 )
 from ..trace.intervals import IntervalSet
 from ..trace.stream import WorkloadTrace
-from .engine import Engine
 from .metrics import RunMetrics, classify_egress
 from .paradigms import FinePackParadigm, Paradigm
 
@@ -147,7 +147,6 @@ class MultiGPUSystem:
                 egress.tracer = tracer
         if self.fault_injector is not None and self.topology is not None:
             self.fault_injector.arm(self.topology, tracer=tracer)
-        engine = Engine(tracer=tracer)
         # Only FinePack emits packets, so its config is the one the
         # de-packetizers decode them with.
         depacketizers = (
@@ -233,7 +232,6 @@ class MultiGPUSystem:
             else:
                 latest = self._transmit_events(
                     outputs,
-                    engine,
                     depacketizers,
                     metrics,
                     tracer,
@@ -285,7 +283,6 @@ class MultiGPUSystem:
     def _transmit_events(
         self,
         outputs: list,
-        engine: Engine,
         depacketizers: list[Depacketizer],
         metrics: RunMetrics,
         tracer,
@@ -293,27 +290,31 @@ class MultiGPUSystem:
         dropped_ids: set[int],
         degraded_reasons: list[str],
     ) -> float:
-        """One iteration's messages through the event engine, one
-        route/drain per message in issue order; returns the latest
-        drain completion (``-inf`` with no traffic).
+        """One iteration's messages, one route/drain per message in issue
+        order; returns the latest drain completion (``-inf`` with no
+        traffic).  The sort is stable, so messages issued at the same
+        time keep their emission order.
 
         Undeliverable messages land in ``dropped_ids`` and
         ``degraded_reasons`` instead of the fabric.
         """
         latest = float("-inf")
-
-        def inject(msg: WireMessage) -> None:
-            nonlocal latest
+        msgs = sorted(
+            (m for item in outputs for m in item), key=lambda m: m.issue_time
+        )
+        if prof is not None:
+            prof.begin("engine_dispatch")
+        for msg in msgs:
             assert self.topology is not None
-            msg_id = (
-                tracer.message_injected(msg, engine.now)
-                if tracer is not None
-                else None
-            )
+            now = msg.issue_time
+            msg_id = None
+            if tracer is not None:
+                tracer.engine_step(now)
+                msg_id = tracer.message_injected(msg, now)
             if prof is not None:
                 prof.begin("link_serialization")
             try:
-                delivered = self.topology.route(msg, engine.now)
+                delivered = self.topology.route(msg, now)
             except RouteBlockedError as exc:
                 # Graceful degradation: the destination is
                 # unreachable.  Drop the message, keep accounts
@@ -324,10 +325,10 @@ class MultiGPUSystem:
                 metrics.faults.dropped_bytes += msg.payload_bytes
                 degraded_reasons.append(str(exc))
                 if msg_id is not None:
-                    tracer.message_dropped(msg_id, msg, engine.now)
+                    tracer.message_dropped(msg_id, msg, now)
                 if prof is not None:
                     prof.end()
-                return
+                continue
             if prof is not None:
                 prof.end()
                 prof.begin("ingress_drain")
@@ -343,13 +344,6 @@ class MultiGPUSystem:
             if msg_id is not None:
                 tracer.message_delivered(msg_id, msg, delivered)
                 tracer.message_drained(msg_id, msg, drained)
-
-        msgs = [m for item in outputs for m in item]
-        for m in sorted(msgs, key=lambda m: m.issue_time):
-            engine.schedule(m.issue_time, inject, m)
-        if prof is not None:
-            prof.begin("engine_dispatch")
-        engine.run()
         if prof is not None:
             prof.end()
         return latest
@@ -407,8 +401,8 @@ class MultiGPUSystem:
             return float("-inf")
 
         issue = np.concatenate(issue_p)
-        # Stable sort by issue time == the engine's (time, seq) order,
-        # since seq follows the concatenation (phase) order.
+        # Stable sort by issue time == the event path's order, which
+        # keeps the concatenation (phase) order within a time.
         order = np.argsort(issue, kind="stable")
         issue = issue[order]
         src = np.concatenate(src_p)[order]

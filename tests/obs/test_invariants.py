@@ -191,3 +191,22 @@ def test_corrupted_stream_is_caught():
     corrupted = [e for e in tracer.events if e is not victim]
     with pytest.raises(InvariantViolation):
         InvariantChecker.replay(corrupted)
+
+
+def test_event_loop_feeds_the_time_check(monkeypatch):
+    """Invariant 5 reads no event: the DES event loop calls
+    ``engine_step`` once per message it routes, at the message's issue
+    time, just before injecting it."""
+    tracer = Tracer()
+    steps: list[float] = []
+    feed = tracer.engine_step
+
+    def spy(now_ns):
+        steps.append(now_ns)
+        feed(now_ns)
+
+    monkeypatch.setattr(tracer, "engine_step", spy)
+    spec = RunSpec.for_workload(SMALL["jacobi"], n_gpus=2, iterations=2)
+    RunContext(spec, tracer=tracer).run()
+    injected = [e.time_ns for e in tracer.events if e.kind is EventKind.MSG_INJECTED]
+    assert steps and steps == injected == sorted(steps)

@@ -1,8 +1,11 @@
 """Unit-level equivalence of each vectorized primitive vs its scalar
-reference: RWQ entry costing, run extraction, batch wire costing, batch
-link serialization, and the engine's inlined dispatch loop."""
+reference: RWQ entry costing, run extraction, batch wire costing,
+batch link serialization, and the message order the DES event loop
+dispatches."""
 
 from __future__ import annotations
+
+from functools import lru_cache
 
 import numpy as np
 import pytest
@@ -19,9 +22,11 @@ from repro.interconnect.flowcontrol import CreditPool
 from repro.interconnect.link import CHAIN_ARRAY_MIN, Link
 from repro.interconnect.message import KIND_CODES, MessageKind, WireMessage
 from repro.interconnect.pcie import PCIE_GEN3, PCIE_GEN4, PCIeProtocol
+from repro.obs import EventKind, Tracer
 from repro.perf import scalar_mode, scalar_reference
 from repro.perf.batch import arrays_from_messages, masks_to_runs
-from repro.sim.engine import Engine
+from repro.run import RunContext, RunSpec
+from repro.workloads import ALSWorkload
 
 
 def random_masks(rng, count: int, entry_bytes: int = 128) -> list[int]:
@@ -181,26 +186,36 @@ class TestArraysFromMessages:
         assert kind.tolist() == [KIND_CODES[MessageKind.FINEPACK]] * 20
 
 
+@lru_cache(maxsize=None)
+def dispatched(fast: bool) -> tuple[tuple, ...]:
+    """Every message a traced FinePack run routes, in routing order.
+
+    A tracer keeps both modes on the event loop; the mode only picks
+    how FinePack's egress finds its flushes (the flush search, or the
+    per-op queue replay).
+    """
+    tracer = Tracer(sample_every_ns=None)
+    workload = ALSWorkload(n_users=2_000, n_items=500, avg_ratings=8)
+    spec = RunSpec.for_workload(workload, n_gpus=4, iterations=2)
+    with scalar_reference(not fast):
+        RunContext(spec, tracer=tracer).run()
+    fields = ("src", "dst", "payload_bytes", "overhead_bytes", "stores_packed")
+    return tuple(
+        (e.time_ns, e.name, *(e.attrs[f] for f in fields))
+        for e in tracer.events
+        if e.kind is EventKind.MSG_INJECTED
+    )
+
+
 class TestEngineFastRun:
     @pytest.mark.parametrize("fast", (False, True))
     def test_same_dispatch_order(self, fast):
-        with scalar_reference(not fast):
-            engine = Engine()
-            seen: list = []
-            engine.schedule(2.0, seen.append, (2.0, "b"))
-            engine.schedule(1.0, seen.append, (1.0, "a"))
-            engine.schedule(1.0, seen.append, (1.0, "a2"))
-
-            def reschedule(tag):
-                seen.append((engine.now, tag))
-                if tag == "c":
-                    engine.schedule(engine.now + 1.0, reschedule, "d")
-
-            engine.schedule(3.0, reschedule, "c")
-            end = engine.run()
-        assert end == 4.0
-        assert [s[-1] for s in seen] == ["a", "a2", "b", "c", "d"]
-        assert engine.events_processed == 5
+        seen = dispatched(fast)
+        times = [s[0] for s in seen]
+        # Enough traffic to matter, with messages issued at equal times.
+        assert len(seen) > 50 and len(set(times)) < len(times)
+        assert times == sorted(times)
+        assert seen == dispatched(not fast)
 
 
 class TestScalarSwitch:

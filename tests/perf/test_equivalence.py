@@ -23,7 +23,6 @@ from repro.interconnect.pcie import PCIE_GEN4, PCIeProtocol
 from repro.perf import scalar_reference
 from repro.perf.harness import fingerprint_metrics, profile_run
 from repro.run import RunContext, RunSpec, TraceCache
-from repro.sim.engine import Engine
 
 #: Small-but-representative parameters so the full grid stays fast.
 WORKLOAD_PARAMS = {
@@ -136,12 +135,11 @@ def test_scalar_mode_takes_every_reference_path(monkeypatch):
         return (
             QueuePartition(config, dst=1)._fast_cost,
             Packetizer(config, PCIeProtocol(PCIE_GEN4))._fast,
-            Engine()._fast,
         )
 
     with scalar_reference():
-        assert fast_flags() == (False, False, False)
-    assert fast_flags() == (True, True, True)
+        assert fast_flags() == (False, False)
+    assert fast_flags() == (True, True)
 
     calls = []
     phase_ops = FinePackEgress.phase_ops
@@ -157,7 +155,7 @@ def test_scalar_mode_takes_every_reference_path(monkeypatch):
     scalar = profile_run(spec, scalar=True, trace_cache=cache)
     assert not calls
     assert scalar.profiler.stage_ns().get("engine_dispatch", 0) > 0
-    # Fast: columnar phase entry, batch transport (no engine events).
+    # Fast: columnar phase entry, batch transport (no event loop).
     fast = profile_run(spec, scalar=False, trace_cache=cache)
     assert calls
     assert fast.profiler.stage_ns().get("engine_dispatch", 0) == 0

@@ -1,11 +1,11 @@
-"""The phase kernel's flush search against the per-piece scan it replaced.
+"""The phase kernel's flush search against the remote write queue.
 
 :func:`repro.core.phase_kernel._flush_search` finds every partition's
 flushes over a whole phase, one step per flush;
 :func:`repro.core.phase_kernel._scan_destination` replays one
-partition piece by piece and is the oracle.  Every flush -- position,
-reason, stores absorbed, window base and destination -- must match, on
-both sides of the array cutoff.  Phases with atomics or a far region
+partition piece by piece through a ``QueuePartition`` and is the
+oracle.  Every flush -- position, reason, stores absorbed, window base
+and destination -- must match.  Phases with atomics or a far region
 check the scan route, which takes them whole.
 """
 
@@ -21,6 +21,7 @@ from hypothesis import strategies as st
 
 from repro.core import phase_kernel
 from repro.core.config import FinePackConfig
+from repro.core.remote_write_queue import FlushReason
 from repro.run import RunContext, RunSpec, TraceCache
 
 #: How the generator places each op relative to the stream so far.
@@ -161,13 +162,73 @@ def test_search_matches_scan(case):
     _, ev_start, ev_len, ev_dst = phase_kernel._phase_events(
         addrs, sizes, dsts, is_atomic, config.entry_bytes, n_dsts + 1
     )
-    want = _oracle(ev_start, ev_len, ev_dst, config)
-    # Both sides of the cutoff: every phase through the array search,
-    # then phases shorter than the cutoff through the scan.
-    for array_min in (0, phase_kernel.SEARCH_ARRAY_MIN):
-        with mock.patch.object(phase_kernel, "SEARCH_ARRAY_MIN", array_min):
-            got = phase_kernel._flush_search(ev_start, ev_len, ev_dst, config)
-        assert _rows(got) == want
+    got = phase_kernel._flush_search(ev_start, ev_len, ev_dst, config)
+    assert _rows(got) == _oracle(ev_start, ev_len, ev_dst, config)
+
+
+class TestScanDestination:
+    """The oracle's own contract: positions count from ``first_pos``,
+    the release sits one past the last event, atomics carry negated
+    sizes, and ``first_only`` stops at the first flush."""
+
+    config = FinePackConfig()
+
+    def scan(self, starts, lengths, first_pos=0, config=None, first_only=False):
+        return phase_kernel._scan_destination(
+            starts, lengths, first_pos, config or self.config, first_only=first_only
+        )
+
+    def test_release_sits_past_the_last_event(self):
+        base = 3 * self.config.window_bytes
+        got = self.scan([base, base + 8, base + 256], [8, 8, 8], first_pos=10)
+        assert got == [(13, FlushReason.RELEASE, 3, base)]
+
+    def test_window_miss_and_first_only(self):
+        w = self.config.window_bytes
+        starts, lengths = [0, 8, w, w + 128], [8, 8, 8, 8]
+        assert self.scan(starts, lengths) == [
+            (2, FlushReason.WINDOW_MISS, 2, 0),
+            (4, FlushReason.RELEASE, 2, w),
+        ]
+        assert self.scan(starts, lengths, first_only=True) == [
+            (2, FlushReason.WINDOW_MISS, 2, 0)
+        ]
+        # With no forced flush, first_only still ends in the release.
+        assert self.scan([0, 8], [8, 8], 5, first_only=True) == [
+            (7, FlushReason.RELEASE, 2, 0)
+        ]
+
+    def test_payload_full(self):
+        # Each full line costs 128 B + a 5 B sub-header: 30 lines
+        # commit 3990 B of 4096, so the 31st (index 30) does not fit.
+        line = self.config.entry_bytes
+        starts = [i * line for i in range(31)]
+        assert self.scan(starts, [line] * 31) == [
+            (30, FlushReason.PAYLOAD_FULL, 30, 0),
+            (31, FlushReason.RELEASE, 1, 0),
+        ]
+
+    def test_entries_full_counts_distinct_lines(self):
+        config = FinePackConfig(queue_entries_per_partition=2)
+        # A repeat of a buffered line needs no new entry.
+        assert self.scan([0, 128, 8], [8, 8, 8], config=config) == [
+            (3, FlushReason.RELEASE, 3, 0)
+        ]
+        assert self.scan([0, 128, 256], [8, 8, 8], config=config) == [
+            (2, FlushReason.ENTRIES_FULL, 2, 0),
+            (3, FlushReason.RELEASE, 1, 0),
+        ]
+
+    def test_atomic_flushes_only_on_overlap(self):
+        # Atomics at 64 (no buffered byte) and 4 (overlaps [0, 8)).
+        assert self.scan([0, 64, 4, 200], [8, -8, -8, 8]) == [
+            (2, FlushReason.ATOMIC_CONFLICT, 1, 0),
+            (4, FlushReason.RELEASE, 1, 0),
+        ]
+        # An atomic on an empty partition, or no events at all, flushes
+        # nothing.
+        assert self.scan([0], [-8]) == []
+        assert self.scan([], []) == []
 
 
 def test_same_line_on_two_destinations_is_no_repeat():
@@ -231,9 +292,10 @@ HPC = ("als", "ct", "diffusion", "eqwp", "hit", "jacobi", "pagerank", "sssp")
 
 def test_fallback_census():
     # Every partition the search cannot settle in O(1) runs the scalar
-    # scan to its first flush; phases below the array cutoff scan each
-    # destination whole.  Both counts are pinned, so a change that
-    # sends a workload back to the loop fails here.
+    # scan to its first flush; no phase of these cells is empty or has
+    # atomics, so none scans a destination whole.  The count is
+    # pinned, so a change that sends a workload back to the loop fails
+    # here.
     calls: Counter[str] = Counter()
     scan = phase_kernel._scan_destination
 
@@ -248,4 +310,4 @@ def test_fallback_census():
                 RunSpec(workload=workload, paradigm="finepack", seed=7),
                 trace_cache=cache,
             ).run()
-    assert calls == {"partition": 12, "destination": 2}
+    assert calls == {"partition": 12}

@@ -1,12 +1,15 @@
 """Constant-memory regression test for streamed trace generation.
 
-``ru_maxrss`` is a monotonic per-process high-water mark, so the two
-generation modes each run in a fresh subprocess and report their own
-peak.  Each child also records its post-import baseline and the test
-compares the *deltas* above it: import-time residency swings with
-system page-cache state (a warm cache fault-arounds whole shared
-objects in), and only memory the generation itself touches is the
-quantity under test.
+The two generation modes each run in a fresh subprocess, through
+``tools/bench_perf.py``'s ``bench_trace_stream`` (the CI memory gate's
+own probe), and each child reports its peak resident set (``VmHWM``)
+above its own post-import baseline.  ``VmHWM`` belongs to the child
+alone; ``ru_maxrss`` would not do, because a child inherits the
+forking process's high-water mark, so once the test process outgrew
+the streamed peak the streamed delta would read 0 and the gate could
+not fail.  Comparing deltas above the baseline keeps import-time
+residency, which swings with page-cache state, out of the quantity
+under test.
 
 The workload is CT with ``cluster=1`` (no coalescible locality): every
 iteration draws fresh RNG corrections, so whole-trace generation must
@@ -16,71 +19,31 @@ guarantee (streamed delta at most half the whole-trace delta, the
 >=2x peak-memory reduction gate).
 """
 
-import json
-import subprocess
-import sys
+import importlib.util
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parents[2] / "src"
-
-PROBE = """
-import json, resource, sys, tempfile
-from repro.run import RunSpec, TraceCache
-
-stream = sys.argv[1] == "stream"
-baseline_kb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-spec = RunSpec(
-    workload="ct",
-    paradigm="finepack",
-    n_gpus=2,
-    iterations=16,
-    workload_params={
-        "volume_voxels": 500_000_000,
-        "total_corrections": 1_600_000,
-        "cluster": 1,
-    },
-)
-with tempfile.TemporaryDirectory() as root:
-    cache = TraceCache(root, stream=stream)
-    trace = cache.get_or_generate(spec)
-    ops = sum(p.stores.count for it in trace.iterations for p in it.phases)
-print(json.dumps({
-    "ops": ops,
-    "baseline_kb": baseline_kb,
-    "peak_kb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss,
-}))
-"""
+TOOL = Path(__file__).resolve().parents[2] / "tools" / "bench_perf.py"
 
 
-def generation_rss(mode: str) -> dict:
-    proc = subprocess.run(
-        [sys.executable, "-c", PROBE, mode],
-        capture_output=True,
-        text=True,
-        env={"PYTHONPATH": str(SRC), "PATH": "/usr/bin:/bin"},
-        check=True,
-    )
-    row = json.loads(proc.stdout.strip().splitlines()[-1])
-    row["delta_kb"] = row["peak_kb"] - row["baseline_kb"]
-    return row
+def _load_tool():
+    spec = importlib.util.spec_from_file_location("bench_perf_tool", TOOL)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def test_streamed_generation_halves_peak_rss():
-    # Whole-trace mode first: its large allocation can only perturb the
-    # later streamed child's baseline in the direction that *shrinks*
-    # the streamed delta, keeping the gate deterministic.
-    whole = generation_rss("whole")
-    streamed = generation_rss("stream")
+    block = _load_tool().bench_trace_stream()
     # Both modes produced the same trace.
-    assert streamed["ops"] == whole["ops"] > 10_000_000
+    assert block["same_ops"] and block["ops"] > 10_000_000, block
     # The whole-trace columns are ~300 MB of int64, so a meaningful
     # measurement must show a substantial generation footprint (the
     # floor is lax because a warm import baseline absorbs part of it).
-    assert whole["delta_kb"] > 64 * 1024, whole
+    assert block["whole_delta_kb"] > 64 * 1024, block
     # The memory gate: spill-while-generating must keep the peak at or
     # below half of materialize-then-write.  (Measured headroom is
     # ~3x; 2x is the contract.)
-    assert streamed["delta_kb"] <= 0.5 * whole["delta_kb"], (
-        f"streamed generation delta {streamed['delta_kb']} kB vs "
-        f"whole-trace delta {whole['delta_kb']} kB"
+    assert block["streamed_delta_kb"] <= 0.5 * block["whole_delta_kb"], (
+        f"streamed generation delta {block['streamed_delta_kb']} kB vs "
+        f"whole-trace delta {block['whole_delta_kb']} kB"
     )
