@@ -5,8 +5,8 @@
 but instead of scheduling per-message events it computes each
 (source phase, destination) pair's wire traffic in closed form
 (:mod:`.protocol`), classifies the delivered bytes with the DES's own
-classifier (:func:`~repro.sim.metrics.pair_footprint`,
-:func:`~repro.sim.metrics.useful_bytes`,
+classifier (the written-and-read sets of
+:func:`~repro.sim.metrics.written_and_read`,
 :meth:`~repro.sim.metrics.ByteBreakdown.record`), and predicts
 iteration times from per-link fluid loads (:mod:`.timing`).
 
@@ -26,7 +26,7 @@ from __future__ import annotations
 from ..gpu.hbm import HBMModel
 from ..interconnect.pcie import PCIeProtocol
 from ..interconnect.topology import make_topology
-from ..sim.metrics import ByteBreakdown, RunMetrics, useful_bytes
+from ..sim.metrics import ByteBreakdown, RunMetrics, written_and_read
 from ..trace.intervals import IntervalSet
 from ..trace.stream import RemoteStoreBatch
 from .protocol import PairCost, dma_cost, finepack_cost, p2p_cost, wc_cost
@@ -258,11 +258,13 @@ def _resolve_iteration(
                 )
                 useful = _CLS_MEMO.get(rkey)
             if useful is None:
-                useful = useful_bytes(
-                    cost.delivered,
-                    phase_stats(phase).footprint(phase, dst),
-                    consumer_reads.get(dst, IntervalSet.empty()),
-                )
+                # Delivered ∩ written ∩ read, against the DES
+                # classifier's memoized written-and-read set.
+                useful = cost.delivered.intersect(
+                    written_and_read(
+                        phase, dst, consumer_reads.get(dst, IntervalSet.empty())
+                    )
+                ).total_bytes
                 if rkey is not None:
                     _memo_put(_CLS_MEMO, _CLS_MEMO_MAX, rkey, useful)
             result.bytes.record(

@@ -3,10 +3,10 @@
 Each function predicts the wire traffic one (source phase, destination)
 pair generates under a paradigm: payload and overhead bytes, message
 counts by kind, packing statistics, and the union of delivered byte
-ranges.  The model layer classifies that union with the DES's own
-functions (:func:`repro.sim.metrics.pair_footprint` and
-:func:`repro.sim.metrics.useful_bytes`); parameters such as sector size
-and slice count come from the built DES paradigm.
+ranges.  The model layer classifies that union against the DES's own
+written-and-read sets (:func:`repro.sim.metrics.written_and_read`);
+parameters such as sector size and slice count come from the built DES
+paradigm.
 
 Exactness contract (derivations in ``docs/analytical.md``):
 

@@ -23,12 +23,11 @@ same SHA-256 content digest that keys the model-layer memos and
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from ..interconnect.pcie import DW_BYTES
-from ..sim.metrics import pair_footprint
 from ..trace.intervals import IntervalSet
 from ..trace.stream import KernelPhase
 
@@ -312,21 +311,9 @@ class PhaseStats:
     gpu: int
     stores: dict[int, DstOps]
     atomics: dict[int, DstOps]
-    #: :func:`~repro.sim.metrics.pair_footprint` per destination,
-    #: computed on first use.
-    footprints: dict[int, IntervalSet] = field(default_factory=dict)
 
     def destinations(self) -> list[int]:
         return sorted(set(self.stores) | set(self.atomics))
-
-    def footprint(self, phase: KernelPhase, dst: int) -> IntervalSet:
-        """What ``phase`` (the phase these stats describe) genuinely
-        wrote for ``dst``: the DES's own pair footprint, computed once
-        per stats entry."""
-        fp = self.footprints.get(dst)
-        if fp is None:
-            fp = self.footprints[dst] = pair_footprint(phase, dst)
-        return fp
 
 
 def split_by_dst(batch) -> dict[int, DstOps]:
@@ -358,9 +345,14 @@ def phase_stats(phase: KernelPhase) -> PhaseStats:
 
 
 def clear_memo() -> None:
-    """Drop the phase-stats memo and the model-layer memos (tests)."""
+    """Drop every cross-run memo (tests, benchmark passes).
+
+    That is the phase-stats memo, the model-layer memos and the DES
+    byte ledger's written-and-read sets."""
     _memo.clear()
+    from ..sim import metrics
     from . import model
 
     model._PAIR_MEMO.clear()
     model._CLS_MEMO.clear()
+    metrics._written_read.clear()

@@ -15,8 +15,13 @@ GPU and its network egress port:
   write queue feeding the packetizer.
 
 All engines emit :class:`WireMessage` objects annotated with the byte
-ranges delivered (``meta["range1"]``/``meta["ranges"]``) so the metrics ledger can classify
-payload bytes as useful or wasted.
+ranges delivered (``meta["range1"]``/``meta["ranges"]``) so the metrics
+ledger can classify payload bytes as useful or wasted.  The stateless
+ones also emit a whole phase as one :class:`MessageBatch`, the same
+messages as columns, for the batch transport, through one entry point
+``phase_batch(key, addrs, sizes, dsts, times, is_atomic,
+release_time)``: the passthrough engine directly, FinePack from its
+phase template.
 """
 
 from __future__ import annotations
@@ -124,22 +129,25 @@ class PassthroughEgress:
     def on_release(self, time: float) -> list[WireMessage]:
         return []
 
-    def batch_ops(
+    def phase_batch(
         self,
+        key: bytes,
         addrs: np.ndarray,
         sizes: np.ndarray,
         dsts: np.ndarray,
         times: np.ndarray,
         is_atomic: np.ndarray,
+        release_time: float,
     ) -> MessageBatch | None:
         """Whole-phase store/atomic stream as one :class:`MessageBatch`.
 
         Semantically one :meth:`on_store`/:meth:`on_atomic` call per
         element, in order; the engine is stateless so the batch is just
-        the concatenation of the per-op messages.  Returns ``None``
-        when any size is invalid -- the caller then replays the ops
-        through the scalar path so the error matches the scalar run
-        exactly.
+        the concatenation of the per-op messages, and ``key`` and
+        ``release_time`` go unused (its release emits nothing).
+        Returns ``None`` when any size is invalid -- the caller then
+        replays the ops through the scalar path so the error matches
+        the scalar run exactly.
         """
         n = int(sizes.size)
         if n and (
@@ -326,9 +334,9 @@ class FinePackEgress:
         self.packetizer = Packetizer(config, protocol)
         self._last_activity: dict[int, float] = {}
         self._windows = windows
-        #: Content-addressed phase templates (see :meth:`phase_ops`):
-        #: each phase's ``(op slot, message)`` pairs in emission order.
-        self._memo: dict[bytes, tuple[tuple[int, WireMessage], ...]] = {}
+        #: Content-addressed phase templates (see :meth:`phase_batch`):
+        #: ``[template, message view]``, the view built on first use.
+        self._memo: dict[bytes, list] = {}
         #: Optional :class:`repro.obs.Tracer`; set by the system when a
         #: run is traced.  Every hook below is guarded by a None check.
         self.tracer = None
@@ -454,21 +462,10 @@ class FinePackEgress:
         Semantically identical to calling :meth:`on_store` /
         :meth:`on_atomic` per element in order followed by
         :meth:`on_release` at ``release_time``: the same messages in
-        the same order, stamped from the same op slots.  The first
-        sight of a phase runs the columnar phase kernel
-        (:func:`repro.core.phase_kernel.pack_phase`) and records its
-        ``(op slot, message)`` pairs; phases whose ``key`` was already
-        packed this run replay them with fresh issue times
-        (content-addressed memoization; collectives and stencil
-        workloads repeat the same store stream every iteration).
-
-        Replay is exact because FinePack egress is a pure function of
-        the op columns within one phase: the system-scoped release that
-        ends every phase flushes all partitions and clears activity
-        state, so no aggregation window survives across phases.  Issue
-        times enter only as message stamps -- each message keeps the
-        op slot that stamped it (``-1`` for release-flushed messages,
-        stamped with the release time).
+        the same order, stamped from the same op slots.  The messages
+        are the event path's view of the phase's template (see
+        :meth:`phase_batch`), built once per template; a replay
+        re-stamps them with fresh issue times.
 
         ``key`` must determine the op columns (``addrs``, ``sizes``,
         ``dsts``, ``is_atomic``; not the times).  The store paradigms
@@ -487,6 +484,80 @@ class FinePackEgress:
         input the per-op hooks would reject, and the caller must use
         the scalar per-op path (which then raises exactly as before).
         """
+        memo = self._template(key, addrs, sizes, dsts, is_atomic)
+        if memo is None:
+            return None
+        template, view = memo
+        if view is None:
+            prof = _prof.ACTIVE
+            if prof is not None:
+                prof.begin("packetizer_rwq")
+            memo[1] = view = template.messages(self.src, times, release_time)
+            if prof is not None:
+                prof.end()
+            return list(view)
+        # Only the stamps differ between replays: each message is built
+        # field by field, sharing the view's ``meta`` (a quarter of
+        # ``dataclasses.replace``'s cost).
+        return [
+            WireMessage(
+                msg.src,
+                msg.dst,
+                msg.payload_bytes,
+                msg.overhead_bytes,
+                msg.kind,
+                stamp,
+                msg.stores_packed,
+                msg.meta,
+            )
+            for msg, stamp in zip(
+                view, template.issue_times(times, release_time).tolist()
+            )
+        ]
+
+    def phase_batch(
+        self,
+        key: bytes,
+        addrs: np.ndarray,
+        sizes: np.ndarray,
+        dsts: np.ndarray,
+        times: np.ndarray,
+        is_atomic: np.ndarray,
+        release_time: float,
+    ) -> MessageBatch | None:
+        """:meth:`phase_ops` as one :class:`MessageBatch`, for the batch
+        transport: the phase's template with this phase's stamps, and no
+        per-message object.
+
+        The first sight of a phase runs the columnar phase kernel
+        (:func:`repro.core.phase_kernel.pack_phase`) and records its
+        :class:`~repro.core.phase_kernel.PhaseTemplate` under ``key``;
+        a phase whose ``key`` was already packed this run replays it
+        (content-addressed memoization; collectives and stencil
+        workloads repeat the same store stream every iteration).
+        Replay is exact because FinePack egress is a pure function of
+        the op columns within one phase: the system-scoped release that
+        ends every phase flushes all partitions and clears activity
+        state, so no aggregation window survives across phases.  Issue
+        times enter only as stamps, each message's from the op slot
+        that stamped it.  Declines as :meth:`phase_ops` does.
+        """
+        memo = self._template(key, addrs, sizes, dsts, is_atomic)
+        if memo is None:
+            return None
+        return memo[0].batch(self.src, times, release_time)
+
+    def _template(
+        self,
+        key: bytes,
+        addrs: np.ndarray,
+        sizes: np.ndarray,
+        dsts: np.ndarray,
+        is_atomic: np.ndarray,
+    ) -> list | None:
+        """The memo entry ``[template, message view or None]`` of the
+        phase keyed ``key``, packing it on first sight; ``None`` when
+        the engine or the kernel declines."""
         if (
             self.tracer is not None
             or self.flush_timeout_ns is not None
@@ -495,23 +566,20 @@ class FinePackEgress:
             or {"on_store", "on_atomic", "on_release"} & self.__dict__.keys()
         ):
             return None
-        template = self._memo.get(key)
-        if template is not None:
-            return self._replay_phase(template, times, release_time)
+        memo = self._memo.get(key)
+        if memo is not None:
+            return memo
         prof = _prof.ACTIVE
         if prof is not None:
             prof.begin("packetizer_rwq")
         template = pack_phase(
             self.config,
             self.protocol,
-            self.src,
             self.queue.partitions.keys(),
             addrs,
             sizes,
             dsts,
-            times,
             is_atomic,
-            release_time,
         )
         if prof is not None:
             prof.end()
@@ -519,35 +587,5 @@ class FinePackEgress:
             return None
         if len(self._memo) >= _MEMO_MAX_ENTRIES:
             self._memo.pop(next(iter(self._memo)))
-        self._memo[key] = template
-        return [msg for _, msg in template]
-
-    def _replay_phase(
-        self,
-        template: tuple[tuple[int, WireMessage], ...],
-        times: np.ndarray,
-        release_time: float,
-    ) -> list[WireMessage]:
-        """Re-emit a recorded phase with fresh issue times.
-
-        Messages are structurally identical to a fresh packetization
-        (packets are immutable once built and every downstream consumer
-        -- depacketizer, byte ledger -- only reads them), so only the
-        issue stamps differ between replays.  Each replay is built
-        field by field, sharing the template's ``meta``: a quarter of
-        ``dataclasses.replace``'s cost.
-        """
-        stamps = times.tolist()
-        return [
-            WireMessage(
-                msg.src,
-                msg.dst,
-                msg.payload_bytes,
-                msg.overhead_bytes,
-                msg.kind,
-                release_time if slot < 0 else stamps[slot],
-                msg.stores_packed,
-                msg.meta,
-            )
-            for slot, msg in template
-        ]
+        memo = self._memo[key] = [template, None]
+        return memo

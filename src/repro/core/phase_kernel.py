@@ -1,10 +1,11 @@
 """Columnar FinePack phase kernel: one whole phase per call.
 
 The remote write queue and packetizer (paper Sec. IV-B), applied to a
-whole phase's op columns at once.  A phase of stores and atomics ended by a system-scoped release, fed to
-an empty single-window queue with no inactivity timeout, is a pure
-function of its op columns.  :func:`pack_phase` computes that function
-in two passes instead of one :class:`QueuePartition` insert per op:
+whole phase's op columns at once.  A phase of stores and atomics
+ended by a system-scoped release, fed to an empty single-window queue
+with no inactivity timeout, is a pure function of its op columns.
+:func:`pack_phase` computes that function in two passes instead of one
+:class:`QueuePartition` insert per op:
 
 1. **Flush structure.**  Ops are grouped by destination with a radix
    sort (each partition sees only its own ops, in issue order).
@@ -28,10 +29,14 @@ in two passes instead of one :class:`QueuePartition` insert per op:
    (window, line) -- a segment-wise ``np.maximum.accumulate`` over the
    run ends -- yields the sub-transaction runs in the packetizer's
    (line, start) order; ``np.add.reduceat`` gives each packet's data
-   bytes, sub-transaction count and wire cost.  Byte-enable masks are
-   never unpacked to bits.
+   bytes, sub-transaction count, wire cost and de-packetizer buffer
+   entries.  Byte-enable masks are never unpacked to bits.
 
-The result is bit-identical to the per-op path
+The packets and atomics come out as one :class:`PhaseTemplate` of
+message columns, with no packet or message object: the batch
+transport takes it as a :class:`~repro.perf.batch.MessageBatch`, the
+event path as ``WireMessage`` lists (:meth:`PhaseTemplate.messages`).
+Either is bit-identical to the per-op path
 (``FinePackEgress.on_store``/``on_atomic``/``on_release``): the same
 messages, in the same order, stamped from the same op slots.
 :class:`~repro.core.remote_write_queue.QueuePartition`
@@ -42,12 +47,14 @@ implementation and the path for multi-window, timeout and traced runs.
 from __future__ import annotations
 
 from collections.abc import Collection
+from dataclasses import dataclass
 from itertools import count
 
 import numpy as np
 
-from ..interconnect.message import MessageKind, WireMessage
+from ..interconnect.message import KINDS_BY_CODE, WireMessage
 from ..interconnect.pcie import DW_BYTES, PCIeProtocol
+from ..perf.batch import ATOMIC_CODE, FINEPACK_CODE, MessageBatch
 from ..trace.ids import stable_argsort
 from .config import FinePackConfig
 from .packet import FinePackPacket
@@ -412,27 +419,123 @@ def _sub_runs(
     return run_start, run_max[last] - seg_key[last] - run_start, window[first]
 
 
+@dataclass(frozen=True, slots=True)
+class PhaseTemplate:
+    """One packed phase as message columns, in emission order.
+
+    Row ``i`` is one message: a FinePack packet or an atomic that
+    bypassed the queue.  ``slot[i]`` is the op slot whose issue time
+    stamps it, ``-1`` for a packet flushed by the end-of-phase release
+    (stamped with the release time), so the template holds no time and
+    one template serves every phase with the same op columns.  Message
+    ``i`` delivers the next ``counts[i]`` ranges of the flat
+    ``starts``/``lengths`` columns; ``base[i]`` is a packet's window
+    base and ``entries[i]`` the de-packetizer buffer entries it takes,
+    ``max(1, ceil(inner payload / entry_bytes))`` (0 for an atomic).
+    The columns are read-only, because replays share them.
+    """
+
+    slot: np.ndarray
+    dst: np.ndarray
+    payload: np.ndarray
+    overhead: np.ndarray
+    kind: np.ndarray
+    packed: np.ndarray
+    entries: np.ndarray
+    base: np.ndarray
+    counts: np.ndarray
+    starts: np.ndarray
+    lengths: np.ndarray
+
+    def __post_init__(self) -> None:
+        for name in self.__slots__:
+            getattr(self, name).flags.writeable = False
+
+    def issue_times(self, times: np.ndarray, release_time: float) -> np.ndarray:
+        """Each message's stamp for a phase issued at ``times``."""
+        return np.where(self.slot < 0, release_time, times[self.slot])
+
+    def batch(
+        self, src: int, times: np.ndarray, release_time: float
+    ) -> MessageBatch:
+        """The phase's messages as one :class:`MessageBatch`."""
+        return MessageBatch(
+            src=src,
+            dst=self.dst,
+            payload=self.payload,
+            overhead=self.overhead,
+            kind=self.kind,
+            issue=self.issue_times(times, release_time),
+            packed=self.packed,
+            starts=self.starts,
+            lengths=self.lengths,
+            counts=self.counts,
+            entries=self.entries,
+        )
+
+    def messages(
+        self, src: int, times: np.ndarray, release_time: float
+    ) -> list[WireMessage]:
+        """The phase's messages as :class:`WireMessage` objects, for the
+        event path: packets carry their :class:`FinePackPacket` and
+        ``meta["ranges"]``, atomics ``meta["range1"]``."""
+        offsets = self.starts - np.repeat(self.base, self.counts)
+        ends = np.cumsum(self.counts)
+        msgs: list[WireMessage] = []
+        for lo, hi, dst, payload, extra, kind, packed, base, stamp in zip(
+            (ends - self.counts).tolist(),
+            ends.tolist(),
+            self.dst.tolist(),
+            self.payload.tolist(),
+            self.overhead.tolist(),
+            self.kind.tolist(),
+            self.packed.tolist(),
+            self.base.tolist(),
+            self.issue_times(times, release_time).tolist(),
+        ):
+            if kind == ATOMIC_CODE:
+                meta = {"range1": (int(self.starts[lo]), int(self.lengths[lo]))}
+            else:
+                lengths = self.lengths[lo:hi]
+                packet = FinePackPacket(
+                    base_addr=base,
+                    columns=(offsets[lo:hi], lengths),
+                    stores_absorbed=packed,
+                    data_bytes=payload,
+                )
+                meta = {"ranges": (self.starts[lo:hi], lengths), "packet": packet}
+            msgs.append(
+                WireMessage(
+                    src=src,
+                    dst=dst,
+                    payload_bytes=payload,
+                    overhead_bytes=extra,
+                    kind=KINDS_BY_CODE[kind],
+                    issue_time=stamp,
+                    stores_packed=packed,
+                    meta=meta,
+                )
+            )
+        return msgs
+
+
 def pack_phase(
     config: FinePackConfig,
     protocol: PCIeProtocol,
-    src: int,
     destinations: Collection[int],
     addrs: np.ndarray,
     sizes: np.ndarray,
     dsts: np.ndarray,
-    times: np.ndarray,
     is_atomic: np.ndarray,
-    release_time: float,
-) -> tuple[tuple[int, WireMessage], ...] | None:
-    """Pack one phase's op columns, ended by a release at ``release_time``.
+) -> PhaseTemplate | None:
+    """Pack one phase's op columns, ended by a release.
 
     Equivalent to one ``on_store``/``on_atomic`` call per op in order,
     then ``on_release``, on a :class:`~repro.core.egress.FinePackEgress`
     whose single-window queue starts empty and has no flush timeout.
     ``destinations`` are the queue's partition keys.  Mutates nothing.
-    Returns ``(op slot, message)`` pairs in emission order: the slot
-    whose issue time stamped the message, ``-1`` for a message flushed
-    by the end-of-phase release.
+    Returns the messages as one :class:`PhaseTemplate`, in emission
+    order.
 
     Returns ``None`` -- before doing any work a caller could observe --
     for a phase the per-op path would reject (a size <= 0, an atomic
@@ -443,7 +546,6 @@ def pack_phase(
     addrs = np.asarray(addrs, dtype=np.int64)
     sizes = np.asarray(sizes, dtype=np.int64)
     dsts = np.asarray(dsts, dtype=np.int64)
-    times = np.asarray(times, dtype=np.float64)
     is_atomic = np.asarray(is_atomic, dtype=bool)
     n = int(addrs.size)
     valid = np.zeros(max(destinations, default=-1) + 1, dtype=bool)
@@ -471,93 +573,69 @@ def pack_phase(
 
     # Pass 2: the packets, one per flush.
     n_flush = int(f_pos.size)
-    flush_msgs: list[WireMessage] = []
-    f_slot = np.empty(0, dtype=np.int64)
     if n_flush:
-        released = f_reason == _RELEASE
         # A release flush sits past its destination's last event.
         f_slot = np.where(
-            released, -1, ev_slot[np.minimum(f_pos, ev_slot.size - 1)]
+            f_reason == _RELEASE, -1, ev_slot[np.minimum(f_pos, ev_slot.size - 1)]
         )
-        f_stamp = np.where(released, release_time, times[f_slot]).tolist()
         run_start, run_len, run_wid = _sub_runs(
             ev_start, ev_len, f_pos, config.entry_bytes
         )
-        offsets = run_start - f_base[run_wid]
         # Every window holds at least one piece, so the runs group into
         # exactly n_flush consecutive windows.
         win_first = np.flatnonzero(np.diff(run_wid, prepend=-1))
         n_subs = np.diff(win_first, append=run_start.size)
         data = np.add.reduceat(run_len, win_first)
-        inner = n_subs * config.subheader_bytes + data
-        overhead = protocol.per_tlp_overhead + -(-inner // DW_BYTES) * DW_BYTES - data
-        bounds = win_first.tolist()
-        bounds.append(int(run_start.size))
-        for lo, hi, base, absorbed, dst, payload, extra, stamp in zip(
-            bounds,
-            bounds[1:],
-            f_base.tolist(),
-            f_absorbed.tolist(),
-            f_dst.tolist(),
-            data.tolist(),
-            overhead.tolist(),
-            f_stamp,
-        ):
-            lengths = run_len[lo:hi]
-            packet = FinePackPacket(
-                base_addr=base,
-                columns=(offsets[lo:hi], lengths),
-                stores_absorbed=absorbed,
-                data_bytes=payload,
-            )
-            flush_msgs.append(
-                WireMessage(
-                    src=src,
-                    dst=dst,
-                    payload_bytes=payload,
-                    overhead_bytes=extra,
-                    kind=MessageKind.FINEPACK,
-                    issue_time=stamp,
-                    stores_packed=absorbed,
-                    meta={"ranges": (run_start[lo:hi], lengths), "packet": packet},
-                )
-            )
-
-    # Atomics bypass the queue: one TLP each, stamped at their own slot
-    # and emitted right after any conflict flush they forced.
-    atomic_slots = np.flatnonzero(is_atomic)
-    atomic_msgs: list[WireMessage] = []
+    else:
+        f_slot = run_start = run_len = n_subs = data = f_pos
+    inner = n_subs * config.subheader_bytes + data
+    # The template's per-message columns, in its field order.
+    columns = [
+        f_slot,
+        f_dst,
+        data,
+        protocol.per_tlp_overhead + -(-inner // DW_BYTES) * DW_BYTES - data,
+        np.full(n_flush, FINEPACK_CODE, dtype=np.uint8),
+        f_absorbed,
+        np.maximum(1, -(-inner // config.entry_bytes)),
+        f_base,
+        n_subs,
+    ]
+    starts, lengths = run_start, run_len
     if n_atomics:
-        a_sizes = sizes[atomic_slots]
-        payload, overhead = protocol.store_wire_cost_batch(a_sizes)
-        for addr, size, dst, pay, extra, stamp in zip(
-            addrs[atomic_slots].tolist(),
-            a_sizes.tolist(),
-            dsts[atomic_slots].tolist(),
-            payload.tolist(),
-            overhead.tolist(),
-            times[atomic_slots].tolist(),
-        ):
-            atomic_msgs.append(
-                WireMessage(
-                    src=src,
-                    dst=dst,
-                    payload_bytes=pay,
-                    overhead_bytes=extra,
-                    kind=MessageKind.ATOMIC,
-                    issue_time=stamp,
-                    stores_packed=1,
-                    meta={"range1": (addr, size)},
-                )
-            )
+        # Atomics bypass the queue: one TLP each, stamped at their own
+        # slot and emitted right after any conflict flush they forced.
+        a_slot = np.flatnonzero(is_atomic)
+        a_size = sizes[a_slot]
+        a_payload, a_overhead = protocol.store_wire_cost_batch(a_size)
+        ones = np.ones(n_atomics, dtype=np.int64)
+        zeros = np.zeros(n_atomics, dtype=np.int64)
+        atomic = [
+            a_slot,
+            dsts[a_slot],
+            a_payload,
+            a_overhead,
+            np.full(n_atomics, ATOMIC_CODE, dtype=np.uint8),
+            ones,
+            zeros,
+            zeros,
+            ones,
+        ]
+        columns = [np.concatenate(pair) for pair in zip(columns, atomic)]
+        starts = np.concatenate((starts, addrs[a_slot]))
+        lengths = np.concatenate((lengths, a_size))
 
     # Emission order: by op slot, a conflict flush before its atomic,
     # release flushes last (already in ascending destination order).
-    pool = flush_msgs + atomic_msgs
-    pool_slots = np.concatenate((f_slot, atomic_slots))
-    emit_key = 2 * np.where(pool_slots < 0, n, pool_slots)
+    emit_key = 2 * np.where(columns[0] < 0, n, columns[0])
     emit_key[n_flush:] += 1
     emit = np.argsort(emit_key, kind="stable")
-    return tuple(
-        zip(pool_slots[emit].tolist(), [pool[i] for i in emit.tolist()])
+    # The flat ranges follow their messages into emission order.
+    first = np.cumsum(columns[-1]) - columns[-1]
+    counts = columns[-1][emit]
+    take = np.arange(int(counts.sum())) + np.repeat(
+        first[emit] - (np.cumsum(counts) - counts), counts
+    )
+    return PhaseTemplate(
+        *(c[emit] for c in columns[:-1]), counts, starts[take], lengths[take]
     )

@@ -4,9 +4,10 @@ The scalar simulator materializes one :class:`WireMessage` object per
 transaction; for the store-based paradigms that is hundreds of
 thousands of allocations per iteration and the single largest p2p cost.
 A :class:`MessageBatch` carries the same per-message fields as parallel
-numpy arrays -- one batch per (phase, egress engine) -- and the batch
-transport layer (:mod:`repro.perf.transport`) consumes it without ever
-constructing the objects.
+numpy arrays -- one batch per (phase, egress engine), for p2p stores
+and FinePack packets alike -- and the batch transport layer
+(:mod:`repro.perf.transport`), the de-packetizers and the byte ledger
+consume it without ever constructing the objects.
 
 :func:`masks_to_runs` is the shared vectorized replacement for
 :meth:`QueueEntry.runs`: it extracts every maximal contiguous run of
@@ -47,10 +48,14 @@ class MessageBatch:
     """One egress engine's messages for one phase, as parallel arrays.
 
     Semantically equivalent to the ``list[WireMessage]`` a scalar
-    engine emits for the same ops, under two restrictions that hold for
-    the passthrough (p2p) engine: all messages share one source GPU,
-    and each message delivers exactly one contiguous byte range
-    (``starts[i]``/``lengths[i]``, the array form of ``meta["range1"]``).
+    engine emits for the same ops, with all messages from one source
+    GPU.  Message ``i`` delivers ``counts[i]`` contiguous byte ranges,
+    the next ones of the flat ``starts``/``lengths`` columns (the array
+    form of ``meta["ranges"]``); without ``counts`` every message
+    delivers exactly one (``meta["range1"]``), as the passthrough (p2p)
+    engine's do.  ``entries`` gives each FinePack packet's
+    de-packetizer buffer entries; only batches holding packets carry
+    it.
     """
 
     src: int
@@ -60,8 +65,10 @@ class MessageBatch:
     kind: np.ndarray  # uint8 KIND_CODES values
     issue: np.ndarray  # float64 issue times
     packed: np.ndarray  # int64 stores_packed
-    starts: np.ndarray  # int64 delivered range start (one per message)
-    lengths: np.ndarray  # int64 delivered range length
+    starts: np.ndarray  # int64 delivered range starts, message by message
+    lengths: np.ndarray  # int64 delivered range lengths
+    counts: np.ndarray | None = None  # int64 ranges per message
+    entries: np.ndarray | None = None  # int64 de-packetizer entries
 
     def __len__(self) -> int:
         return self.dst.size

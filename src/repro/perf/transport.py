@@ -224,22 +224,21 @@ def drain_and_record(
     payload: np.ndarray,
     packed: np.ndarray,
     kinds: np.ndarray,
-    order: np.ndarray,
-    obj_refs: list,
+    entries: np.ndarray,
     depacketizers: list,
     drain_rates: np.ndarray,
     packets,
 ) -> float:
     """Ingress-drain every delivered message and fold packet stats.
 
-    Arrays are in global issue order; ``order`` maps each position back
-    to its original (pre-sort) flat index so FinePack messages can look
-    up their packet object in ``obj_refs``.  Returns the latest drain
+    Arrays are in global issue order; ``entries`` holds each FinePack
+    packet's de-packetizer buffer entries.  Returns the latest drain
     completion time (``-inf`` when there are no messages).  Mirrors the
-    scalar ``inject`` path: FinePack packets pass the destination
-    de-packetizer's bounded buffer in issue order; everything else
-    drains at the destination HBM rate; ``packets.record`` side effects
-    are reproduced in the same order.
+    scalar ``inject`` path: each destination's FinePack packets pass
+    its de-packetizer's bounded buffer in issue order, as columns
+    (:meth:`~repro.core.depacketizer.Depacketizer.admit_columns`);
+    everything else drains at the destination HBM rate;
+    ``packets.record`` side effects are reproduced in the same order.
     """
     n = deliveries.size
     if n == 0:
@@ -248,15 +247,23 @@ def drain_and_record(
     finepack = kinds == FINEPACK_CODE
     nonfp = np.flatnonzero(~finepack)
     if nonfp.size:
-        drained = deliveries[nonfp] + payload[nonfp] / drain_rates[dst[nonfp]]
-        latest = float(drained.max())
-    for pos in np.flatnonzero(finepack).tolist():
-        msg = obj_refs[int(order[pos])]
-        done = depacketizers[int(dst[pos])].admit(
-            msg.meta["packet"], float(deliveries[pos])
+        latest = float(
+            (deliveries[nonfp] + payload[nonfp] / drain_rates[dst[nonfp]]).max()
         )
-        if done > latest:
-            latest = float(done)
+    fp = np.flatnonzero(finepack)
+    if fp.size:
+        # Each destination's packets, in issue order: one slice each.
+        n_dsts = len(depacketizers)
+        fp = fp[stable_argsort(dst[fp], n_dsts)]
+        ends = np.cumsum(np.bincount(dst[fp], minlength=n_dsts)).tolist()
+        arrival, fp_entries, data = deliveries[fp], entries[fp], payload[fp]
+        drained = np.empty(fp.size)
+        for d, lo, hi in zip(range(n_dsts), [0, *ends], ends):
+            if lo < hi:
+                drained[lo:hi] = depacketizers[d].admit_columns(
+                    arrival[lo:hi], fp_entries[lo:hi], data[lo:hi]
+                )
+        latest = max(latest, float(drained.max()))
     # PacketStats.record equivalents, preserving issue order where the
     # scalar structures are order-sensitive (by_kind first-seen order,
     # packed_counts sequence).

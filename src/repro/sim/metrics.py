@@ -13,9 +13,13 @@ Every payload byte that crosses the interconnect is classified as
 Classification is interval arithmetic: delivered ranges vs. the
 producer's final-value footprint (:func:`pair_footprint`) vs. the
 consumer's read set (:func:`useful_bytes`).  Both DES loops classify
-through :func:`classify_egress`, and the analytical tier applies the
-same footprint, useful-byte rule and :meth:`ByteBreakdown.record` to
-its predicted delivered ranges.
+through :func:`classify_egress`, which intersects the delivered ranges
+with each (producer phase, destination) pair's written-and-read set
+(:func:`written_and_read`), memoized under the phase's and the reads'
+content digests: a trace's paradigm cells deliver different bytes but
+share every such set.  The analytical tier intersects its predicted
+delivered ranges with the same memoized sets and records them with the
+same :meth:`ByteBreakdown.record`.
 """
 
 from __future__ import annotations
@@ -76,32 +80,27 @@ class ByteBreakdown:
         }
 
 
-def footprint_columns(phase) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """The ``(dsts, addrs, sizes)`` columns of ``phase``'s footprint.
+def pair_footprint(phase, dst: int) -> IntervalSet:
+    """The bytes ``phase``'s GPU genuinely wrote for ``dst``.
 
-    The footprint is what the GPU genuinely wrote, for every
-    destination: its stores and atomics, plus any software-aggregated
-    DMA staging buffer, which the producer writes in full.  Delivered
-    bytes outside it were never updated (DMA/GPS over-transfer).
+    That is its stores and atomics, plus any software-aggregated DMA
+    staging buffer, which the producer writes in full.  Delivered bytes
+    outside it were never updated (DMA/GPS over-transfer).
     """
     stores, atomics = phase.stores, phase.atomics
-    columns = [(stores.dsts, stores.addrs, stores.sizes)]
-    if atomics.count:
-        columns.append((atomics.dsts, atomics.addrs, atomics.sizes))
-    staged = [(tr.dst, tr.dst_addr, tr.nbytes) for tr in phase.dma if tr.aggregated]
-    if staged:
-        columns.append(tuple(np.array(staged, dtype=np.int64).T))
-    return columns
-
-
-def pair_footprint(phase, dst: int) -> IntervalSet:
-    """The bytes ``phase``'s GPU genuinely wrote for ``dst``
-    (:func:`footprint_columns` restricted to ``dst``)."""
-    columns = footprint_columns(phase)
-    masks = [dsts == dst for dsts, _, _ in columns]
+    to_dst = stores.dsts == dst
+    atomic_to_dst = atomics.dsts == dst
+    staged = np.array(
+        [(t.dst_addr, t.nbytes) for t in phase.dma if t.aggregated and t.dst == dst],
+        dtype=np.int64,
+    ).reshape(-1, 2)
     return IntervalSet.from_ranges(
-        np.concatenate([a[m] for (_, a, _), m in zip(columns, masks)]),
-        np.concatenate([s[m] for (_, _, s), m in zip(columns, masks)]),
+        np.concatenate(
+            (stores.addrs[to_dst], atomics.addrs[atomic_to_dst], staged[:, 0])
+        ),
+        np.concatenate(
+            (stores.sizes[to_dst], atomics.sizes[atomic_to_dst], staged[:, 1])
+        ),
     )
 
 
@@ -110,6 +109,55 @@ def useful_bytes(
 ) -> int:
     """Delivered ∩ written ∩ read: the Figure 10 useful bytes."""
     return delivered.intersect(footprint).intersect(reads).total_bytes
+
+
+class _WrittenRead:
+    """Written-and-read sets by ``(phase digest, dst, reads digest)``.
+
+    A FIFO bounded in bytes, not entries: a set is a few bytes on a
+    collective and up to a MiB on sssp.  Each entry counts its arrays
+    plus ``ENTRY_BYTES`` for its key and objects, and the oldest
+    entries go once the total passes ``budget``.
+    """
+
+    ENTRY_BYTES = 1024
+
+    def __init__(self, budget: int) -> None:
+        self.budget = budget
+        self.nbytes = 0
+        self.sets: dict[tuple[bytes, int, bytes], IntervalSet] = {}
+
+    @staticmethod
+    def _cost(found: IntervalSet) -> int:
+        return found.starts.nbytes + found.ends.nbytes + _WrittenRead.ENTRY_BYTES
+
+    def get(self, phase, dst: int, reads: IntervalSet) -> IntervalSet:
+        key = (phase.digest, dst, reads.digest)
+        found = self.sets.get(key)
+        if found is None:
+            found = self.sets[key] = pair_footprint(phase, dst).intersect(reads)
+            self.nbytes += self._cost(found)
+            while self.nbytes > self.budget and len(self.sets) > 1:
+                self.nbytes -= self._cost(self.sets.pop(next(iter(self.sets))))
+        return found
+
+    def clear(self) -> None:
+        self.sets.clear()
+        self.nbytes = 0
+
+
+#: The process's written-and-read sets, shared by the DES and the
+#: analytical tier (cleared by :func:`repro.analytical.stats.clear_memo`).
+#: 8 MiB holds every set of the seed-7 des-hpc grid (4.4 MiB), of
+#: des-collectives (0.6 MiB) and of the analytical design sweep (4.6 MiB).
+_written_read = _WrittenRead(budget=8 << 20)
+
+
+def written_and_read(phase, dst: int, reads: IntervalSet) -> IntervalSet:
+    """The pair's bytes that can be useful, memoized by content.
+
+    That is ``pair_footprint(phase, dst) ∩ reads``."""
+    return _written_read.get(phase, dst, reads)
 
 
 #: A grouped classification pass closes once its delivered ranges plus
@@ -163,13 +211,14 @@ def classify_egress(
 class _Group:
     """Consecutive egress items, classified in one vectorized pass.
 
-    Every delivered range (D), footprint op (F) and consumer-read
-    interval (R) gets the key ``(src·n + dst) << S`` added to its
-    address (less the smallest address seen), with ``n`` above every
-    GPU id and ``2**S`` above the address span.  Pairs then occupy
-    disjoint, non-adjacent key ranges, so one :class:`IntervalSet` per
-    set holds every pair at once, and ``D.total_bytes`` and
-    ``useful_bytes(D, F, R)`` are the sums of the per-pair answers.
+    Every delivered range (D) and every live pair's written-and-read
+    set (W, :func:`written_and_read`) gets the key ``(src·n + dst) <<
+    S`` added to its address (less the smallest address seen), with
+    ``n`` above every GPU id and ``2**S`` above the address span.
+    Pairs then occupy disjoint, non-adjacent key ranges, so one
+    :class:`IntervalSet` per set holds every pair at once, and
+    ``D.total_bytes`` and ``|D ∩ W|`` are the sums of the per-pair
+    answers.
     """
 
     def __init__(self) -> None:
@@ -177,7 +226,7 @@ class _Group:
         #: Delivered ranges plus the producers' store and atomic ops.
         self.size = 0
         self.overhead = 0
-        #: Per batch: ``(src, dst, starts, lengths, payload)`` columns.
+        #: Per batch: ``(src, dst, starts, lengths, payload, counts)``.
         self.batches: list[tuple] = []
         # Message lists, in two streams kept as plain Python values
         # until classify(): messages with a ``ranges`` array pair (one
@@ -192,10 +241,17 @@ class _Group:
             srcs = {item.src} if len(item) else set()
             if srcs:
                 self.batches.append(
-                    (item.src, item.dst, item.starts, item.lengths, item.payload)
+                    (
+                        item.src,
+                        item.dst,
+                        item.starts,
+                        item.lengths,
+                        item.payload,
+                        item.counts,
+                    )
                 )
                 self.overhead += int(item.overhead.sum())
-                self.size += len(item)
+                self.size += int(item.starts.size)
         else:
             m_src, m_dst, m_pay, m_count, m_starts, m_lens = self.multi
             s_src, s_dst, s_pay, s_starts, s_lens = self.single
@@ -232,8 +288,8 @@ class _Group:
         """Fold the group's byte categories into ``breakdown``."""
         m_src, m_dst, m_pay, m_count, m_starts, m_lens = self.multi
         s_src, s_dst, s_pay, s_starts, s_lens = self.single
-        b_src, b_dst, b_starts, b_lens, b_pay = (
-            zip(*self.batches) if self.batches else ((),) * 5
+        b_src, b_dst, b_starts, b_lens, b_pay, b_counts = (
+            zip(*self.batches) if self.batches else ((),) * 6
         )
         # One row per listed message: multi-range ones, then singles;
         # ``row`` is each listed range's message.
@@ -245,24 +301,20 @@ class _Group:
                 np.arange(len(m_src), l_src.size),
             )
         )
-        f_src, f_dst, f_addr, f_size = [], [], [], []
-        for src in sorted(self.srcs):
-            for dsts, addrs, sizes in footprint_columns(phases[src]):
-                f_src.append(src)
-                f_dst.append(dsts)
-                f_addr.append(addrs)
-                f_size.append(sizes)
-        f_count = [d.size for d in f_dst]
-        f_dst = np.concatenate(f_dst)
         n = 1 + max(
             max(self.srcs),
             int(l_dst.max(initial=0)),
-            int(f_dst.max(initial=0)),
             *(int(d.max()) for d in b_dst),
         )
         b_code = [s * n + d for s, d in zip(b_src, b_dst)]
         l_code = l_src * n + l_dst
-        d_code = np.concatenate(b_code + [l_code[row]])
+        d_code = np.concatenate(
+            [
+                code if counts is None else np.repeat(code, counts)
+                for code, counts in zip(b_code, b_counts)
+            ]
+            + [l_code[row]]
+        )
         # "unsafe" casts as np.asarray(..., dtype=np.int64) would; an
         # empty list of plain ints is float64.
         starts = np.concatenate(
@@ -286,30 +338,21 @@ class _Group:
         unique = useful = 0
         live = np.flatnonzero(np.bincount(d_code, minlength=n * n))
         if live.size:
-            f_code = np.repeat(np.asarray(f_src, dtype=np.int64) * n, f_count) + f_dst
-            f_addr = np.concatenate(f_addr)
-            f_size = np.concatenate(f_size)
             empty = IntervalSet.empty()
-            reads = [consumer_reads.get(d, empty) for d in range(n)]
-            r_count = np.asarray([len(r) for r in reads])
-            r_starts = np.concatenate([r.starts for r in reads])
-            r_ends = np.concatenate([r.ends for r in reads])
-            # Each live pair's copy of its destination's reads.
-            live_dst = live % n
-            want = r_count[live_dst]
-            take = np.arange(int(want.sum())) + np.repeat(
-                (np.cumsum(r_count) - r_count)[live_dst] - (np.cumsum(want) - want),
-                want,
-            )
-            base = min(
-                int(starts.min()),
-                int(f_addr.min(initial=starts[0])),
-                int(r_starts.min(initial=starts[0])),
-            )
+            # Each live pair's written-and-read set, in ascending pair
+            # code order.
+            sets = [
+                written_and_read(
+                    phases[src], dst, consumer_reads.get(dst, empty)
+                )
+                for src, dst in zip((live // n).tolist(), (live % n).tolist())
+            ]
+            w_count = [len(w) for w in sets]
+            w_starts = np.concatenate([w.starts for w in sets])
+            w_ends = np.concatenate([w.ends for w in sets])
+            base = min(int(starts.min()), int(w_starts.min(initial=starts[0])))
             span = max(
-                int((starts + lengths).max()),
-                int((f_addr + f_size).max(initial=0)),
-                int(r_ends.max(initial=0)),
+                int((starts + lengths).max()), int(w_ends.max(initial=0))
             ) - base
             shift = span.bit_length()
             if (n * n) << shift > 1 << 63:
@@ -321,14 +364,11 @@ class _Group:
                 (d_code << shift) + (starts - base), lengths
             )
             unique = delivered.total_bytes
-            useful = useful_bytes(
-                delivered,
-                IntervalSet.from_ranges((f_code << shift) + (f_addr - base), f_size),
-                IntervalSet.from_ranges(
-                    (np.repeat(live, want) << shift) + (r_starts[take] - base),
-                    r_ends[take] - r_starts[take],
-                ),
-            )
+            # Normalized pair by pair, and pairs' keys ascend.
+            w_key = np.repeat(live << shift, w_count) - base
+            useful = delivered.intersect(
+                IntervalSet(w_key + w_starts, w_key + w_ends)
+            ).total_bytes
         breakdown.record(int(payload.sum()), self.overhead, unique, useful)
 
 

@@ -45,7 +45,7 @@ from ..interconnect.message import MessageKind
 from ..interconnect.pcie import PCIE_GEN4, PCIeGeneration, PCIeProtocol
 from ..interconnect.topology import Topology, make_topology
 from ..perf import profiler as _prof
-from ..perf.batch import MessageBatch, arrays_from_messages
+from ..perf.batch import FINEPACK_CODE, MessageBatch, arrays_from_messages
 from ..perf.config import scalar_mode
 from ..perf.transport import (
     build_plan,
@@ -180,9 +180,11 @@ class MultiGPUSystem:
             and links_eligible(self.topology)
         ):
             plan = build_plan(self.topology)
-        phase_batch = (
-            getattr(paradigm, "phase_batch", None) if plan is not None else None
-        )
+        # Under the batch plan a store paradigm hands each phase over as
+        # a MessageBatch when its engine batches it.
+        phase_egress = paradigm.phase_messages
+        if plan is not None:
+            phase_egress = getattr(paradigm, "phase_batch", phase_egress)
         drain_rates = np.full(self.n_gpus, _DRAIN_RATE, dtype=np.float64)
 
         t = 0.0
@@ -217,10 +219,8 @@ class MultiGPUSystem:
                 prof.begin("egress")
             outputs: list = []
             for phase in iteration.phases:
-                args = (phase, t, compute_end[phase.gpu], consumer_reads)
-                batch = phase_batch(*args) if phase_batch is not None else None
                 outputs.append(
-                    batch if batch is not None else paradigm.phase_messages(*args)
+                    phase_egress(phase, t, compute_end[phase.gpu], consumer_reads)
                 )
             if prof is not None:
                 prof.end()
@@ -371,9 +371,7 @@ class MultiGPUSystem:
         kind_p: list[np.ndarray] = []
         issue_p: list[np.ndarray] = []
         packed_p: list[np.ndarray] = []
-        #: Flat per-message object refs (pre-sort order); ``None`` for
-        #: batch elements, which never need their object back.
-        obj_refs: list = []
+        entries_p: list[np.ndarray] = []
         for item in outputs:
             if isinstance(item, MessageBatch):
                 n = len(item)
@@ -386,7 +384,11 @@ class MultiGPUSystem:
                 kind_p.append(item.kind)
                 issue_p.append(item.issue)
                 packed_p.append(item.packed)
-                obj_refs.extend([None] * n)
+                entries_p.append(
+                    np.zeros(n, dtype=np.int64)
+                    if item.entries is None
+                    else item.entries
+                )
             elif item:
                 s, d, p, o, kd, ti, pk = arrays_from_messages(item)
                 src_p.append(s)
@@ -396,8 +398,14 @@ class MultiGPUSystem:
                 kind_p.append(kd)
                 issue_p.append(ti)
                 packed_p.append(pk)
-                obj_refs.extend(item)
-        if not obj_refs:
+                # Packets from the per-op path: the receiver counts
+                # their entries.
+                entries = np.zeros(len(item), dtype=np.int64)
+                for i in np.flatnonzero(kd == FINEPACK_CODE).tolist():
+                    msg = item[i]
+                    entries[i] = depacketizers[msg.dst].entries(msg.meta["packet"])
+                entries_p.append(entries)
+        if not issue_p:
             return float("-inf")
 
         issue = np.concatenate(issue_p)
@@ -411,6 +419,7 @@ class MultiGPUSystem:
         overhead = np.concatenate(ovh_p)[order]
         kinds = np.concatenate(kind_p)[order]
         packed = np.concatenate(packed_p)[order]
+        entries = np.concatenate(entries_p)[order]
         if prof is not None:
             prof.begin("link_serialization")
         deliveries = transmit_flat(
@@ -432,8 +441,7 @@ class MultiGPUSystem:
             payload,
             packed,
             kinds,
-            order,
-            obj_refs,
+            entries,
             depacketizers,
             drain_rates,
             metrics.packets,

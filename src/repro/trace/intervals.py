@@ -10,9 +10,25 @@ arrays, with union/intersection/difference in O(n log n).
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
+
+
+def sha256_columns(*columns: np.ndarray) -> bytes:
+    """One SHA-256 over length-prefixed int64 columns.
+
+    hashlib reads the (C-contiguous) arrays through the buffer
+    protocol, so memory-mapped columns are hashed without a copy.
+    """
+    h = hashlib.sha256()
+    for col in columns:
+        col = np.ascontiguousarray(col, dtype=np.int64)
+        h.update(col.size.to_bytes(8, "little"))
+        h.update(col)
+    return h.digest()
 
 
 def _as_arrays(starts, lengths) -> tuple[np.ndarray, np.ndarray]:
@@ -20,10 +36,13 @@ def _as_arrays(starts, lengths) -> tuple[np.ndarray, np.ndarray]:
     l = np.asarray(lengths, dtype=np.int64).ravel()
     if s.shape != l.shape:
         raise ValueError("starts and lengths must have equal shapes")
-    if (l < 0).any():
+    shortest = int(l.min()) if l.size else 1
+    if shortest < 0:
         raise ValueError("interval lengths must be non-negative")
-    keep = l > 0
-    return s[keep], l[keep]
+    if shortest == 0:
+        keep = l > 0
+        s, l = s[keep], l[keep]
+    return s, l
 
 
 @dataclass(frozen=True)
@@ -40,22 +59,35 @@ class IntervalSet:
         if s.size == 0:
             return IntervalSet.empty()
         e = s + l
-        if not (s[1:] >= s[:-1]).all():
-            order = np.argsort(s, kind="stable")
-            s, e = s[order], e[order]
-        running = np.maximum.accumulate(e)
+        if (s[1:] >= s[:-1]).all():
+            # ``bound[i]`` is the end of the first i + 1 ranges' union.
+            bound = np.maximum.accumulate(e)
+        else:
+            # Sort starts and ends apart: while every range of rank < i
+            # ends before start i, those are exactly the i smallest
+            # ends (each later range ends past start i), so the i-th
+            # smallest end decides a gap just as the running maximum
+            # of sorted ranges does.
+            s = np.sort(s)
+            bound = np.sort(e)
         new_run = np.empty(s.size + 1, dtype=bool)
         new_run[0] = new_run[-1] = True
         # Strictly-greater keeps adjacent ranges merged ([0,4)+[4,8) -> [0,8)).
-        np.greater(s[1:], running[:-1], out=new_run[1:-1])
-        # A run ends at the running maximum of its last range: every
-        # earlier run ended before it started.
-        return IntervalSet(s[new_run[:-1]], running[new_run[1:]])
+        np.greater(s[1:], bound[:-1], out=new_run[1:-1])
+        # A run ends at the bound of its last rank: every earlier run
+        # ended before it started, and every later range starts after.
+        return IntervalSet(s[new_run[:-1]], bound[new_run[1:]])
 
     @staticmethod
     def empty() -> "IntervalSet":
         z = np.empty(0, dtype=np.int64)
         return IntervalSet(z, z.copy())
+
+    @cached_property
+    def digest(self) -> bytes:
+        """SHA-256 of the normalized intervals; sets are immutable once
+        built, so it is computed once."""
+        return sha256_columns(self.starts, self.ends)
 
     @property
     def total_bytes(self) -> int:

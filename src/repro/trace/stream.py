@@ -13,14 +13,13 @@ All bulk data is numpy-backed so million-store traces stay cheap.
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
 
 from ..gpu.compute import KernelWork
-from .intervals import IntervalSet
+from .intervals import IntervalSet, sha256_columns
 
 
 @dataclass
@@ -157,9 +156,11 @@ class KernelPhase:
     dma: list[DMATransfer] = field(default_factory=list)
 
     # Content digests key every cross-phase memo (the analytical tier's
-    # stats/pair/classification memos and FinePack's egress templates).
-    # Each is one SHA-256 pass, computed on first use and cached on the
-    # phase: phases are treated as immutable once built.
+    # stats/pair/classification memos, FinePack's egress templates and
+    # the byte ledger's written-and-read sets).  Each is one SHA-256
+    # pass, computed on first use and cached -- the send digest on the
+    # phase, the reads digest on its IntervalSet: phases are treated as
+    # immutable once built.
 
     @cached_property
     def digest(self) -> bytes:
@@ -170,28 +171,15 @@ class KernelPhase:
             [(t.dst, t.dst_addr, t.nbytes, t.aggregated) for t in self.dma],
             dtype=np.int64,
         )
-        return _sha256_columns(
+        return sha256_columns(
             s.addrs, s.sizes, s.dsts, a.addrs, a.sizes, a.dsts, plan.ravel()
         )
 
-    @cached_property
+    @property
     def reads_digest(self) -> bytes:
-        """SHA-256 of the phase's read intervals."""
-        return _sha256_columns(self.reads.starts, self.reads.ends)
-
-
-def _sha256_columns(*columns: np.ndarray) -> bytes:
-    """One SHA-256 over length-prefixed int64 columns.
-
-    hashlib reads the (C-contiguous) arrays through the buffer
-    protocol, so memory-mapped columns are hashed without a copy.
-    """
-    h = hashlib.sha256()
-    for col in columns:
-        col = np.ascontiguousarray(col, dtype=np.int64)
-        h.update(col.size.to_bytes(8, "little"))
-        h.update(col)
-    return h.digest()
+        """SHA-256 of the phase's read intervals
+        (:attr:`IntervalSet.digest`)."""
+        return self.reads.digest
 
 
 @dataclass

@@ -15,12 +15,23 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.core import egress as egress_module
 from repro.core.config import FinePackConfig
+from repro.core.depacketizer import Depacketizer
 from repro.core.egress import FinePackEgress
-from repro.interconnect.message import MessageKind
+from repro.core.phase_kernel import pack_phase
+from repro.gpu.compute import KernelWork
+from repro.interconnect.message import KINDS_BY_CODE, MessageKind
 from repro.interconnect.pcie import PCIE_GEN4, PCIeProtocol
+from repro.perf.batch import MessageBatch
 from repro.perf.harness import fingerprint_metrics
 from repro.run import RunContext, RunSpec, TraceCache
+from repro.sim.paradigms import (
+    FinePackParadigm,
+    P2PStoreParadigm,
+    WriteCombiningParadigm,
+)
+from repro.trace.stream import KernelPhase, RemoteStoreBatch
 
 N_GPUS = 4
 SRC = 0
@@ -278,7 +289,144 @@ def test_run_fingerprint_invariant_under_memo(workload, monkeypatch):
     cache = TraceCache()
     on = fingerprint_metrics(RunContext(spec, trace_cache=cache).run())
     # Declining (the documented ``None`` return) sends every phase
-    # through the per-op hooks while the other fast paths stay on.
+    # through the per-op hooks while the other fast paths stay on; both
+    # columnar entries must decline, or the batch transport would still
+    # replay the templates.
     monkeypatch.setattr(FinePackEgress, "phase_ops", lambda self, *args: None)
+    monkeypatch.setattr(FinePackEgress, "phase_batch", lambda self, *args: None)
     off = fingerprint_metrics(RunContext(spec, trace_cache=cache).run())
     assert on == off
+
+
+def _batch_view(batch):
+    """The per-message view of a MessageBatch, in the field order of
+    :func:`_message_view`, plus each packet's buffer entries."""
+    counts = (
+        np.ones(len(batch), dtype=np.int64) if batch.counts is None else batch.counts
+    )
+    ends = np.cumsum(counts).tolist()
+    views = []
+    for i, (lo, hi) in enumerate(zip([0, *ends], ends)):
+        kind = KINDS_BY_CODE[int(batch.kind[i])]
+        view = [
+            batch.src,
+            int(batch.dst[i]),
+            int(batch.payload[i]),
+            int(batch.overhead[i]),
+            kind,
+            float(batch.issue[i]).hex(),
+            int(batch.packed[i]),
+            (batch.starts[lo:hi].tolist(), batch.lengths[lo:hi].tolist()),
+            int(batch.entries[i]),
+        ]
+        views.append(view)
+    return views
+
+
+def _list_view(msgs, config):
+    depacketizer = Depacketizer(config)
+    views = []
+    for m in msgs:
+        if m.kind is MessageKind.FINEPACK:
+            starts, lengths = m.meta["ranges"]
+            ranges = (starts.tolist(), lengths.tolist())
+            entries = depacketizer.entries(m.meta["packet"])
+        else:
+            ranges = ([m.meta["range1"][0]], [m.meta["range1"][1]])
+            entries = 0
+        views.append(
+            [
+                m.src,
+                m.dst,
+                m.payload_bytes,
+                m.overhead_bytes,
+                m.kind,
+                m.issue_time.hex(),
+                m.stores_packed,
+                ranges,
+                entries,
+            ]
+        )
+    return views
+
+
+@settings(
+    max_examples=200,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
+)
+@given(_phase_cases())
+def test_phase_batch_is_the_per_op_messages_as_columns(case):
+    # The batch transport's entry against the per-op hooks, including
+    # replays of a recorded template; both decline the same phases.
+    config, phases = case
+    fast, scalar = _engine(config), _engine(config)
+    for k, i in enumerate([*range(len(phases)), 0]):
+        addrs, sizes, dsts, times, is_atomic = _op_columns(phases[i])
+        shift = 1000.0 * k
+        cols = (addrs, sizes, dsts, times + shift, is_atomic, 1000.0 + shift)
+        batch = fast.phase_batch(bytes([i]), *cols)
+        if batch is None:
+            assert fast.phase_ops(bytes([i]), *cols) is None
+            return
+        assert _batch_view(batch) == _list_view(
+            _run_scalar(scalar, *cols), config
+        )
+
+
+def test_template_columns_are_read_only():
+    addrs, sizes, dsts, times, is_atomic = _columns()
+    engine = _engine()
+    batch = engine.phase_batch(KEY, addrs, sizes, dsts, times, is_atomic, 1e3)
+    with pytest.raises(ValueError):
+        batch.payload[0] = 0
+    # A replay shares the template's columns and restamps only.
+    again = engine.phase_batch(KEY, addrs, sizes, dsts, times + 5.0, is_atomic, 1e3)
+    assert again.payload is batch.payload
+    assert not np.array_equal(again.issue, batch.issue)
+
+
+def _store_phase() -> KernelPhase:
+    addrs, sizes, dsts, _, _ = _columns()
+    return KernelPhase(
+        gpu=SRC,
+        work=KernelWork(flops=1e6, dram_bytes=1e6),
+        stores=RemoteStoreBatch(addrs, sizes, dsts),
+    )
+
+
+def _attached(paradigm):
+    paradigm.attach(N_GPUS, PCIeProtocol(PCIE_GEN4))
+    return paradigm
+
+
+@pytest.mark.parametrize(
+    "make, batched",
+    [
+        (P2PStoreParadigm, True),
+        (FinePackParadigm, True),
+        (lambda: FinePackParadigm(windows=2), False),
+        (lambda: FinePackParadigm(flush_timeout_ns=50.0), False),
+        (WriteCombiningParadigm, False),
+    ],
+)
+def test_paradigm_phase_batch_falls_back_to_the_per_op_messages(
+    make, batched, monkeypatch
+):
+    # One engine entry point: a batch when the engine batches the phase,
+    # else the per-op messages from the same op columns -- a declining
+    # FinePack engine never runs the phase kernel.
+    args = (_store_phase(), 0.0, 1000.0, {})
+    want = _attached(make()).phase_messages(*args)
+    packed = []
+    monkeypatch.setattr(
+        egress_module, "pack_phase", lambda *a: packed.append(a) or pack_phase(*a)
+    )
+    got = _attached(make()).phase_batch(*args)
+    assert isinstance(got, MessageBatch) == batched
+    if batched:
+        assert len(got) == len(want)
+        assert got.issue.tolist() == [m.issue_time for m in want]
+    else:
+        assert [_message_view(m) for m in got] == [_message_view(m) for m in want]
+        assert not packed

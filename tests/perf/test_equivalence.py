@@ -142,13 +142,15 @@ def test_scalar_mode_takes_every_reference_path(monkeypatch):
     assert fast_flags() == (True, True)
 
     calls = []
-    phase_ops = FinePackEgress.phase_ops
+    # The phase template behind both columnar entries, phase_ops (the
+    # event path's messages) and phase_batch (the batch transport's).
+    template = FinePackEgress._template
 
     def spy(self, *args):
         calls.append(args)
-        return phase_ops(self, *args)
+        return template(self, *args)
 
-    monkeypatch.setattr(FinePackEgress, "phase_ops", spy)
+    monkeypatch.setattr(FinePackEgress, "_template", spy)
     spec = spec_for("jacobi", "finepack")
     cache = TraceCache()
     # Scalar: per-op egress hooks, event-driven transport.

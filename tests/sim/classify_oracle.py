@@ -4,7 +4,7 @@ This is the per-pair form of :func:`repro.sim.metrics.classify_egress`
 that the grouped vectorized pass replaced, kept as the oracle of the
 differential test.  It states the footprint rule on its own (stores,
 atomics and aggregated DMA staging, per destination) rather than
-through :func:`repro.sim.metrics.footprint_columns`, so the test also
+through :func:`repro.sim.metrics.pair_footprint`, so the test also
 checks that rule.
 """
 
@@ -45,11 +45,17 @@ def classify_per_pair(
     pair_acc: dict[tuple[int, int], list] = {}
     for item in outputs:
         if isinstance(item, MessageBatch):
+            # Each range's message's destination (one range a message
+            # unless the batch gives range counts).
+            range_dst = (
+                item.dst if item.counts is None else np.repeat(item.dst, item.counts)
+            )
             for d in np.unique(item.dst).tolist():
                 idx = np.flatnonzero(item.dst == d)
+                ranges = np.flatnonzero(range_dst == d)
                 acc = pair_acc.setdefault((item.src, d), [[], [], [], [], 0, 0])
-                acc[0].append(item.starts[idx])
-                acc[1].append(item.lengths[idx])
+                acc[0].append(item.starts[ranges])
+                acc[1].append(item.lengths[ranges])
                 acc[4] += int(item.payload[idx].sum())
                 acc[5] += int(item.overhead[idx].sum())
             continue
