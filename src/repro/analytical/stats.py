@@ -18,7 +18,7 @@ destination:
 Phases repeat across iterations in steady-state traces, so
 :func:`phase_stats` memoizes by ``(gpu, KernelPhase.digest)`` -- the
 same SHA-256 content digest that keys the model-layer memos and
-``FinePackEgress.phase_ops``.
+FinePack's phase templates (``FinePackEgress.phase_batch``).
 """
 
 from __future__ import annotations

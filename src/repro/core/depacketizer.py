@@ -9,12 +9,14 @@ buffers them in a 64-entry x 128 B ingress buffer that drains at the
 local memory write bandwidth.
 
 Admission has one rule, :meth:`Depacketizer.admit_one`, over a
-packet's buffer entries, data bytes and arrival time.  The event path
-calls it per packet (:meth:`Depacketizer.admit`); the batch transport
-hands a destination's packets over as columns
-(:meth:`Depacketizer.admit_columns`), which time them in array passes
-whenever no packet can find the buffer full, and otherwise run the
-rule row by row.
+packet's buffer entries, data bytes and arrival time; a packet's
+entries follow from its sub-transaction count and data bytes
+(:meth:`Depacketizer.entries`), both columns of a
+:class:`~repro.perf.batch.MessageBatch`.  The event path calls the
+rule per packet row; the batch transport hands a destination's packets
+over as columns (:meth:`Depacketizer.admit_columns`), which time them
+in array passes whenever no packet can find the buffer full, and
+otherwise run the rule row by row.
 """
 
 from __future__ import annotations
@@ -73,18 +75,15 @@ class Depacketizer:
         packet = FinePackPacket.decode_payload(base_addr, raw, self.config)
         return self.disaggregate(packet)
 
-    def entries(self, packet: FinePackPacket) -> int:
-        """Buffer entries ``packet`` occupies: its inner payload in
-        ``entry_bytes`` units, at least one."""
-        return max(
-            1, -(-packet.inner_payload_bytes(self.config) // self.config.entry_bytes)
-        )
-
-    def admit(self, packet: FinePackPacket, arrival: float) -> float:
-        """Model buffer occupancy; returns when the packet is drained."""
-        return self.admit_one(
-            self.entries(packet), packet.payload_data_bytes, arrival
-        )
+    def entries(
+        self, subs: int | np.ndarray, data_bytes: int | np.ndarray
+    ) -> np.ndarray:
+        """Buffer entries of packets with ``subs`` sub-transactions and
+        ``data_bytes`` of data (ints or int64 columns): the inner
+        payload, sub-headers plus data, in ``entry_bytes`` units, at
+        least one."""
+        inner = subs * self.config.subheader_bytes + data_bytes
+        return np.maximum(1, -(-inner // self.config.entry_bytes))
 
     def admit_one(self, entries_needed: int, data_bytes: int, arrival: float) -> float:
         """The admission rule: returns when the packet is drained.

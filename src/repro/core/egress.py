@@ -14,14 +14,14 @@ GPU and its network egress port:
 * :class:`FinePackEgress` -- the paper's design: the partitioned remote
   write queue feeding the packetizer.
 
-All engines emit :class:`WireMessage` objects annotated with the byte
-ranges delivered (``meta["range1"]``/``meta["ranges"]``) so the metrics
-ledger can classify payload bytes as useful or wasted.  The stateless
-ones also emit a whole phase as one :class:`MessageBatch`, the same
-messages as columns, for the batch transport, through one entry point
+All engines emit :class:`WireMessage` objects per op, annotated with
+the byte ranges delivered (``meta["range1"]``/``meta["ranges"]``); the
+system turns them into a :class:`MessageBatch`, the one format its
+transports and byte ledger read.  The stateless ones also emit a whole
+phase as one :class:`MessageBatch` directly, through one entry point
 ``phase_batch(key, addrs, sizes, dsts, times, is_atomic,
-release_time)``: the passthrough engine directly, FinePack from its
-phase template.
+release_time)``: the passthrough engine from the op columns, FinePack
+from its phase template.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ from ..perf import profiler as _prof
 from ..perf.batch import ATOMIC_CODE, STORE_CODE, MessageBatch
 from .config import FinePackConfig
 from .packetizer import Packetizer
-from .phase_kernel import pack_phase
+from .phase_kernel import PhaseTemplate, pack_phase
 from .remote_write_queue import (
     FlushedWindow,
     FlushReason,
@@ -77,9 +77,9 @@ class EgressEngine(Protocol):
 def _single_range(addr: int, size: int) -> dict:
     """Scalar range annotation: cheaper than per-message numpy arrays.
 
-    The metrics ledger accepts either ``meta["range1"] = (addr, size)``
-    for single-range messages or ``meta["ranges"] = (starts, lengths)``
-    arrays for packed ones.
+    :meth:`MessageBatch.from_messages` reads either ``meta["range1"] =
+    (addr, size)`` for single-range messages or ``meta["ranges"] =
+    (starts, lengths)`` arrays for packed ones.
     """
     return {"range1": (addr, size)}
 
@@ -334,9 +334,8 @@ class FinePackEgress:
         self.packetizer = Packetizer(config, protocol)
         self._last_activity: dict[int, float] = {}
         self._windows = windows
-        #: Content-addressed phase templates (see :meth:`phase_batch`):
-        #: ``[template, message view]``, the view built on first use.
-        self._memo: dict[bytes, list] = {}
+        #: Content-addressed phase templates (see :meth:`phase_batch`).
+        self._memo: dict[bytes, PhaseTemplate] = {}
         #: Optional :class:`repro.obs.Tracer`; set by the system when a
         #: run is traced.  Every hook below is guarded by a None check.
         self.tracer = None
@@ -447,7 +446,7 @@ class FinePackEgress:
 
     # -- columnar phase entry + memoization -------------------------
 
-    def phase_ops(
+    def phase_batch(
         self,
         key: bytes,
         addrs: np.ndarray,
@@ -456,16 +455,27 @@ class FinePackEgress:
         times: np.ndarray,
         is_atomic: np.ndarray,
         release_time: float,
-    ) -> list[WireMessage] | None:
-        """One whole phase's op columns, ended by a release.
+    ) -> MessageBatch | None:
+        """One whole phase's op columns, ended by a release, as one
+        :class:`MessageBatch`: the phase's template with this phase's
+        stamps, and no per-message object.
 
         Semantically identical to calling :meth:`on_store` /
         :meth:`on_atomic` per element in order followed by
         :meth:`on_release` at ``release_time``: the same messages in
-        the same order, stamped from the same op slots.  The messages
-        are the event path's view of the phase's template (see
-        :meth:`phase_batch`), built once per template; a replay
-        re-stamps them with fresh issue times.
+        the same order, stamped from the same op slots.  The first
+        sight of a phase runs the columnar phase kernel
+        (:func:`repro.core.phase_kernel.pack_phase`) and records its
+        :class:`~repro.core.phase_kernel.PhaseTemplate` under ``key``;
+        a phase whose ``key`` was already packed this run replays it
+        (content-addressed memoization; collectives and stencil
+        workloads repeat the same store stream every iteration).
+        Replay is exact because FinePack egress is a pure function of
+        the op columns within one phase: the system-scoped release that
+        ends every phase flushes all partitions and clears activity
+        state, so no aggregation window survives across phases.  Issue
+        times enter only as stamps, each message's from the op slot
+        that stamped it.
 
         ``key`` must determine the op columns (``addrs``, ``sizes``,
         ``dsts``, ``is_atomic``; not the times).  The store paradigms
@@ -484,68 +494,10 @@ class FinePackEgress:
         input the per-op hooks would reject, and the caller must use
         the scalar per-op path (which then raises exactly as before).
         """
-        memo = self._template(key, addrs, sizes, dsts, is_atomic)
-        if memo is None:
+        template = self._template(key, addrs, sizes, dsts, is_atomic)
+        if template is None:
             return None
-        template, view = memo
-        if view is None:
-            prof = _prof.ACTIVE
-            if prof is not None:
-                prof.begin("packetizer_rwq")
-            memo[1] = view = template.messages(self.src, times, release_time)
-            if prof is not None:
-                prof.end()
-            return list(view)
-        # Only the stamps differ between replays: each message is built
-        # field by field, sharing the view's ``meta`` (a quarter of
-        # ``dataclasses.replace``'s cost).
-        return [
-            WireMessage(
-                msg.src,
-                msg.dst,
-                msg.payload_bytes,
-                msg.overhead_bytes,
-                msg.kind,
-                stamp,
-                msg.stores_packed,
-                msg.meta,
-            )
-            for msg, stamp in zip(
-                view, template.issue_times(times, release_time).tolist()
-            )
-        ]
-
-    def phase_batch(
-        self,
-        key: bytes,
-        addrs: np.ndarray,
-        sizes: np.ndarray,
-        dsts: np.ndarray,
-        times: np.ndarray,
-        is_atomic: np.ndarray,
-        release_time: float,
-    ) -> MessageBatch | None:
-        """:meth:`phase_ops` as one :class:`MessageBatch`, for the batch
-        transport: the phase's template with this phase's stamps, and no
-        per-message object.
-
-        The first sight of a phase runs the columnar phase kernel
-        (:func:`repro.core.phase_kernel.pack_phase`) and records its
-        :class:`~repro.core.phase_kernel.PhaseTemplate` under ``key``;
-        a phase whose ``key`` was already packed this run replays it
-        (content-addressed memoization; collectives and stencil
-        workloads repeat the same store stream every iteration).
-        Replay is exact because FinePack egress is a pure function of
-        the op columns within one phase: the system-scoped release that
-        ends every phase flushes all partitions and clears activity
-        state, so no aggregation window survives across phases.  Issue
-        times enter only as stamps, each message's from the op slot
-        that stamped it.  Declines as :meth:`phase_ops` does.
-        """
-        memo = self._template(key, addrs, sizes, dsts, is_atomic)
-        if memo is None:
-            return None
-        return memo[0].batch(self.src, times, release_time)
+        return template.batch(self.src, times, release_time)
 
     def _template(
         self,
@@ -554,10 +506,9 @@ class FinePackEgress:
         sizes: np.ndarray,
         dsts: np.ndarray,
         is_atomic: np.ndarray,
-    ) -> list | None:
-        """The memo entry ``[template, message view or None]`` of the
-        phase keyed ``key``, packing it on first sight; ``None`` when
-        the engine or the kernel declines."""
+    ) -> PhaseTemplate | None:
+        """The template of the phase keyed ``key``, packing it on first
+        sight; ``None`` when the engine or the kernel declines."""
         if (
             self.tracer is not None
             or self.flush_timeout_ns is not None
@@ -566,9 +517,9 @@ class FinePackEgress:
             or {"on_store", "on_atomic", "on_release"} & self.__dict__.keys()
         ):
             return None
-        memo = self._memo.get(key)
-        if memo is not None:
-            return memo
+        template = self._memo.get(key)
+        if template is not None:
+            return template
         prof = _prof.ACTIVE
         if prof is not None:
             prof.begin("packetizer_rwq")
@@ -583,9 +534,8 @@ class FinePackEgress:
         )
         if prof is not None:
             prof.end()
-        if template is None:
-            return None
-        if len(self._memo) >= _MEMO_MAX_ENTRIES:
-            self._memo.pop(next(iter(self._memo)))
-        memo = self._memo[key] = [template, None]
-        return memo
+        if template is not None:
+            if len(self._memo) >= _MEMO_MAX_ENTRIES:
+                self._memo.pop(next(iter(self._memo)))
+            self._memo[key] = template
+        return template

@@ -107,17 +107,14 @@ class FinePackPacket:
         subs: list[SubTransaction] | None = None,
         stores_absorbed: int = 0,
         columns: tuple[np.ndarray, np.ndarray] | None = None,
-        data_bytes: int | None = None,
     ) -> None:
-        """``data_bytes`` may pre-fill a column-native packet's data
-        total (the sum of its lengths) when the caller already has it."""
         self.base_addr = base_addr
         self.stores_absorbed = stores_absorbed
         if subs is None and columns is None:
             subs = []
         self._subs = subs
         self._columns = columns
-        self._data_bytes = data_bytes
+        self._data_bytes: int | None = None
 
     @property
     def subs(self) -> list[SubTransaction]:

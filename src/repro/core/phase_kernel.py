@@ -29,14 +29,13 @@ with no inactivity timeout, is a pure function of its op columns.
    (window, line) -- a segment-wise ``np.maximum.accumulate`` over the
    run ends -- yields the sub-transaction runs in the packetizer's
    (line, start) order; ``np.add.reduceat`` gives each packet's data
-   bytes, sub-transaction count, wire cost and de-packetizer buffer
-   entries.  Byte-enable masks are never unpacked to bits.
+   bytes, sub-transaction count and wire cost.  Byte-enable masks are
+   never unpacked to bits.
 
 The packets and atomics come out as one :class:`PhaseTemplate` of
-message columns, with no packet or message object: the batch
-transport takes it as a :class:`~repro.perf.batch.MessageBatch`, the
-event path as ``WireMessage`` lists (:meth:`PhaseTemplate.messages`).
-Either is bit-identical to the per-op path
+message columns, with no packet or message object; both transports
+take it as a :class:`~repro.perf.batch.MessageBatch`
+(:meth:`PhaseTemplate.batch`), bit-identical to the per-op path
 (``FinePackEgress.on_store``/``on_atomic``/``on_release``): the same
 messages, in the same order, stamped from the same op slots.
 :class:`~repro.core.remote_write_queue.QueuePartition`
@@ -52,12 +51,10 @@ from itertools import count
 
 import numpy as np
 
-from ..interconnect.message import KINDS_BY_CODE, WireMessage
 from ..interconnect.pcie import DW_BYTES, PCIeProtocol
 from ..perf.batch import ATOMIC_CODE, FINEPACK_CODE, MessageBatch
 from ..trace.ids import stable_argsort
 from .config import FinePackConfig
-from .packet import FinePackPacket
 from .remote_write_queue import FlushedWindow, FlushReason, QueuePartition
 
 #: Addresses and store ends must stay below this bound so that the
@@ -429,10 +426,8 @@ class PhaseTemplate:
     (stamped with the release time), so the template holds no time and
     one template serves every phase with the same op columns.  Message
     ``i`` delivers the next ``counts[i]`` ranges of the flat
-    ``starts``/``lengths`` columns; ``base[i]`` is a packet's window
-    base and ``entries[i]`` the de-packetizer buffer entries it takes,
-    ``max(1, ceil(inner payload / entry_bytes))`` (0 for an atomic).
-    The columns are read-only, because replays share them.
+    ``starts``/``lengths`` columns, a packet's sub-transactions.  The
+    columns are read-only, because replays share them.
     """
 
     slot: np.ndarray
@@ -441,8 +436,6 @@ class PhaseTemplate:
     overhead: np.ndarray
     kind: np.ndarray
     packed: np.ndarray
-    entries: np.ndarray
-    base: np.ndarray
     counts: np.ndarray
     starts: np.ndarray
     lengths: np.ndarray
@@ -451,72 +444,23 @@ class PhaseTemplate:
         for name in self.__slots__:
             getattr(self, name).flags.writeable = False
 
-    def issue_times(self, times: np.ndarray, release_time: float) -> np.ndarray:
-        """Each message's stamp for a phase issued at ``times``."""
-        return np.where(self.slot < 0, release_time, times[self.slot])
-
     def batch(
         self, src: int, times: np.ndarray, release_time: float
     ) -> MessageBatch:
-        """The phase's messages as one :class:`MessageBatch`."""
+        """The phase's messages as one :class:`MessageBatch`, stamped
+        for a phase issued at ``times``."""
         return MessageBatch(
             src=src,
             dst=self.dst,
             payload=self.payload,
             overhead=self.overhead,
             kind=self.kind,
-            issue=self.issue_times(times, release_time),
+            issue=np.where(self.slot < 0, release_time, times[self.slot]),
             packed=self.packed,
             starts=self.starts,
             lengths=self.lengths,
             counts=self.counts,
-            entries=self.entries,
         )
-
-    def messages(
-        self, src: int, times: np.ndarray, release_time: float
-    ) -> list[WireMessage]:
-        """The phase's messages as :class:`WireMessage` objects, for the
-        event path: packets carry their :class:`FinePackPacket` and
-        ``meta["ranges"]``, atomics ``meta["range1"]``."""
-        offsets = self.starts - np.repeat(self.base, self.counts)
-        ends = np.cumsum(self.counts)
-        msgs: list[WireMessage] = []
-        for lo, hi, dst, payload, extra, kind, packed, base, stamp in zip(
-            (ends - self.counts).tolist(),
-            ends.tolist(),
-            self.dst.tolist(),
-            self.payload.tolist(),
-            self.overhead.tolist(),
-            self.kind.tolist(),
-            self.packed.tolist(),
-            self.base.tolist(),
-            self.issue_times(times, release_time).tolist(),
-        ):
-            if kind == ATOMIC_CODE:
-                meta = {"range1": (int(self.starts[lo]), int(self.lengths[lo]))}
-            else:
-                lengths = self.lengths[lo:hi]
-                packet = FinePackPacket(
-                    base_addr=base,
-                    columns=(offsets[lo:hi], lengths),
-                    stores_absorbed=packed,
-                    data_bytes=payload,
-                )
-                meta = {"ranges": (self.starts[lo:hi], lengths), "packet": packet}
-            msgs.append(
-                WireMessage(
-                    src=src,
-                    dst=dst,
-                    payload_bytes=payload,
-                    overhead_bytes=extra,
-                    kind=KINDS_BY_CODE[kind],
-                    issue_time=stamp,
-                    stores_packed=packed,
-                    meta=meta,
-                )
-            )
-        return msgs
 
 
 def pack_phase(
@@ -567,7 +511,7 @@ def pack_phase(
     )
 
     # Pass 1: flush structure, one step per flush over the whole phase.
-    f_pos, f_reason, f_absorbed, f_base, f_dst = _flush_search(
+    f_pos, f_reason, f_absorbed, _, f_dst = _flush_search(
         ev_start, ev_len, ev_dst, config
     )
 
@@ -597,8 +541,6 @@ def pack_phase(
         protocol.per_tlp_overhead + -(-inner // DW_BYTES) * DW_BYTES - data,
         np.full(n_flush, FINEPACK_CODE, dtype=np.uint8),
         f_absorbed,
-        np.maximum(1, -(-inner // config.entry_bytes)),
-        f_base,
         n_subs,
     ]
     starts, lengths = run_start, run_len
@@ -609,7 +551,6 @@ def pack_phase(
         a_size = sizes[a_slot]
         a_payload, a_overhead = protocol.store_wire_cost_batch(a_size)
         ones = np.ones(n_atomics, dtype=np.int64)
-        zeros = np.zeros(n_atomics, dtype=np.int64)
         atomic = [
             a_slot,
             dsts[a_slot],
@@ -617,8 +558,6 @@ def pack_phase(
             a_overhead,
             np.full(n_atomics, ATOMIC_CODE, dtype=np.uint8),
             ones,
-            zeros,
-            zeros,
             ones,
         ]
         columns = [np.concatenate(pair) for pair in zip(columns, atomic)]

@@ -1,13 +1,15 @@
 """Struct-of-arrays message batches and bit-mask vectorization helpers.
 
-The scalar simulator materializes one :class:`WireMessage` object per
+The per-op engines materialize one :class:`WireMessage` object per
 transaction; for the store-based paradigms that is hundreds of
 thousands of allocations per iteration and the single largest p2p cost.
 A :class:`MessageBatch` carries the same per-message fields as parallel
-numpy arrays -- one batch per (phase, egress engine), for p2p stores
-and FinePack packets alike -- and the batch transport layer
-(:mod:`repro.perf.transport`), the de-packetizers and the byte ledger
-consume it without ever constructing the objects.
+numpy arrays, one batch per phase.  It is the only egress format past
+the engines: the passthrough (p2p) engine and FinePack's phase
+templates emit batches directly, every other message list becomes one
+through :meth:`MessageBatch.from_messages`, and both transports
+(:mod:`repro.perf.transport` and the event path), the de-packetizers
+and the byte ledger read nothing else.
 
 :func:`masks_to_runs` is the shared vectorized replacement for
 :meth:`QueueEntry.runs`: it extracts every maximal contiguous run of
@@ -47,15 +49,15 @@ PACKED_KIND_CODES = np.asarray(
 class MessageBatch:
     """One egress engine's messages for one phase, as parallel arrays.
 
-    Semantically equivalent to the ``list[WireMessage]`` a scalar
-    engine emits for the same ops, with all messages from one source
-    GPU.  Message ``i`` delivers ``counts[i]`` contiguous byte ranges,
-    the next ones of the flat ``starts``/``lengths`` columns (the array
-    form of ``meta["ranges"]``); without ``counts`` every message
-    delivers exactly one (``meta["range1"]``), as the passthrough (p2p)
-    engine's do.  ``entries`` gives each FinePack packet's
-    de-packetizer buffer entries; only batches holding packets carry
-    it.
+    The one egress format past the engines: both transports and the
+    byte ledger read only batches.  It carries what the ``list[WireMessage]``
+    an engine emits for the same ops carries, with all messages from
+    one source GPU.  Message ``i`` delivers ``counts[i]`` contiguous
+    byte ranges, the next ones of the flat ``starts``/``lengths``
+    columns; without ``counts`` every message delivers exactly one, as
+    the passthrough (p2p) engine's do.  A FinePack packet's range count
+    is its sub-transaction count, from which the de-packetizer derives
+    its buffer entries.
     """
 
     src: int
@@ -68,7 +70,6 @@ class MessageBatch:
     starts: np.ndarray  # int64 delivered range starts, message by message
     lengths: np.ndarray  # int64 delivered range lengths
     counts: np.ndarray | None = None  # int64 ranges per message
-    entries: np.ndarray | None = None  # int64 de-packetizer entries
 
     def __len__(self) -> int:
         return self.dst.size
@@ -77,33 +78,73 @@ class MessageBatch:
     def wire(self) -> np.ndarray:
         return self.payload + self.overhead
 
+    @classmethod
+    def from_messages(cls, src: int, msgs: list[WireMessage]) -> "MessageBatch":
+        """The messages ``msgs`` from GPU ``src`` as one batch, in order.
 
-def arrays_from_messages(
-    msgs: list[WireMessage],
-) -> tuple[np.ndarray, ...]:
-    """Flatten a message list into transport-layer parallel arrays.
+        This is the one parser of the range annotations engines put on
+        their messages: ``meta["range1"] = (addr, size)`` for one range,
+        or ``meta["ranges"] = (starts, lengths)`` for several.
+        """
+        dst: list[int] = []
+        payload: list[int] = []
+        overhead: list[int] = []
+        kind: list[int] = []
+        issue: list[float] = []
+        packed: list[int] = []
+        counts: list[int] = []
+        starts: list[int] = []
+        lengths: list[int] = []
+        for m in msgs:
+            if m.src != src:
+                raise ValueError(f"message {m} is not from GPU {src}")
+            single = m.meta.get("range1")
+            if single is not None:
+                starts.append(single[0])
+                lengths.append(single[1])
+                counts.append(1)
+            else:
+                ranges = m.meta.get("ranges")
+                if ranges is None:
+                    raise ValueError(f"message {m} lacks range annotations")
+                starts.extend(np.asarray(ranges[0]).tolist())
+                lengths.extend(np.asarray(ranges[1]).tolist())
+                counts.append(len(ranges[0]))
+            dst.append(m.dst)
+            payload.append(m.payload_bytes)
+            overhead.append(m.overhead_bytes)
+            kind.append(KIND_CODES[m.kind])
+            issue.append(m.issue_time)
+            packed.append(m.stores_packed)
+        return cls(
+            src=src,
+            dst=np.array(dst, dtype=np.int64),
+            payload=np.array(payload, dtype=np.int64),
+            overhead=np.array(overhead, dtype=np.int64),
+            kind=np.array(kind, dtype=np.uint8),
+            issue=np.array(issue, dtype=np.float64),
+            packed=np.array(packed, dtype=np.int64),
+            starts=np.array(starts, dtype=np.int64),
+            lengths=np.array(lengths, dtype=np.int64),
+            counts=np.array(counts, dtype=np.int64),
+        )
 
-    Returns ``(src, dst, payload, overhead, kind, issue, packed)``; the
-    caller keeps the original list for fields the arrays do not carry
-    (``meta``).
-    """
-    n = len(msgs)
-    src = np.empty(n, dtype=np.int64)
-    dst = np.empty(n, dtype=np.int64)
-    payload = np.empty(n, dtype=np.int64)
-    overhead = np.empty(n, dtype=np.int64)
-    kind = np.empty(n, dtype=np.uint8)
-    issue = np.empty(n, dtype=np.float64)
-    packed = np.empty(n, dtype=np.int64)
-    for i, m in enumerate(msgs):
-        src[i] = m.src
-        dst[i] = m.dst
-        payload[i] = m.payload_bytes
-        overhead[i] = m.overhead_bytes
-        kind[i] = KIND_CODES[m.kind]
-        issue[i] = m.issue_time
-        packed[i] = m.stores_packed
-    return src, dst, payload, overhead, kind, issue, packed
+    def select(self, keep: np.ndarray) -> "MessageBatch":
+        """The messages where the bool mask ``keep`` is set, with their
+        ranges."""
+        ranges = keep if self.counts is None else np.repeat(keep, self.counts)
+        return MessageBatch(
+            src=self.src,
+            dst=self.dst[keep],
+            payload=self.payload[keep],
+            overhead=self.overhead[keep],
+            kind=self.kind[keep],
+            issue=self.issue[keep],
+            packed=self.packed[keep],
+            starts=self.starts[ranges],
+            lengths=self.lengths[ranges],
+            counts=None if self.counts is None else self.counts[keep],
+        )
 
 
 def masks_to_runs(

@@ -12,9 +12,10 @@ the scalar call order is therefore the **global issue order** of the
 messages crossing it -- not their arrival order at that link.  The batch path reproduces
 exactly that:
 
-1. All of an iteration's messages are flattened into parallel arrays
-   and stable-sorted by issue time (preserving emission order for
-   ties -- exactly the event path's order).
+1. All of an iteration's message batches are flattened into parallel
+   arrays and stable-sorted by issue time (preserving emission order
+   for ties) -- the same rows, in the same order, that the event path
+   walks.
 2. :func:`build_plan` records every pair route and orders the directed
    links *topologically* over the route-adjacency DAG (link ``P``
    precedes link ``L`` whenever ``P`` immediately precedes ``L`` on
@@ -89,16 +90,10 @@ class TransportPlan:
         Every directed link appearing in a route, topologically ordered
         over the route-adjacency DAG: by the time a link is processed,
         every link feeding into it on any route is already done.
-    hop_disjoint:
-        True when no link serves two different hop positions (the old,
-        stricter eligibility criterion); kept for introspection --
-        hop-overlapping topologies like ``fat_tree`` run the same
-        event-ordered schedule.
     """
 
     routes: dict[tuple[int, int], tuple[Edge, ...]]
     link_order: tuple[Edge, ...]
-    hop_disjoint: bool
 
 
 def build_plan(topology) -> TransportPlan | None:
@@ -111,8 +106,6 @@ def build_plan(topology) -> TransportPlan | None:
     by descending level.
     """
     routes: dict[tuple[int, int], tuple[Edge, ...]] = {}
-    hop_of_link: dict[Edge, int] = {}
-    hop_disjoint = True
     # Successors in first-seen order (dict, not set: deterministic
     # iteration) and in-degrees for Kahn's algorithm.
     succ: dict[Edge, dict[Edge, None]] = {}
@@ -124,9 +117,7 @@ def build_plan(topology) -> TransportPlan | None:
             nodes = topology._path(s, d)
             edges = tuple(zip(nodes, nodes[1:]))
             routes[(s, d)] = edges
-            for hop, edge in enumerate(edges):
-                if hop_of_link.setdefault(edge, hop) != hop:
-                    hop_disjoint = False
+            for edge in edges:
                 indeg.setdefault(edge, 0)
                 succ.setdefault(edge, {})
             for prev, nxt in zip(edges, edges[1:]):
@@ -146,9 +137,7 @@ def build_plan(topology) -> TransportPlan | None:
         # Route adjacency contains a cycle: no link order can reproduce
         # the scalar interleaving in one pass per link.
         return None
-    return TransportPlan(
-        routes=routes, link_order=tuple(order), hop_disjoint=hop_disjoint
-    )
+    return TransportPlan(routes=routes, link_order=tuple(order))
 
 
 def transmit_flat(
@@ -224,17 +213,17 @@ def drain_and_record(
     payload: np.ndarray,
     packed: np.ndarray,
     kinds: np.ndarray,
-    entries: np.ndarray,
+    counts: np.ndarray,
     depacketizers: list,
     drain_rates: np.ndarray,
     packets,
 ) -> float:
     """Ingress-drain every delivered message and fold packet stats.
 
-    Arrays are in global issue order; ``entries`` holds each FinePack
-    packet's de-packetizer buffer entries.  Returns the latest drain
-    completion time (``-inf`` when there are no messages).  Mirrors the
-    scalar ``inject`` path: each destination's FinePack packets pass
+    Arrays are in global issue order; ``counts`` holds each message's
+    range count, a FinePack packet's sub-transactions.  Returns the
+    latest drain completion time (``-inf`` when there are no messages).
+    Mirrors the event path: each destination's FinePack packets pass
     its de-packetizer's bounded buffer in issue order, as columns
     (:meth:`~repro.core.depacketizer.Depacketizer.admit_columns`);
     everything else drains at the destination HBM rate;
@@ -256,7 +245,10 @@ def drain_and_record(
         n_dsts = len(depacketizers)
         fp = fp[stable_argsort(dst[fp], n_dsts)]
         ends = np.cumsum(np.bincount(dst[fp], minlength=n_dsts)).tolist()
-        arrival, fp_entries, data = deliveries[fp], entries[fp], payload[fp]
+        arrival, data = deliveries[fp], payload[fp]
+        # Every de-packetizer of a run decodes with the one FinePack
+        # config, so one call sizes every packet.
+        fp_entries = depacketizers[0].entries(counts[fp], data)
         drained = np.empty(fp.size)
         for d, lo, hi in zip(range(n_dsts), [0, *ends], ends):
             if lo < hi:

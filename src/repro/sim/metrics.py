@@ -12,9 +12,11 @@ Every payload byte that crosses the interconnect is classified as
 
 Classification is interval arithmetic: delivered ranges vs. the
 producer's final-value footprint (:func:`pair_footprint`) vs. the
-consumer's read set (:func:`useful_bytes`).  Both DES loops classify
-through :func:`classify_egress`, which intersects the delivered ranges
-with each (producer phase, destination) pair's written-and-read set
+consumer's read set (:func:`useful_bytes`).  Both DES transports
+classify through :func:`classify_egress`, which reads each phase's
+arrived messages as one :class:`MessageBatch` and intersects their
+delivered ranges with each (producer phase, destination) pair's
+written-and-read set
 (:func:`written_and_read`), memoized under the phase's and the reads'
 content digests: a trace's paradigm cells deliver different bytes but
 share every such set.  The analytical tier intersects its predicted
@@ -168,21 +170,16 @@ GROUP_BUDGET = 1 << 16
 
 
 def classify_egress(
-    outputs: list,
+    outputs: list[MessageBatch],
     phases,
     consumer_reads: dict[int, IntervalSet],
-    dropped: set[int] | frozenset = frozenset(),
 ) -> ByteBreakdown:
     """Classify one iteration's delivered bytes.
 
-    ``outputs`` holds each phase's egress: a :class:`MessageBatch`, or
-    a list of :class:`WireMessage` each annotated with
-    ``meta["range1"]`` (one ``(addr, size)``) or ``meta["ranges"]``
-    (``(starts, lengths)`` arrays).  Messages whose ``id()`` is in
-    ``dropped`` never arrived and are not counted.  Each (src, dst)
-    pair's delivered ranges are classified against
-    ``pair_footprint(phases[src], dst)`` and the destination's
-    ``consumer_reads``.
+    ``outputs`` holds each phase's delivered egress as a
+    :class:`MessageBatch`.  Each (src, dst) pair's delivered ranges
+    are classified against ``pair_footprint(phases[src], dst)`` and
+    the destination's ``consumer_reads``.
 
     Consecutive items are classified together in one vectorized pass
     (:class:`_Group`), which closes once it holds
@@ -193,7 +190,7 @@ def classify_egress(
     group = _Group()
     closed: set[int] = set()
     for item in outputs:
-        srcs = group.add(item, phases, dropped)
+        srcs = group.add(item, phases)
         if not closed.isdisjoint(srcs):
             raise ValueError(
                 f"sources {sorted(closed & srcs)} have egress in more than "
@@ -226,108 +223,40 @@ class _Group:
         #: Delivered ranges plus the producers' store and atomic ops.
         self.size = 0
         self.overhead = 0
-        #: Per batch: ``(src, dst, starts, lengths, payload, counts)``.
-        self.batches: list[tuple] = []
-        # Message lists, in two streams kept as plain Python values
-        # until classify(): messages with a ``ranges`` array pair (one
-        # row each, plus their arrays) and single-range messages.
-        self.multi: tuple[list, ...] = ([], [], [], [], [], [])
-        self.single: tuple[list, ...] = ([], [], [], [], [])
+        self.batches: list[MessageBatch] = []
 
-    def add(self, item, phases, dropped) -> set[int]:
-        """Append one item's arrived messages, count each new producer's
-        store and atomic ops, and return the item's sources."""
-        if isinstance(item, MessageBatch):
-            srcs = {item.src} if len(item) else set()
-            if srcs:
-                self.batches.append(
-                    (
-                        item.src,
-                        item.dst,
-                        item.starts,
-                        item.lengths,
-                        item.payload,
-                        item.counts,
-                    )
-                )
-                self.overhead += int(item.overhead.sum())
-                self.size += int(item.starts.size)
-        else:
-            m_src, m_dst, m_pay, m_count, m_starts, m_lens = self.multi
-            s_src, s_dst, s_pay, s_starts, s_lens = self.single
-            first_m, first_s = len(m_src), len(s_src)
-            for m in item:
-                if dropped and id(m) in dropped:
-                    continue
-                self.overhead += m.overhead_bytes
-                single = m.meta.get("range1")
-                if single is not None:
-                    s_src.append(m.src)
-                    s_dst.append(m.dst)
-                    s_pay.append(m.payload_bytes)
-                    s_starts.append(single[0])
-                    s_lens.append(single[1])
-                    continue
-                ranges = m.meta.get("ranges")
-                if ranges is None:
-                    raise ValueError(f"message {m} lacks range annotations")
-                m_src.append(m.src)
-                m_dst.append(m.dst)
-                m_pay.append(m.payload_bytes)
-                m_count.append(len(ranges[0]))
-                m_starts.append(ranges[0])
-                m_lens.append(ranges[1])
-            self.size += sum(m_count[first_m:]) + len(s_src) - first_s
-            srcs = set(m_src[first_m:]) | set(s_src[first_s:])
-        for src in srcs - self.srcs:
-            self.size += phases[src].stores.count + phases[src].atomics.count
-        self.srcs |= srcs
-        return srcs
+    def add(self, item: MessageBatch, phases) -> set[int]:
+        """Append one batch, count each new producer's store and atomic
+        ops, and return the batch's sources."""
+        if not len(item):
+            return set()
+        self.batches.append(item)
+        self.overhead += int(item.overhead.sum())
+        self.size += int(item.starts.size)
+        if item.src not in self.srcs:
+            producer = phases[item.src]
+            self.size += producer.stores.count + producer.atomics.count
+            self.srcs.add(item.src)
+        return {item.src}
 
     def classify(self, phases, consumer_reads, breakdown: ByteBreakdown) -> None:
         """Fold the group's byte categories into ``breakdown``."""
-        m_src, m_dst, m_pay, m_count, m_starts, m_lens = self.multi
-        s_src, s_dst, s_pay, s_starts, s_lens = self.single
-        b_src, b_dst, b_starts, b_lens, b_pay, b_counts = (
-            zip(*self.batches) if self.batches else ((),) * 6
-        )
-        # One row per listed message: multi-range ones, then singles;
-        # ``row`` is each listed range's message.
-        l_src = np.asarray(m_src + s_src, dtype=np.int64)
-        l_dst = np.asarray(m_dst + s_dst, dtype=np.int64)
-        row = np.concatenate(
-            (
-                np.repeat(np.arange(len(m_src)), m_count),
-                np.arange(len(m_src), l_src.size),
-            )
-        )
-        n = 1 + max(
-            max(self.srcs),
-            int(l_dst.max(initial=0)),
-            *(int(d.max()) for d in b_dst),
-        )
-        b_code = [s * n + d for s, d in zip(b_src, b_dst)]
-        l_code = l_src * n + l_dst
+        batches = self.batches
+        n = 1 + max(max(self.srcs), *(int(b.dst.max()) for b in batches))
+        codes = [b.src * n + b.dst for b in batches]
         d_code = np.concatenate(
             [
-                code if counts is None else np.repeat(code, counts)
-                for code, counts in zip(b_code, b_counts)
+                code if b.counts is None else np.repeat(code, b.counts)
+                for code, b in zip(codes, batches)
             ]
-            + [l_code[row]]
         )
-        # "unsafe" casts as np.asarray(..., dtype=np.int64) would; an
-        # empty list of plain ints is float64.
-        starts = np.concatenate(
-            [*b_starts, *m_starts, s_starts], dtype=np.int64, casting="unsafe"
-        )
-        lengths = np.concatenate(
-            [*b_lens, *m_lens, s_lens], dtype=np.int64, casting="unsafe"
-        )
-        payload = np.concatenate([*b_pay, np.asarray(m_pay + s_pay, dtype=np.int64)])
+        starts = np.concatenate([b.starts for b in batches])
+        lengths = np.concatenate([b.lengths for b in batches])
+        payload = np.concatenate([b.payload for b in batches])
         # Per-pair byte sums; float64 is exact below 2**53 B a pair.
         declared = np.bincount(d_code, weights=lengths, minlength=n * n)
         claimed = np.bincount(
-            np.concatenate(b_code + [l_code]), weights=payload, minlength=n * n
+            np.concatenate(codes), weights=payload, minlength=n * n
         )
         bad = np.flatnonzero(declared != claimed)
         if bad.size:

@@ -21,11 +21,17 @@ Timeline of one iteration (paper's execution model):
 4. The next iteration starts when all kernels are done *and* all
    traffic has drained, plus a barrier cost.
 
-Step 3 has two transports: the event path (one route/drain call per
-message, in stably sorted issue order) and the batch plan of
+Each phase's egress reaches step 3 as one
+:class:`~repro.perf.batch.MessageBatch`: engines that batch a phase
+return one, and any ``WireMessage`` list (DMA, write combining, GPS,
+per-op FinePack, scalar mode) goes through
+:meth:`~repro.perf.batch.MessageBatch.from_messages`.  Step 3 has two
+transports over the same flattened, stably issue-sorted rows: the
+event path (one route/drain call per row, with a bare ``WireMessage``
+for the topology and the tracer) and the batch plan of
 :mod:`repro.perf.transport`, which reproduces it byte for byte when
-nothing needs per-message hooks.
-Everything else -- egress collection, byte classification
+nothing needs per-message hooks.  Everything else -- egress
+collection, byte classification
 (:func:`~repro.sim.metrics.classify_egress`) and the iteration
 epilogue -- is one loop body shared by both.
 """
@@ -41,11 +47,11 @@ from ..faults.errors import DegradedRunError
 from ..faults.state import RouteBlockedError
 from ..gpu.compute import ComputeModel
 from ..gpu.hbm import HBMModel
-from ..interconnect.message import MessageKind
+from ..interconnect.message import KINDS_BY_CODE, WireMessage
 from ..interconnect.pcie import PCIE_GEN4, PCIeGeneration, PCIeProtocol
 from ..interconnect.topology import Topology, make_topology
 from ..perf import profiler as _prof
-from ..perf.batch import FINEPACK_CODE, MessageBatch, arrays_from_messages
+from ..perf.batch import FINEPACK_CODE, MessageBatch
 from ..perf.config import scalar_mode
 from ..perf.transport import (
     build_plan,
@@ -180,17 +186,14 @@ class MultiGPUSystem:
             and links_eligible(self.topology)
         ):
             plan = build_plan(self.topology)
-        # Under the batch plan a store paradigm hands each phase over as
-        # a MessageBatch when its engine batches it.
-        phase_egress = paradigm.phase_messages
-        if plan is not None:
-            phase_egress = getattr(paradigm, "phase_batch", phase_egress)
+        # A store paradigm hands each phase over as a MessageBatch when
+        # its engine batches it; the DMA family emits message lists.
+        phase_egress = getattr(paradigm, "phase_batch", paradigm.phase_messages)
         drain_rates = np.full(self.n_gpus, _DRAIN_RATE, dtype=np.float64)
 
         t = 0.0
-        #: id(msg) of messages dropped because no live route remained,
-        #: and the human-readable reasons (for DegradedRunError).
-        dropped_ids: set[int] = set()
+        #: Why messages were dropped because no live route remained
+        #: (for DegradedRunError).
         degraded_reasons: list[str] = []
         n_iters = trace.n_iterations
         for k, iteration in enumerate(trace.iterations):
@@ -212,16 +215,15 @@ class MultiGPUSystem:
                 p.gpu: p.reads for p in consumer_iter.phases
             }
 
-            # Each phase's egress in phase order: a MessageBatch when
-            # the paradigm's engine batched the whole op stream, else a
-            # list[WireMessage] from the per-message egress path.
+            # Each phase's egress in phase order, as one MessageBatch.
             if prof is not None:
                 prof.begin("egress")
-            outputs: list = []
+            outputs: list[MessageBatch] = []
             for phase in iteration.phases:
-                outputs.append(
-                    phase_egress(phase, t, compute_end[phase.gpu], consumer_reads)
-                )
+                out = phase_egress(phase, t, compute_end[phase.gpu], consumer_reads)
+                if not isinstance(out, MessageBatch):
+                    out = MessageBatch.from_messages(phase.gpu, out)
+                outputs.append(out)
             if prof is not None:
                 prof.end()
 
@@ -230,15 +232,19 @@ class MultiGPUSystem:
                     outputs, plan, drain_rates, depacketizers, metrics, prof
                 )
             else:
+                dropped: list[int] = []
                 latest = self._transmit_events(
                     outputs,
                     depacketizers,
                     metrics,
                     tracer,
                     prof,
-                    dropped_ids,
+                    dropped,
                     degraded_reasons,
                 )
+                if dropped:
+                    # Dropped messages never arrived: the ledger skips them.
+                    outputs = _without(outputs, dropped)
 
             kernels_end = max(compute_end.values())
             iteration_end = max(kernels_end, t, latest) + self.barrier_ns
@@ -246,9 +252,7 @@ class MultiGPUSystem:
             if prof is not None:
                 prof.begin("metrics_classify")
             metrics.bytes.add(
-                classify_egress(
-                    outputs, iteration.phases, consumer_reads, dropped_ids
-                )
+                classify_egress(outputs, iteration.phases, consumer_reads)
             )
             if prof is not None:
                 prof.end()
@@ -282,31 +286,35 @@ class MultiGPUSystem:
 
     def _transmit_events(
         self,
-        outputs: list,
+        outputs: list[MessageBatch],
         depacketizers: list[Depacketizer],
         metrics: RunMetrics,
         tracer,
         prof,
-        dropped_ids: set[int],
+        dropped: list[int],
         degraded_reasons: list[str],
     ) -> float:
-        """One iteration's messages, one route/drain per message in issue
+        """One iteration's messages, one route/drain per row in issue
         order; returns the latest drain completion (``-inf`` with no
-        traffic).  The sort is stable, so messages issued at the same
-        time keep their emission order.
+        traffic).
 
-        Undeliverable messages land in ``dropped_ids`` and
-        ``degraded_reasons`` instead of the fabric.
+        Undeliverable rows land in ``dropped``, by their index in the
+        batches' concatenation, and in ``degraded_reasons`` instead of
+        the fabric.
         """
+        rows = _flatten(outputs)
+        if rows is None:
+            return float("-inf")
+        assert self.topology is not None
         latest = float("-inf")
-        msgs = sorted(
-            (m for item in outputs for m in item), key=lambda m: m.issue_time
-        )
         if prof is not None:
             prof.begin("engine_dispatch")
-        for msg in msgs:
-            assert self.topology is not None
-            now = msg.issue_time
+        for row, src, dst, payload, overhead, code, now, packed, count in zip(
+            *(column.tolist() for column in rows)
+        ):
+            msg = WireMessage(
+                src, dst, payload, overhead, KINDS_BY_CODE[code], now, packed
+            )
             msg_id = None
             if tracer is not None:
                 tracer.engine_step(now)
@@ -320,9 +328,9 @@ class MultiGPUSystem:
                 # unreachable.  Drop the message, keep accounts
                 # balanced, and finish the iteration so the run
                 # ends with partial metrics instead of hanging.
-                dropped_ids.add(id(msg))
+                dropped.append(row)
                 metrics.faults.dropped_messages += 1
-                metrics.faults.dropped_bytes += msg.payload_bytes
+                metrics.faults.dropped_bytes += payload
                 degraded_reasons.append(str(exc))
                 if msg_id is not None:
                     tracer.message_dropped(msg_id, msg, now)
@@ -332,10 +340,13 @@ class MultiGPUSystem:
             if prof is not None:
                 prof.end()
                 prof.begin("ingress_drain")
-            if msg.kind is MessageKind.FINEPACK:
-                drained = depacketizers[msg.dst].admit(msg.meta["packet"], delivered)
+            if code == FINEPACK_CODE:
+                depacketizer = depacketizers[dst]
+                drained = depacketizer.admit_one(
+                    depacketizer.entries(count, payload), payload, delivered
+                )
             else:
-                drained = delivered + msg.payload_bytes / _DRAIN_RATE
+                drained = delivered + payload / _DRAIN_RATE
             if prof is not None:
                 prof.end()
             if drained > latest:
@@ -350,7 +361,7 @@ class MultiGPUSystem:
 
     def _transmit_batched(
         self,
-        outputs: list,
+        outputs: list[MessageBatch],
         plan,
         drain_rates: np.ndarray,
         depacketizers: list[Depacketizer],
@@ -364,62 +375,10 @@ class MultiGPUSystem:
         order, stats mutation order and every float operation match
         (see :mod:`repro.perf.transport`).
         """
-        src_p: list[np.ndarray] = []
-        dst_p: list[np.ndarray] = []
-        pay_p: list[np.ndarray] = []
-        ovh_p: list[np.ndarray] = []
-        kind_p: list[np.ndarray] = []
-        issue_p: list[np.ndarray] = []
-        packed_p: list[np.ndarray] = []
-        entries_p: list[np.ndarray] = []
-        for item in outputs:
-            if isinstance(item, MessageBatch):
-                n = len(item)
-                if n == 0:
-                    continue
-                src_p.append(np.full(n, item.src, dtype=np.int64))
-                dst_p.append(item.dst)
-                pay_p.append(item.payload)
-                ovh_p.append(item.overhead)
-                kind_p.append(item.kind)
-                issue_p.append(item.issue)
-                packed_p.append(item.packed)
-                entries_p.append(
-                    np.zeros(n, dtype=np.int64)
-                    if item.entries is None
-                    else item.entries
-                )
-            elif item:
-                s, d, p, o, kd, ti, pk = arrays_from_messages(item)
-                src_p.append(s)
-                dst_p.append(d)
-                pay_p.append(p)
-                ovh_p.append(o)
-                kind_p.append(kd)
-                issue_p.append(ti)
-                packed_p.append(pk)
-                # Packets from the per-op path: the receiver counts
-                # their entries.
-                entries = np.zeros(len(item), dtype=np.int64)
-                for i in np.flatnonzero(kd == FINEPACK_CODE).tolist():
-                    msg = item[i]
-                    entries[i] = depacketizers[msg.dst].entries(msg.meta["packet"])
-                entries_p.append(entries)
-        if not issue_p:
+        rows = _flatten(outputs)
+        if rows is None:
             return float("-inf")
-
-        issue = np.concatenate(issue_p)
-        # Stable sort by issue time == the event path's order, which
-        # keeps the concatenation (phase) order within a time.
-        order = np.argsort(issue, kind="stable")
-        issue = issue[order]
-        src = np.concatenate(src_p)[order]
-        dst = np.concatenate(dst_p)[order]
-        payload = np.concatenate(pay_p)[order]
-        overhead = np.concatenate(ovh_p)[order]
-        kinds = np.concatenate(kind_p)[order]
-        packed = np.concatenate(packed_p)[order]
-        entries = np.concatenate(entries_p)[order]
+        _, src, dst, payload, overhead, kinds, issue, packed, counts = rows
         if prof is not None:
             prof.begin("link_serialization")
         deliveries = transmit_flat(
@@ -441,7 +400,7 @@ class MultiGPUSystem:
             payload,
             packed,
             kinds,
-            entries,
+            counts,
             depacketizers,
             drain_rates,
             metrics.packets,
@@ -472,3 +431,51 @@ class MultiGPUSystem:
                 "utilization": stats.busy_time_ns / total_ns if total_ns > 0 else 0.0,
                 **stats.fault_summary(),
             }
+
+
+def _flatten(outputs: list[MessageBatch]) -> tuple[np.ndarray, ...] | None:
+    """One iteration's batches as flat columns in issue order, or
+    ``None`` with no messages.
+
+    The sort by issue time is stable, so messages issued at the same
+    time keep their phase and emission order.  Returns ``(row, src,
+    dst, payload, overhead, kind, issue, packed, counts)``: ``row`` is
+    each message's index in the batches' concatenation, ``counts`` its
+    range count.
+    """
+    items = [b for b in outputs if len(b)]
+    if not items:
+        return None
+    issue = np.concatenate([b.issue for b in items])
+    row = np.argsort(issue, kind="stable")
+
+    def column(name: str) -> np.ndarray:
+        return np.concatenate([getattr(b, name) for b in items])[row]
+
+    src = np.repeat([b.src for b in items], [len(b) for b in items])
+    counts = np.concatenate(
+        [
+            np.ones(len(b), dtype=np.int64) if b.counts is None else b.counts
+            for b in items
+        ]
+    )
+    return (
+        row,
+        src[row],
+        column("dst"),
+        column("payload"),
+        column("overhead"),
+        column("kind"),
+        issue[row],
+        column("packed"),
+        counts[row],
+    )
+
+
+def _without(outputs: list[MessageBatch], rows: list[int]) -> list[MessageBatch]:
+    """``outputs`` less the messages at ``rows``, indices into their
+    concatenation."""
+    keep = np.ones(sum(len(b) for b in outputs), dtype=bool)
+    keep[rows] = False
+    ends = np.cumsum([len(b) for b in outputs]).tolist()
+    return [b.select(keep[hi - len(b) : hi]) for b, hi in zip(outputs, ends)]

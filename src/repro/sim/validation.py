@@ -22,8 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-import numpy as np
-
+from ..perf.batch import MessageBatch
 from ..trace.intervals import IntervalSet
 from ..trace.stream import WorkloadTrace
 from .metrics import RunMetrics
@@ -58,20 +57,9 @@ class ValidationReport:
         return "\n".join(lines)
 
 
-def _delivered_union(messages) -> IntervalSet:
-    starts: list[int] = []
-    lens: list[int] = []
-    for msg in messages:
-        single = msg.meta.get("range1")
-        if single is not None:
-            starts.append(single[0])
-            lens.append(single[1])
-            continue
-        ranges = msg.meta.get("ranges")
-        if ranges is not None:
-            starts.extend(np.asarray(ranges[0]).tolist())
-            lens.extend(np.asarray(ranges[1]).tolist())
-    return IntervalSet.from_ranges(starts, lens)
+def _delivered_union(gpu: int, messages) -> IntervalSet:
+    batch = MessageBatch.from_messages(gpu, messages)
+    return IntervalSet.from_ranges(batch.starts, batch.lengths)
 
 
 def validate(
@@ -104,7 +92,7 @@ def validate(
                     for r in reads.values():
                         all_reads = all_reads.union(r)
                     target = stored.intersect(all_reads)
-                missing = target.difference(_delivered_union(msgs))
+                missing = target.difference(_delivered_union(phase.gpu, msgs))
                 report.record(
                     f"coverage[it{k},gpu{phase.gpu}]",
                     not missing,

@@ -93,8 +93,10 @@ class TestDepacketizer:
         big = FinePackPacket(
             base_addr=0, subs=[SubTransaction(offset=0, length=200)]
         )
-        t1 = d.admit(big, arrival=0.0)
-        t2 = d.admit(big, arrival=0.0)
+        entries = d.entries(big.n_subs, big.payload_data_bytes)
+        assert entries == 2  # 5 B sub-header + 200 B in 128 B entries
+        t1 = d.admit_one(entries, big.payload_data_bytes, arrival=0.0)
+        t2 = d.admit_one(entries, big.payload_data_bytes, arrival=0.0)
         assert t2 >= t1  # second packet waits behind the first
 
     def test_oversized_packet_rejected(self, config):
@@ -103,8 +105,9 @@ class TestDepacketizer:
             base_addr=0,
             subs=[SubTransaction(offset=i * 128, length=128) for i in range(4)],
         )
+        entries = d.entries(packet.n_subs, packet.payload_data_bytes)
         with pytest.raises(ValueError):
-            d.admit(packet, arrival=0.0)
+            d.admit_one(entries, packet.payload_data_bytes, arrival=0.0)
 
     def test_buffer_bytes(self, config):
         assert Depacketizer(config).buffer_bytes() == 64 * 128

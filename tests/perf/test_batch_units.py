@@ -24,7 +24,7 @@ from repro.interconnect.message import KIND_CODES, MessageKind, WireMessage
 from repro.interconnect.pcie import PCIE_GEN3, PCIE_GEN4, PCIeProtocol
 from repro.obs import EventKind, Tracer
 from repro.perf import scalar_mode, scalar_reference
-from repro.perf.batch import arrays_from_messages, masks_to_runs
+from repro.perf.batch import MessageBatch, masks_to_runs
 from repro.run import RunContext, RunSpec
 from repro.workloads import ALSWorkload
 
@@ -134,6 +134,7 @@ def wire(size: int, issue: float, kind=MessageKind.STORE) -> WireMessage:
         kind=kind,
         issue_time=issue,
         stores_packed=1,
+        meta={"range1": (64 * int(issue), size)},
     )
 
 
@@ -150,9 +151,9 @@ class TestTransmitBatch:
             seq = [a.transmit(m, m.issue_time)[1] for m in msgs]
 
             b = Link("b", bytes_per_ns=2.0)
-            _, _, payload, overhead, _, issue, _ = arrays_from_messages(msgs)
+            batch = MessageBatch.from_messages(0, msgs)
             deliveries = b.transmit_batch(
-                issue, payload + overhead, payload, overhead
+                batch.issue, batch.wire, batch.payload, batch.overhead
             )
             assert deliveries.tolist() == seq
             assert b.busy_until == a.busy_until
@@ -169,21 +170,55 @@ class TestTransmitBatch:
             )
 
 
-class TestArraysFromMessages:
+class TestFromMessages:
     def test_fields_roundtrip(self, rng):
         msgs = [
             wire(int(rng.integers(1, 128)), float(i), MessageKind.FINEPACK)
             for i in range(20)
         ]
-        src, dst, payload, overhead, kind, issue, packed = (
-            arrays_from_messages(msgs)
-        )
-        assert src.tolist() == [0] * 20
-        assert dst.tolist() == [1] * 20
-        assert payload.tolist() == [m.payload_bytes for m in msgs]
-        assert overhead.tolist() == [24] * 20
-        assert issue.tolist() == [m.issue_time for m in msgs]
-        assert kind.tolist() == [KIND_CODES[MessageKind.FINEPACK]] * 20
+        batch = MessageBatch.from_messages(0, msgs)
+        assert batch.src == 0
+        assert batch.dst.tolist() == [1] * 20
+        assert batch.payload.tolist() == [m.payload_bytes for m in msgs]
+        assert batch.overhead.tolist() == [24] * 20
+        assert batch.issue.tolist() == [m.issue_time for m in msgs]
+        assert batch.kind.tolist() == [KIND_CODES[MessageKind.FINEPACK]] * 20
+        assert batch.packed.tolist() == [1] * 20
+        assert batch.counts.tolist() == [1] * 20
+        assert batch.starts.tolist() == [m.meta["range1"][0] for m in msgs]
+        assert batch.lengths.tolist() == [m.payload_bytes for m in msgs]
+
+    def test_range_arrays_in_message_order(self):
+        many = wire(12, 1.0)
+        many.meta = {"ranges": (np.array([100, 200, 300]), np.array([2, 4, 6]))}
+        none = wire(0, 2.0)
+        none.meta = {"ranges": (np.empty(0, dtype=np.int64),) * 2}
+        batch = MessageBatch.from_messages(0, [wire(8, 0.0), many, none])
+        assert batch.counts.tolist() == [1, 3, 0]
+        assert batch.starts.tolist() == [0, 100, 200, 300]
+        assert batch.lengths.tolist() == [8, 2, 4, 6]
+
+    def test_empty(self):
+        batch = MessageBatch.from_messages(3, [])
+        assert batch.src == 3 and len(batch) == 0
+        assert batch.starts.dtype == np.int64 and batch.issue.dtype == np.float64
+
+    def test_refuses_unannotated_and_foreign_messages(self):
+        bare = wire(8, 0.0)
+        bare.meta = {}
+        with pytest.raises(ValueError, match="range annotations"):
+            MessageBatch.from_messages(0, [bare])
+        with pytest.raises(ValueError, match="not from GPU 2"):
+            MessageBatch.from_messages(2, [wire(8, 0.0)])
+
+    def test_select_keeps_each_message_with_its_ranges(self):
+        many = wire(12, 1.0)
+        many.meta = {"ranges": (np.array([100, 200, 300]), np.array([2, 4, 6]))}
+        batch = MessageBatch.from_messages(0, [wire(8, 0.0), many, wire(4, 2.0)])
+        kept = batch.select(np.array([False, True, True]))
+        assert kept.payload.tolist() == [12, 4]
+        assert kept.counts.tolist() == [3, 1]
+        assert kept.starts.tolist() == [100, 200, 300, 128]
 
 
 @lru_cache(maxsize=None)

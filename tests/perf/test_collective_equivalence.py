@@ -89,7 +89,6 @@ class TestFastPathEligibility:
         assert links_eligible(topo)
         plan = build_plan(topo)
         assert plan is not None
-        assert plan.hop_disjoint
         assert all(len(edges) == 2 for edges in plan.routes.values())
 
     def test_fat_tree_is_batch_eligible(self):
@@ -98,9 +97,7 @@ class TestFastPathEligibility:
         # acyclic so the event-ordered plan still covers it.
         topo = fat_tree(n_gpus=4, fanout=2)
         assert links_eligible(topo)
-        plan = build_plan(topo)
-        assert plan is not None
-        assert not plan.hop_disjoint
+        assert build_plan(topo) is not None
 
     def test_large_fat_trees_stay_eligible(self):
         for n in (8, 16, 64):

@@ -1,11 +1,11 @@
-"""Unit tier for FinePack's columnar phase entry (``FinePackEgress.phase_ops``).
+"""Unit tier for FinePack's columnar phase entry (``FinePackEgress.phase_batch``).
 
-The contract: feeding a phase's op columns through ``phase_ops`` --
+The contract: feeding a phase's op columns through ``phase_batch`` --
 packed by the columnar phase kernel or replayed from the memo under
 the caller's content key -- produces exactly the messages of the
-scalar per-op path (``on_store``/``on_atomic``/``on_release``), in the
-same order and stamped from the same op slots, differing in nothing
-but wall-clock cost.
+scalar per-op path (``on_store``/``on_atomic``/``on_release``) as a
+:class:`MessageBatch`, in the same order and stamped from the same op
+slots, differing in nothing but wall-clock cost.
 """
 
 from __future__ import annotations
@@ -17,11 +17,10 @@ from hypothesis import strategies as st
 
 from repro.core import egress as egress_module
 from repro.core.config import FinePackConfig
-from repro.core.depacketizer import Depacketizer
 from repro.core.egress import FinePackEgress
 from repro.core.phase_kernel import pack_phase
 from repro.gpu.compute import KernelWork
-from repro.interconnect.message import KINDS_BY_CODE, MessageKind
+from repro.interconnect.message import KINDS_BY_CODE
 from repro.interconnect.pcie import PCIE_GEN4, PCIeProtocol
 from repro.perf.batch import MessageBatch
 from repro.perf.harness import fingerprint_metrics
@@ -35,7 +34,7 @@ from repro.trace.stream import KernelPhase, RemoteStoreBatch
 
 N_GPUS = 4
 SRC = 0
-#: Memo key of the op stream ``_columns()`` returns; ``phase_ops``
+#: Memo key of the op stream ``_columns()`` returns; ``phase_batch``
 #: callers pass one key per distinct op stream.
 KEY = b"columns"
 
@@ -76,50 +75,47 @@ def _run_scalar(engine, addrs, sizes, dsts, times, is_atomic, release_time):
     return msgs
 
 
-def _message_view(msg):
-    view = [
-        msg.src,
-        msg.dst,
-        msg.payload_bytes,
-        msg.overhead_bytes,
-        msg.kind,
-        msg.issue_time.hex(),
-        msg.stores_packed,
+def _batch_view(batch):
+    """One row per message of a MessageBatch: its fields and ranges."""
+    counts = (
+        np.ones(len(batch), dtype=np.int64) if batch.counts is None else batch.counts
+    )
+    ends = np.cumsum(counts).tolist()
+    return [
+        [
+            batch.src,
+            int(batch.dst[i]),
+            int(batch.payload[i]),
+            int(batch.overhead[i]),
+            KINDS_BY_CODE[int(batch.kind[i])],
+            float(batch.issue[i]).hex(),
+            int(batch.packed[i]),
+            (batch.starts[lo:hi].tolist(), batch.lengths[lo:hi].tolist()),
+        ]
+        for i, (lo, hi) in enumerate(zip([0, *ends], ends))
     ]
-    if msg.kind is MessageKind.FINEPACK:
-        starts, lengths = msg.meta["ranges"]
-        view.append((starts.tolist(), lengths.tolist()))
-        packet = msg.meta["packet"]
-        view.append(
-            (
-                packet.base_addr,
-                packet.stores_absorbed,
-                packet.payload_data_bytes,
-                [(s.offset, s.length) for s in packet.subs],
-            )
-        )
-    else:
-        view.append(msg.meta["range1"])
-    return view
 
 
-def test_phase_ops_matches_scalar_across_repeats():
+def _message_view(msgs):
+    """:func:`_batch_view` of per-op messages, as the system reads them."""
+    return _batch_view(MessageBatch.from_messages(SRC, msgs))
+
+
+def test_phase_batch_matches_scalar_across_repeats():
     addrs, sizes, dsts, times, is_atomic = _columns()
     fast, scalar = _engine(), _engine()
     # Three phases with the same content but shifted times: phase 1
     # records the template, phases 2-3 replay it from the memo.
     for k in range(3):
         shift = 1000.0 * k
-        got = fast.phase_ops(
+        got = fast.phase_batch(
             KEY, addrs, sizes, dsts, times + shift, is_atomic, 1000.0 + shift
         )
         assert got is not None
         want = _run_scalar(
             scalar, addrs, sizes, dsts, times + shift, is_atomic, 1000.0 + shift
         )
-        assert [_message_view(m) for m in got] == [
-            _message_view(m) for m in want
-        ]
+        assert _batch_view(got) == _message_view(want)
     assert len(fast._memo) == 1
 
 
@@ -200,7 +196,7 @@ def _op_columns(ops):
 def _outcome(run):
     """``(message views, exception type)`` of one phase run."""
     try:
-        return [_message_view(m) for m in run()], None
+        return run(), None
     except Exception as exc:  # the type is what the paths must agree on
         return None, type(exc)
 
@@ -212,7 +208,7 @@ def _outcome(run):
 )
 @given(_phase_cases())
 def test_phase_kernel_matches_per_op_hooks(case):
-    # The columnar entry as the paradigm drives it: phase_ops keyed by
+    # The columnar entry as the paradigm drives it: phase_batch keyed by
     # the phase, and the per-op hooks when it declines.  The last phase
     # repeats the first under its key, so a recorded template is
     # replayed too.
@@ -224,10 +220,14 @@ def test_phase_kernel_matches_per_op_hooks(case):
         cols = (addrs, sizes, dsts, times + shift, is_atomic, 1000.0 + shift)
 
         def columnar():
-            out = fast.phase_ops(bytes([i]), *cols)
-            return _run_scalar(fast, *cols) if out is None else out
+            out = fast.phase_batch(bytes([i]), *cols)
+            if out is None:
+                return _message_view(_run_scalar(fast, *cols))
+            return _batch_view(out)
 
-        assert _outcome(columnar) == _outcome(lambda: _run_scalar(scalar, *cols))
+        assert _outcome(columnar) == _outcome(
+            lambda: _message_view(_run_scalar(scalar, *cols))
+        )
 
 
 def test_kernel_declines_invalid_input_before_mutating():
@@ -235,7 +235,7 @@ def test_kernel_declines_invalid_input_before_mutating():
     sizes = sizes.copy()
     sizes[7] = 0
     engine = _engine()
-    assert engine.phase_ops(KEY, addrs, sizes, dsts, times, is_atomic, 1e3) is None
+    assert engine.phase_batch(KEY, addrs, sizes, dsts, times, is_atomic, 1e3) is None
     assert engine.queue.pending_entries() == 0
     assert not engine._memo
 
@@ -244,8 +244,8 @@ def test_distinct_streams_get_distinct_templates():
     a1, s1, d1, t1, at1 = _columns(seed=1)
     a2, s2, d2, t2, at2 = _columns(seed=2)
     engine = _engine()
-    engine.phase_ops(b"seed 1", a1, s1, d1, t1, at1, 1000.0)
-    engine.phase_ops(b"seed 2", a2, s2, d2, t2, at2, 1000.0)
+    engine.phase_batch(b"seed 1", a1, s1, d1, t1, at1, 1000.0)
+    engine.phase_batch(b"seed 2", a2, s2, d2, t2, at2, 1000.0)
     assert len(engine._memo) == 2
 
 
@@ -257,14 +257,14 @@ def test_distinct_streams_get_distinct_templates():
 def test_stateful_configurations_decline(kwargs):
     engine = _engine(**kwargs)
     addrs, sizes, dsts, times, is_atomic = _columns(n=20)
-    assert engine.phase_ops(KEY, addrs, sizes, dsts, times, is_atomic, 1e3) is None
+    assert engine.phase_batch(KEY, addrs, sizes, dsts, times, is_atomic, 1e3) is None
 
 
 def test_attached_tracer_declines():
     engine = _engine()
     engine.tracer = object()
     addrs, sizes, dsts, times, is_atomic = _columns(n=20)
-    assert engine.phase_ops(KEY, addrs, sizes, dsts, times, is_atomic, 1e3) is None
+    assert engine.phase_batch(KEY, addrs, sizes, dsts, times, is_atomic, 1e3) is None
 
 
 def test_patched_hooks_decline():
@@ -273,14 +273,14 @@ def test_patched_hooks_decline():
     engine = _engine()
     engine.on_store = lambda *a, **k: []
     addrs, sizes, dsts, times, is_atomic = _columns(n=20)
-    assert engine.phase_ops(KEY, addrs, sizes, dsts, times, is_atomic, 1e3) is None
+    assert engine.phase_batch(KEY, addrs, sizes, dsts, times, is_atomic, 1e3) is None
 
 
 def test_buffered_state_declines():
     engine = _engine()
     engine.queue.insert(64, 8, 1)
     addrs, sizes, dsts, times, is_atomic = _columns(n=20)
-    assert engine.phase_ops(KEY, addrs, sizes, dsts, times, is_atomic, 1e3) is None
+    assert engine.phase_batch(KEY, addrs, sizes, dsts, times, is_atomic, 1e3) is None
 
 
 @pytest.mark.parametrize("workload", ["jacobi", "hit", "sssp"])
@@ -289,89 +289,10 @@ def test_run_fingerprint_invariant_under_memo(workload, monkeypatch):
     cache = TraceCache()
     on = fingerprint_metrics(RunContext(spec, trace_cache=cache).run())
     # Declining (the documented ``None`` return) sends every phase
-    # through the per-op hooks while the other fast paths stay on; both
-    # columnar entries must decline, or the batch transport would still
-    # replay the templates.
-    monkeypatch.setattr(FinePackEgress, "phase_ops", lambda self, *args: None)
+    # through the per-op hooks while the other fast paths stay on.
     monkeypatch.setattr(FinePackEgress, "phase_batch", lambda self, *args: None)
     off = fingerprint_metrics(RunContext(spec, trace_cache=cache).run())
     assert on == off
-
-
-def _batch_view(batch):
-    """The per-message view of a MessageBatch, in the field order of
-    :func:`_message_view`, plus each packet's buffer entries."""
-    counts = (
-        np.ones(len(batch), dtype=np.int64) if batch.counts is None else batch.counts
-    )
-    ends = np.cumsum(counts).tolist()
-    views = []
-    for i, (lo, hi) in enumerate(zip([0, *ends], ends)):
-        kind = KINDS_BY_CODE[int(batch.kind[i])]
-        view = [
-            batch.src,
-            int(batch.dst[i]),
-            int(batch.payload[i]),
-            int(batch.overhead[i]),
-            kind,
-            float(batch.issue[i]).hex(),
-            int(batch.packed[i]),
-            (batch.starts[lo:hi].tolist(), batch.lengths[lo:hi].tolist()),
-            int(batch.entries[i]),
-        ]
-        views.append(view)
-    return views
-
-
-def _list_view(msgs, config):
-    depacketizer = Depacketizer(config)
-    views = []
-    for m in msgs:
-        if m.kind is MessageKind.FINEPACK:
-            starts, lengths = m.meta["ranges"]
-            ranges = (starts.tolist(), lengths.tolist())
-            entries = depacketizer.entries(m.meta["packet"])
-        else:
-            ranges = ([m.meta["range1"][0]], [m.meta["range1"][1]])
-            entries = 0
-        views.append(
-            [
-                m.src,
-                m.dst,
-                m.payload_bytes,
-                m.overhead_bytes,
-                m.kind,
-                m.issue_time.hex(),
-                m.stores_packed,
-                ranges,
-                entries,
-            ]
-        )
-    return views
-
-
-@settings(
-    max_examples=200,
-    deadline=None,
-    suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
-)
-@given(_phase_cases())
-def test_phase_batch_is_the_per_op_messages_as_columns(case):
-    # The batch transport's entry against the per-op hooks, including
-    # replays of a recorded template; both decline the same phases.
-    config, phases = case
-    fast, scalar = _engine(config), _engine(config)
-    for k, i in enumerate([*range(len(phases)), 0]):
-        addrs, sizes, dsts, times, is_atomic = _op_columns(phases[i])
-        shift = 1000.0 * k
-        cols = (addrs, sizes, dsts, times + shift, is_atomic, 1000.0 + shift)
-        batch = fast.phase_batch(bytes([i]), *cols)
-        if batch is None:
-            assert fast.phase_ops(bytes([i]), *cols) is None
-            return
-        assert _batch_view(batch) == _list_view(
-            _run_scalar(scalar, *cols), config
-        )
 
 
 def test_template_columns_are_read_only():
@@ -425,8 +346,7 @@ def test_paradigm_phase_batch_falls_back_to_the_per_op_messages(
     got = _attached(make()).phase_batch(*args)
     assert isinstance(got, MessageBatch) == batched
     if batched:
-        assert len(got) == len(want)
-        assert got.issue.tolist() == [m.issue_time for m in want]
+        assert _batch_view(got) == _message_view(want)
     else:
-        assert [_message_view(m) for m in got] == [_message_view(m) for m in want]
+        assert _message_view(got) == _message_view(want)
         assert not packed

@@ -142,8 +142,8 @@ def test_scalar_mode_takes_every_reference_path(monkeypatch):
     assert fast_flags() == (True, True)
 
     calls = []
-    # The phase template behind both columnar entries, phase_ops (the
-    # event path's messages) and phase_batch (the batch transport's).
+    # The phase template behind FinePack's columnar entry, phase_batch,
+    # which both transports read.
     template = FinePackEgress._template
 
     def spy(self, *args):

@@ -6,7 +6,11 @@ GPUs -- batches and message lists, single ranges and range arrays,
 overlapping, adjacent and repeated ranges, atomics, aggregated DMA
 staging, empty or missing reads and dropped messages -- it must give
 the same :class:`ByteBreakdown` as :func:`classify_per_pair`, including
-when the groups close early and split the sources between them.
+when the groups close early and split the sources between them.  The
+classifier reads what the system hands it: each phase's arrived
+messages as one batch, message lists through
+:meth:`MessageBatch.from_messages`; the oracle reads the lists and the
+dropped messages' ids.
 """
 
 from __future__ import annotations
@@ -146,13 +150,23 @@ def _egress(rng, phase: KernelPhase, n_gpus: int, dropped: set):
     return messages
 
 
+def _arrived(src: int, item, dropped: set) -> MessageBatch:
+    """One phase's arrived egress as the classifier's batch."""
+    if isinstance(item, MessageBatch):
+        return item
+    return MessageBatch.from_messages(src, [m for m in item if id(m) not in dropped])
+
+
 def _iteration(seed: int, n_gpus: int):
     rng = np.random.default_rng(seed)
     phases = [_phase(rng, g, n_gpus) for g in range(n_gpus)]
     dropped: set[int] = set()
     outputs = [_egress(rng, p, n_gpus, dropped) for p in phases]
+    batches = [_arrived(p.gpu, item, dropped) for p, item in zip(phases, outputs)]
     if rng.random() < 0.3:
-        outputs = [outputs[i] for i in rng.permutation(n_gpus)]
+        order = rng.permutation(n_gpus)
+        outputs = [outputs[i] for i in order]
+        batches = [batches[i] for i in order]
     reads: dict[int, IntervalSet] = {}
     for p in phases:
         u = rng.random()
@@ -160,7 +174,7 @@ def _iteration(seed: int, n_gpus: int):
             reads[p.gpu] = p.reads
         elif u < 0.85:
             reads[p.gpu] = IntervalSet.empty()
-    return outputs, phases, reads, dropped
+    return outputs, batches, phases, reads, dropped
 
 
 @settings(max_examples=150, deadline=None)
@@ -170,11 +184,11 @@ def _iteration(seed: int, n_gpus: int):
     budget=st.sampled_from([1, 30, 200, metrics.GROUP_BUDGET]),
 )
 def test_grouped_matches_per_pair(seed, n_gpus, budget):
-    outputs, phases, reads, dropped = _iteration(seed, n_gpus)
+    outputs, batches, phases, reads, dropped = _iteration(seed, n_gpus)
     want = classify_per_pair(outputs, phases, reads, dropped)
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(metrics, "GROUP_BUDGET", budget)
-        assert classify_egress(outputs, phases, reads, dropped) == want
+        assert classify_egress(batches, phases, reads) == want
 
 
 def _store_phase(gpu: int, addr: int) -> KernelPhase:
@@ -185,11 +199,12 @@ def _store_phase(gpu: int, addr: int) -> KernelPhase:
     )
 
 
-def _store_message(src: int, addr: int) -> WireMessage:
-    return WireMessage(
+def _store_batch(src: int, addr: int) -> MessageBatch:
+    message = WireMessage(
         src=src, dst=1 - src, payload_bytes=8, overhead_bytes=0,
         meta={"range1": (addr, 8)},
     )
+    return MessageBatch.from_messages(src, [message])
 
 
 def test_key_overflow_raises():
@@ -197,7 +212,7 @@ def test_key_overflow_raises():
     leaves no room in int64."""
     top = 2**62
     phases = [_store_phase(0, 0), _store_phase(1, top)]
-    outputs = [[_store_message(0, 0)], [_store_message(1, top)]]
+    outputs = [_store_batch(0, 0), _store_batch(1, top)]
     with pytest.raises(ValueError, match="overflow int64"):
         classify_egress(outputs, phases, {})
 
@@ -207,6 +222,6 @@ def test_source_split_across_passes_raises(monkeypatch):
     pair by pair, so it is refused rather than double counted."""
     monkeypatch.setattr(metrics, "GROUP_BUDGET", 1)
     phases = [_store_phase(0, 0), _store_phase(1, 64)]
-    outputs = [[_store_message(0, 0)], [_store_message(0, 0)]]
+    outputs = [_store_batch(0, 0), _store_batch(0, 0)]
     with pytest.raises(ValueError, match="more than one classification pass"):
         classify_egress(outputs, phases, {})

@@ -129,26 +129,36 @@ def _edits(phases):
     } | {1: IntervalSet(reads.starts[1:], reads.ends[1:])}
 
 
+def _batches(outputs):
+    """The classifier's input: message lists as batches."""
+    return [
+        item if isinstance(item, MessageBatch)
+        else MessageBatch.from_messages(src, item)
+        for src, item in enumerate(outputs)
+    ]
+
+
 def test_every_edit_misses_the_memo():
     clear_memo()
     phases = [_phase(g) for g in range(N_GPUS)]
     reads = {p.gpu: p.reads for p in phases}
     outputs = _outputs()
+    batches = _batches(outputs)
     base = classify_per_pair(outputs, phases, reads)
-    assert classify_egress(outputs, phases, reads) == base
+    assert classify_egress(batches, phases, reads) == base
     assert metrics._written_read.sets
     for name, edited, edited_reads in _edits(phases):
         edited_reads = edited_reads or {p.gpu: p.reads for p in edited}
         want = classify_per_pair(outputs, edited, edited_reads)
         assert want != base, name
-        assert classify_egress(outputs, edited, edited_reads) == want, name
+        assert classify_egress(batches, edited, edited_reads) == want, name
         # And the original still answers from its own entries.
-        assert classify_egress(outputs, phases, reads) == base, name
+        assert classify_egress(batches, phases, reads) == base, name
 
 
 def test_clear_memo_drops_the_written_and_read_sets():
     phases = [_phase(g) for g in range(N_GPUS)]
-    classify_egress(_outputs(), phases, {p.gpu: p.reads for p in phases})
+    classify_egress(_batches(_outputs()), phases, {p.gpu: p.reads for p in phases})
     assert metrics._written_read.sets
     clear_memo()
     assert not metrics._written_read.sets
@@ -162,12 +172,12 @@ def test_memo_drops_its_oldest_sets_past_its_budget(monkeypatch):
     monkeypatch.setattr(metrics, "_written_read", memo)
     phases = [_phase(g) for g in range(N_GPUS)]
     reads = {p.gpu: p.reads for p in phases}
-    classify_egress(_outputs(), phases, reads)
+    classify_egress(_batches(_outputs()), phases, reads)
     assert 1 <= len(memo.sets) <= 3
     assert memo.nbytes == sum(map(memo._cost, memo.sets.values()))
     assert memo.nbytes <= memo.budget
     # Evicted sets are recomputed, not lost.
-    assert classify_egress(_outputs(), phases, reads) == classify_per_pair(
+    assert classify_egress(_batches(_outputs()), phases, reads) == classify_per_pair(
         _outputs(), phases, reads
     )
 
@@ -187,7 +197,7 @@ def test_the_analytical_tier_classifies_against_the_same_sets():
 
 @pytest.mark.parametrize("seed", range(5))
 def test_multi_range_batches_match_the_oracle(seed):
-    # Batches whose messages carry several ranges, mixed with lists.
+    # Batches whose messages carry several ranges, or none.
     rng = np.random.default_rng(seed)
     phases = [_phase(g) for g in range(N_GPUS)]
     reads = {p.gpu: p.reads for p in phases}

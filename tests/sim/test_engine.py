@@ -2,12 +2,14 @@
 
 :meth:`MultiGPUSystem._transmit_events` routes one iteration's messages
 one at a time, in stably sorted issue order, then drains each into its
-destination.  These tests drive it with a recording topology, so the
-order and times of every ``route`` call are visible.
+destination.  These tests feed it message batches and drive it with a
+recording topology, so the order and times of every ``route`` call are
+visible.
 """
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.faults.state import RouteBlockedError
@@ -15,10 +17,15 @@ from repro.gpu.compute import ComputeModel
 from repro.interconnect.message import MessageKind, WireMessage
 from repro.interconnect.pcie import PCIE_GEN4, PCIeProtocol
 from repro.obs import EventKind, Tracer
+from repro.perf.batch import MessageBatch
 from repro.sim.metrics import RunMetrics
 from repro.sim.system import _DRAIN_RATE, MultiGPUSystem
 
 LATENCY = 10.0
+#: Message tags, carried as the index in ``stores_packed``: the
+#: transport hands the topology bare messages.
+TAGS = ["a", "b", "c", "first", "second", "third", "late", "early", "big",
+        "small", "lost", "fp"]
 
 
 class RecordingTopology:
@@ -31,7 +38,7 @@ class RecordingTopology:
         self.routed: list[tuple[str, float]] = []
 
     def route(self, msg: WireMessage, ready_time: float) -> float:
-        tag = msg.meta["tag"]
+        tag = TAGS[msg.stores_packed]
         self.routed.append((tag, ready_time))
         if tag in self.blocked:
             raise RouteBlockedError(msg.src, msg.dst, ready_time, ("l0",))
@@ -40,14 +47,17 @@ class RecordingTopology:
 
 class RecordingDepacketizer:
     def __init__(self) -> None:
-        self.admitted: list[tuple[object, float]] = []
+        self.admitted: list[tuple[int, int, float]] = []
 
-    def admit(self, packet, arrival: float) -> float:
-        self.admitted.append((packet, arrival))
+    def entries(self, subs, data_bytes):
+        return 100 * subs + data_bytes
+
+    def admit_one(self, entries_needed, data_bytes, arrival: float) -> float:
+        self.admitted.append((entries_needed, data_bytes, arrival))
         return arrival + 1.0
 
 
-def message(tag, issue_time, payload=64, kind=MessageKind.STORE, **meta):
+def message(tag, issue_time, payload=64, kind=MessageKind.STORE, ranges=None):
     return WireMessage(
         src=0,
         dst=1,
@@ -55,7 +65,8 @@ def message(tag, issue_time, payload=64, kind=MessageKind.STORE, **meta):
         overhead_bytes=24,
         kind=kind,
         issue_time=issue_time,
-        meta={"tag": tag, **meta},
+        stores_packed=TAGS.index(tag),
+        meta={"range1": (0, payload)} if ranges is None else {"ranges": ranges},
     )
 
 
@@ -68,10 +79,11 @@ def transmit(outputs, topology=None, tracer=None, depacketizers=()):
         topology=topology,
     )
     metrics = RunMetrics(workload="loop", paradigm="p2p", n_gpus=2)
-    dropped: set[int] = set()
+    dropped: list[int] = []
     reasons: list[str] = []
+    batches = [MessageBatch.from_messages(0, item) for item in outputs]
     latest = system._transmit_events(
-        outputs, list(depacketizers), metrics, tracer, None, dropped, reasons
+        batches, list(depacketizers), metrics, tracer, None, dropped, reasons
     )
     return latest, topology, metrics, dropped, reasons
 
@@ -116,12 +128,14 @@ class TestEngine:
         assert not dropped and not reasons
 
     def test_blocked_route_drops_and_continues(self):
+        # Issued second, listed last: the drop names its row in the
+        # batches' concatenation.
         lost = message("lost", 2.0, payload=4096)
-        outputs = [[message("a", 1.0), lost, message("b", 3.0)]]
+        outputs = [[message("a", 1.0)], [message("b", 3.0), lost]]
         topology = RecordingTopology(blocked={"lost"})
         latest, _, metrics, dropped, reasons = transmit(outputs, topology)
         assert [tag for tag, _ in topology.routed] == ["a", "lost", "b"]
-        assert dropped == {id(lost)}
+        assert dropped == [2]
         assert metrics.faults.dropped_messages == 1
         assert metrics.faults.dropped_bytes == 4096
         assert reasons == ["no live path gpu0->gpu1 at 2.0 ns (dead links: l0)"]
@@ -130,12 +144,14 @@ class TestEngine:
         assert latest == 3.0 + LATENCY + 64 / _DRAIN_RATE
 
     def test_finepack_drains_through_its_destination(self):
-        packet = object()
+        # Three sub-transactions of 10, 20 and 34 B: the buffer entries
+        # come from the range count and the payload.
+        ranges = (np.array([0, 100, 200]), np.array([10, 20, 34]))
         depacketizers = [RecordingDepacketizer(), RecordingDepacketizer()]
-        outputs = [[message("fp", 4.0, kind=MessageKind.FINEPACK, packet=packet)]]
+        outputs = [[message("fp", 4.0, kind=MessageKind.FINEPACK, ranges=ranges)]]
         latest, *_ = transmit(outputs, depacketizers=depacketizers)
         assert depacketizers[0].admitted == []
-        assert depacketizers[1].admitted == [(packet, 4.0 + LATENCY)]
+        assert depacketizers[1].admitted == [(364, 64, 4.0 + LATENCY)]
         assert latest == 4.0 + LATENCY + 1.0
 
     @pytest.mark.parametrize("blocked", [(), ("b",)])

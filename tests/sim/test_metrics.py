@@ -5,6 +5,7 @@ import pytest
 
 from repro.gpu.compute import KernelWork
 from repro.interconnect.message import MessageKind, WireMessage
+from repro.perf.batch import MessageBatch
 from repro.sim.metrics import ByteBreakdown, PacketStats, RunMetrics, classify_egress
 from repro.trace.intervals import IntervalSet
 from repro.trace.stream import KernelPhase, RemoteStoreBatch
@@ -37,7 +38,8 @@ def classify(messages, footprint, reads):
         np.ones(len(footprint), dtype=np.int64),
     )
     phase = KernelPhase(gpu=0, work=KernelWork(0.0, 0.0), stores=stores)
-    return classify_egress([messages], [phase], {1: reads})
+    batch = MessageBatch.from_messages(0, messages)
+    return classify_egress([batch], [phase], {1: reads})
 
 
 class TestClassification:
