@@ -270,9 +270,10 @@ class Link:
         The busy chain ``end_i = max(ready_i, end_{i-1}) + d_i`` is
         timed busy period by busy period (:func:`_chain_by_period`),
         whose additions are the scalar path's in the scalar order;
-        calls shorter than :data:`CHAIN_ARRAY_MIN` keep the
-        per-message loop.  ``busy_time_ns`` is accumulated left to
-        right, as the scalar path sums it.
+        calls shorter than :data:`CHAIN_ARRAY_MIN` run
+        :func:`_chain_loop` on Python floats (:meth:`_transmit_short`).
+        ``busy_time_ns`` is accumulated left to right, as the scalar
+        path sums it.
         """
         if (
             self.credits is not None
@@ -284,25 +285,43 @@ class Link:
                 f"link {self.name} is stateful (credits/faults/replay/tracer); "
                 "batch transmission would not be byte-identical"
             )
-        durations = wire_bytes / self.bytes_per_ns
         st = self.stats
-        if ready.size < CHAIN_ARRAY_MIN:
-            ends = np.empty_like(durations)
-            self.busy_until = _chain_loop(ready, durations, self.busy_until, ends)
-            busy_time = st.busy_time_ns
-            for d in durations.tolist():
-                busy_time += d
-            st.busy_time_ns = busy_time
-        else:
-            ends = _chain_by_period(ready, durations, self.busy_until)
-            self.busy_until = float(ends[-1])
-            st.busy_time_ns = float(
-                np.add.accumulate(np.concatenate(([st.busy_time_ns], durations)))[-1]
-            )
         st.messages += int(ready.size)
+        if ready.size < CHAIN_ARRAY_MIN:
+            return self._transmit_short(ready, wire_bytes, payload, overhead)
+        durations = wire_bytes / self.bytes_per_ns
+        ends = _chain_by_period(ready, durations, self.busy_until)
+        self.busy_until = float(ends[-1])
+        st.busy_time_ns = float(
+            np.add.accumulate(np.concatenate(([st.busy_time_ns], durations)))[-1]
+        )
         st.payload_bytes += int(payload.sum())
         st.overhead_bytes += int(overhead.sum())
         return ends + self.propagation_ns
+
+    def _transmit_short(
+        self,
+        ready: np.ndarray,
+        wire_bytes: np.ndarray,
+        payload: np.ndarray,
+        overhead: np.ndarray,
+    ) -> np.ndarray:
+        """:meth:`transmit_batch` below :data:`CHAIN_ARRAY_MIN` in plain
+        Python: numpy's fixed cost per operation dominates calls this
+        short.  Every float operation is the array path's, in its order."""
+        bytes_per_ns = float(self.bytes_per_ns)
+        durations = [w / bytes_per_ns for w in wire_bytes.tolist()]
+        ends = _chain_loop(ready.tolist(), durations, self.busy_until)
+        if ends:
+            self.busy_until = ends[-1]
+        st = self.stats
+        busy_time = st.busy_time_ns
+        for d in durations:
+            busy_time += d
+        st.busy_time_ns = busy_time
+        st.payload_bytes += sum(payload.tolist())
+        st.overhead_bytes += sum(overhead.tolist())
+        return np.array(ends, dtype=np.float64) + self.propagation_ns
 
     def reset(self) -> None:
         """Clear timing state and counters (between runs).
@@ -322,17 +341,15 @@ class Link:
 
 
 def _chain_loop(
-    ready: np.ndarray, durations: np.ndarray, busy: float, out: np.ndarray
-) -> float:
+    ready: list[float], durations: list[float], busy: float
+) -> list[float]:
     """The busy chain one message at a time, as :meth:`Link.transmit`
-    computes it: writes each end into ``out`` and returns the last."""
-    i = 0
-    for r, d in zip(ready.tolist(), durations.tolist()):
-        start = r if r > busy else busy
-        busy = start + d
-        out[i] = busy
-        i += 1
-    return busy
+    computes it, on a link busy until ``busy``: every message's end."""
+    ends = []
+    for r, d in zip(ready, durations):
+        busy = (r if r > busy else busy) + d
+        ends.append(busy)
+    return ends
 
 
 def _chain_by_period(
@@ -370,7 +387,7 @@ def _chain_by_period(
             return ends
         busy = float(ends[lo - 1])
         np.greater(ready[lo + 1 :], ends[lo:-1], out=new[lo + 1 :])
-    _chain_loop(ready[lo:], durations[lo:], busy, ends[lo:])
+    ends[lo:] = _chain_loop(ready[lo:].tolist(), durations[lo:].tolist(), busy)
     return ends
 
 

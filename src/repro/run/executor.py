@@ -53,6 +53,7 @@ from concurrent.futures import FIRST_COMPLETED, BrokenExecutor, ProcessPoolExecu
 from concurrent.futures import wait as _futures_wait
 from contextlib import contextmanager
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 from typing import Callable, Mapping, Sequence
 
@@ -74,6 +75,11 @@ from .spec import RunSpec
 #: cleanup is registered with :mod:`atexit` as well as ``finally`` so
 #: interrupts cannot strand them.
 EPHEMERAL_CACHE_PREFIX = "repro-trace-cache-"
+
+#: How often the pool re-checks a held cell's trace while a worker
+#: idles for it.  A trace is published as soon as it is generated, well
+#: before the cell generating it finishes simulating.
+HOLD_POLL_S = 0.01
 
 
 class CellExecutionError(Exception):
@@ -169,10 +175,16 @@ class _Cell:
     not_before: float = 0.0  # monotonic instant the next attempt may start
     started: float = 0.0  # monotonic submit instant of the attempt in flight
     deadline: float | None = None
-    key: str = field(default="")
 
-    def __post_init__(self) -> None:
-        self.key = self.spec.key()
+    @cached_property
+    def key(self) -> str:
+        """The spec's content hash (seeds the retry backoff jitter)."""
+        return self.spec.key()
+
+    @cached_property
+    def trace_key(self) -> str:
+        """The spec's trace-cache address (the pool dispatches by it)."""
+        return self.spec.trace_key()
 
 
 class _Supervisor:
@@ -347,10 +359,34 @@ def _run_serial(
             break
 
 
+def _trace_order(pending: list[_Cell]) -> list[_Cell]:
+    """Each trace's first cell in spec order, then its siblings in spec
+    order: a grid of distinct traces keeps its order exactly."""
+    seen: set[str] = set()
+    first: list[_Cell] = []
+    siblings: list[_Cell] = []
+    for cell in pending:
+        (siblings if cell.trace_key in seen else first).append(cell)
+        seen.add(cell.trace_key)
+    return first + siblings
+
+
 def _run_parallel(
-    sup: _Supervisor, pending: list[_Cell], jobs: int, cache_root: str | None
+    sup: _Supervisor, pending: list[_Cell], jobs: int, cache_root: str
 ) -> None:
     """The supervised pool: per-cell futures, hung-worker replacement.
+
+    Dispatch is trace-aware, so each trace is generated once: cells
+    start in :func:`_trace_order`, and a cell is *held* while another
+    cell of its trace is in flight and the trace is not yet published
+    in the shared cache.  Holds are derived from the in-flight map, so
+    every way a cell leaves it (success, error, timeout, pool break)
+    releases them; a worker idle only because of a hold re-checks every
+    :data:`HOLD_POLL_S`.  Once an attempt of a trace has failed, its
+    cells are no longer held: a trace that keeps failing fails its
+    cells side by side, as an unheld pool would.  When completions all
+    succeeded, free workers get their next cells before the parent
+    stores and journals the finished ones.
 
     Crash attribution: when a worker process dies, *every* in-flight
     future breaks with it and ``ProcessPoolExecutor`` cannot say whose
@@ -363,10 +399,12 @@ def _run_parallel(
     """
     workers = min(jobs, len(pending))
     policy = sup.policy
-    ready: deque[_Cell] = deque(pending)
+    cache = TraceCache(cache_root)
+    ready: deque[_Cell] = deque(_trace_order(pending))
     waiting: list[_Cell] = []
     suspects: deque[_Cell] = deque()
     inflight: dict = {}
+    failed_traces: set[str] = set()  # trace keys no longer held for
     pool = ProcessPoolExecutor(max_workers=workers)
 
     def _submit(cell: _Cell) -> None:
@@ -379,7 +417,48 @@ def _run_parallel(
             sup.journal.record_start(cell.index, cell.spec, cell.attempts + 1)
         inflight[pool.submit(_execute_one, (cell.spec, cache_root))] = cell
 
+    def _dispatch() -> bool:
+        """Start every cell that may start; True when a worker is left
+        idle only because the ready cells are held."""
+        now = time.monotonic()
+        for cell in [c for c in waiting if c.not_before <= now]:
+            waiting.remove(cell)
+            ready.append(cell)
+        if suspects:
+            # Suspect mode: exactly one future in flight at a time.
+            if not inflight:
+                cell = suspects[0]
+                if cell.not_before <= now:
+                    suspects.popleft()
+                    _submit(cell)
+            return False
+        # Cap in-flight futures at the worker count: a submitted cell
+        # is actually *running*, so timeout accounting charges cells
+        # that consumed an attempt.
+        flying = {c.trace_key for c in inflight.values()}
+        held: dict[str, bool] = {}  # trace key -> its cells wait
+        skipped: list[_Cell] = []
+        while ready and len(inflight) < workers:
+            cell = ready.popleft()
+            key = cell.trace_key
+            if key not in held:
+                held[key] = (
+                    key in flying
+                    and key not in failed_traces
+                    and not cache.path_for(key).is_dir()
+                )
+            if held[key]:
+                skipped.append(cell)  # a sibling is generating its trace
+                continue
+            _submit(cell)
+            if key not in flying:
+                flying.add(key)
+                del held[key]  # its siblings wait from now on, unless published
+        ready.extendleft(reversed(skipped))
+        return bool(skipped) and len(inflight) < workers
+
     def _after_failure(cell: _Cell, retry: bool, kind: str, now: float) -> None:
+        failed_traces.add(cell.trace_key)
         if retry:
             cell.not_before = now + policy.backoff(cell.key, cell.attempts)
             # A charged crash retries solo: if it crashes again the
@@ -388,23 +467,7 @@ def _run_parallel(
 
     try:
         while ready or waiting or suspects or inflight:
-            now = time.monotonic()
-            for cell in [c for c in waiting if c.not_before <= now]:
-                waiting.remove(cell)
-                ready.append(cell)
-            if suspects:
-                # Suspect mode: exactly one future in flight at a time.
-                if not inflight:
-                    cell = suspects[0]
-                    if cell.not_before <= now:
-                        suspects.popleft()
-                        _submit(cell)
-            else:
-                # Cap in-flight futures at the worker count: a
-                # submitted cell is actually *running*, so timeout
-                # accounting charges cells that consumed an attempt.
-                while ready and len(inflight) < workers:
-                    _submit(ready.popleft())
+            holding = _dispatch()
             if not inflight:
                 horizons = [c.not_before for c in waiting]
                 horizons += [c.not_before for c in suspects]
@@ -418,6 +481,8 @@ def _run_parallel(
                 if horizons
                 else None
             )
+            if holding:
+                wait_s = HOLD_POLL_S if wait_s is None else min(wait_s, HOLD_POLL_S)
             done, _ = _futures_wait(
                 set(inflight), timeout=wait_s, return_when=FIRST_COMPLETED
             )
@@ -425,6 +490,7 @@ def _run_parallel(
             now = time.monotonic()
             pool_broken = False
             broken: list[_Cell] = []
+            finished: list[tuple[_Cell, RunOutcome]] = []
             for fut in done:
                 cell = inflight.pop(fut)
                 duration = now - cell.started
@@ -456,13 +522,19 @@ def _run_parallel(
                     )
                     _after_failure(cell, retry, "error", now)
                 else:
-                    sup.succeed(cell, outcome)
+                    finished.append((cell, outcome))
 
             overdue = [
                 (fut, cell)
                 for fut, cell in inflight.items()
                 if cell.deadline is not None and now >= cell.deadline
             ]
+            if finished and len(finished) == len(done) and not overdue:
+                # Refill first: the freed workers start their next
+                # cells while the parent stores and journals these.
+                _dispatch()
+            for cell, outcome in finished:
+                sup.succeed(cell, outcome)
             if overdue:
                 # Hung worker(s): the only portable preemption is
                 # killing the pool, so every overdue cell is charged a

@@ -1,7 +1,8 @@
 """The busy-period chain of :meth:`Link.transmit_batch` against the
 per-message loop it replaced: delivery times, ``busy_until`` and
 ``LinkStats`` must match bit for bit, on both sides of the array
-cutoff."""
+cutoff.  Calls below the cutoff are also checked against per-message
+:meth:`Link.transmit`."""
 
 from __future__ import annotations
 
@@ -14,6 +15,7 @@ from hypothesis import strategies as st
 
 from repro.interconnect import link as link_module
 from repro.interconnect.link import CHAIN_ARRAY_MIN, Link
+from repro.interconnect.message import WireMessage
 
 #: Bytes per ns.  Most give durations that are not exact binary
 #: fractions, so sums round and the closed form drifts from the loop.
@@ -194,6 +196,50 @@ class TestMatchesLoop:
         assert_same_transmission(ready, wire, bw, 0.0, 0.0, splits=[split])
 
 
+class TestShortCallsMatchTransmit:
+    """Calls below :data:`CHAIN_ARRAY_MIN` against :meth:`Link.transmit`
+    one message at a time, the event path's own arithmetic."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        shape=st.sampled_from(SHAPES),
+        n=st.integers(1, CHAIN_ARRAY_MIN - 1),
+        seed=st.integers(0, 2**32 - 1),
+        bw=st.sampled_from(BANDWIDTHS),
+        busy=st.sampled_from(("behind", "ahead")),
+        busy_time=st.sampled_from((0.0, 0.1, 12345.678)),
+        cut=st.floats(0.0, 1.0),
+    )
+    def test_matches_transmit(self, shape, n, seed, bw, busy, busy_time, cut):
+        busy_until = {"behind": 0.0, "ahead": BASE + float(n * 50 / bw)}[busy]
+        ready, wire = make_stream(shape, n, seed, bw, busy_until)
+        payload = wire * 3 // 4
+        overhead = wire - payload
+        oracle, batched = Link("x", bytes_per_ns=bw), Link("x", bytes_per_ns=bw)
+        for link in (oracle, batched):
+            link.busy_until = busy_until
+            link.stats.busy_time_ns = busy_time
+        want = [
+            oracle.transmit(
+                WireMessage(src=0, dst=1, payload_bytes=p, overhead_bytes=o), r
+            )[1]
+            for r, p, o in zip(ready.tolist(), payload.tolist(), overhead.tolist())
+        ]
+        split = int(cut * n)
+        got = [
+            batched.transmit_batch(*(a[part] for a in (ready, wire, payload, overhead)))
+            for part in (slice(0, split), slice(split, n))
+        ]
+        assert np.concatenate(got).view(np.int64).tolist() == (
+            np.array(want).view(np.int64).tolist()
+        )
+        assert type(batched.busy_until) is float
+        assert type(batched.stats.busy_time_ns) is float
+        assert batched.busy_until.hex() == oracle.busy_until.hex()
+        assert batched.stats.busy_time_ns.hex() == oracle.stats.busy_time_ns.hex()
+        assert batched.stats == oracle.stats
+
+
 def refinement_stream():
     """A stream whose closed-form guess misplaces one period start.
 
@@ -229,7 +275,7 @@ class TestRefinement:
         real = link_module._chain_loop
 
         def spy(r, *args):
-            looped.append(r.size)
+            looped.append(len(r))
             return real(r, *args)
 
         with mock.patch.object(link_module, "CHAIN_MAX_ROUNDS", 1), mock.patch.object(

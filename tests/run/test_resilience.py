@@ -12,6 +12,7 @@ outcomes identical to an uninterrupted run.
 
 import atexit
 import glob
+import json
 import os
 import pickle
 import tempfile
@@ -34,6 +35,7 @@ from repro.run import (
     RunContext,
     RunOutcome,
     RunSpec,
+    aggregate_cache_stats,
     execute_grid,
     grid_key,
     labeled_sweep,
@@ -307,6 +309,67 @@ class TestWorkerFailures:
         pids = {c.worker_pid for c in grid.cells}
         assert all(isinstance(p, int) for p in pids)
         assert os.getpid() not in pids
+
+
+def sibling_grid(mode, token_dir, **kw):
+    """Three cells of one ``faulty`` trace whose first generation
+    misbehaves once."""
+    spec = faulty_spec(mode, budget=1, token_dir=str(token_dir),
+                       token="shared", **kw)
+    return [spec.with_options(paradigm=p) for p in ("p2p", "finepack", "dma")]
+
+
+class TestTraceAwareDispatch:
+    """The pool generates each trace once: a cell waits while a sibling
+    generating its trace is in flight, every exit of that sibling
+    releases it, and a trace whose generation failed is not held for."""
+
+    def test_one_generation_per_trace(self, tmp_path):
+        specs = sibling_grid("hang", tmp_path / "tokens", hang_s=0.3)
+        grid = execute_grid(specs, jobs=2, trace_cache=tmp_path / "cache",
+                            strict=False)
+        assert grid.ok
+        assert aggregate_cache_stats(grid)["misses"] == 1
+        assert grid.cells == execute_grid(specs, jobs=1)
+
+    @pytest.mark.parametrize(
+        "mode, knobs, counter",
+        [
+            ("raise", {}, "errors"),
+            ("crash", {}, "crashes"),
+            ("hang", {"hang_s": 60.0}, "timeouts"),
+        ],
+    )
+    def test_failed_generation_releases_siblings(self, tmp_path, mode, knobs,
+                                                 counter):
+        specs = sibling_grid(mode, tmp_path / "tokens", **knobs)
+        grid = execute_grid(specs, jobs=2, trace_cache=tmp_path / "cache",
+                            timeout=3.0, strict=False)
+        assert grid.ok
+        assert all(isinstance(c, RunOutcome) for c in grid.cells)
+        assert grid.retry_stats[counter] == 1
+
+    def test_failing_trace_runs_siblings_side_by_side(self, tmp_path):
+        # No token_dir: every generation attempt hangs.  After the first
+        # timeout the other two cells start together and die in one
+        # pool kill; holding them would cost one pool kill per cell.
+        spec = faulty_spec("hang", budget=1, hang_s=60.0)
+        specs = [spec.with_options(paradigm=p) for p in ("p2p", "finepack", "dma")]
+        grid = execute_grid(specs, jobs=2, trace_cache=tmp_path / "cache",
+                            timeout=0.5, retries=0, strict=False)
+        assert not any(isinstance(c, RunOutcome) for c in grid.cells)
+        assert grid.retry_stats["quarantined"] == 3
+        assert grid.retry_stats["pool_breaks"] == 2
+
+    def test_distinct_traces_start_in_spec_order(self, tmp_path):
+        specs = [faulty_spec(token=f"t{i}") for i in range(5)]
+        journal = tmp_path / "grid.jsonl"
+        grid = execute_grid(specs, jobs=2, trace_cache=tmp_path / "cache",
+                            journal=journal, strict=False)
+        assert grid.ok
+        events = [json.loads(line) for line in journal.read_text().splitlines()]
+        starts = [e["i"] for e in events if e.get("e") == "start"]
+        assert starts == list(range(len(specs)))
 
 
 class TestDurability:
